@@ -9,7 +9,8 @@ spectrum   fit the spectral decay rate of a stored checkpoint
 compare    rerun one config at several truncation levels, report psi(t)
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical blow-up,
-3 at least one verified inequality failed.
+3 at least one verified inequality failed, 4 an iterative solver (the Phi
+root) did not converge.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BLOWUP = 2
 EXIT_BOUND_FAILURE = 3
+EXIT_CONVERGENCE = 4
 
 
 def _load_table(path, safety=2.0):
@@ -250,13 +252,15 @@ def main(argv=None) -> int:
         DomainError,
         TraceError,
         CheckpointError,
-        ConvergenceError,
         MissingConstantError,
         FieldInvariantError,
         GevreyOverflowError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ConvergenceError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -507,8 +507,6 @@ class DiagnosticsSpec:
     shells: bool = False
 
 
-_fmt_s = fmt_s
-
 
 def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     dstate=None):
@@ -519,35 +517,35 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
     row["diss_v"] = state.nu * sobolev_norm(state.V, 1.0) ** 2
     row["diss_b"] = state.eta * sobolev_norm(state.B, 1.0) ** 2
     for s in spec.s_grid:
-        row["v_s%s" % _fmt_s(s)] = sobolev_norm(state.V, s)
-        row["b_s%s" % _fmt_s(s)] = sobolev_norm(state.B, s)
+        row["v_s%s" % fmt_s(s)] = sobolev_norm(state.V, s)
+        row["b_s%s" % fmt_s(s)] = sobolev_norm(state.B, s)
     if spec.derivative_s or spec.wiener_s:
         if dstate is None:
             dstate = full_rhs(state)
         dV, dB = dstate
         for s in spec.derivative_s:
-            row["dv_s%s" % _fmt_s(s)] = sobolev_norm(dV, s)
-            row["db_s%s" % _fmt_s(s)] = sobolev_norm(dB, s)
+            row["dv_s%s" % fmt_s(s)] = sobolev_norm(dV, s)
+            row["db_s%s" % fmt_s(s)] = sobolev_norm(dB, s)
         for s in spec.wiener_s:
-            row["wv_s%s" % _fmt_s(s)] = wiener_norm(state.V, s)
-            row["wb_s%s" % _fmt_s(s)] = wiener_norm(state.B, s)
-            row["dwv_s%s" % _fmt_s(s)] = wiener_norm(dV, s)
-            row["dwb_s%s" % _fmt_s(s)] = wiener_norm(dB, s)
+            row["wv_s%s" % fmt_s(s)] = wiener_norm(state.V, s)
+            row["wb_s%s" % fmt_s(s)] = wiener_norm(state.B, s)
+            row["dwv_s%s" % fmt_s(s)] = wiener_norm(dV, s)
+            row["dwb_s%s" % fmt_s(s)] = wiener_norm(dB, s)
     for q, s in spec.lq_grid:
-        row["lv_q%s_s%s" % (_fmt_s(q), _fmt_s(s))] = lq_norm(state.V, q, s)
-        row["lb_q%s_s%s" % (_fmt_s(q), _fmt_s(s))] = lq_norm(state.B, q, s)
+        row["lv_q%s_s%s" % (fmt_s(q), fmt_s(s))] = lq_norm(state.V, q, s)
+        row["lb_q%s_s%s" % (fmt_s(q), fmt_s(s))] = lq_norm(state.B, q, s)
     if spec.ft_sigma is not None:
         w = spec.ft_sigma * (state.t - t0)
         for s in spec.ft_s:
-            row["ft_s%s" % _fmt_s(s)] = (
+            row["ft_s%s" % fmt_s(s)] = (
                 gevrey_norm(state.V, w, s) ** 2 + gevrey_norm(state.B, w, s) ** 2
             )
     if spec.delta is not None:
         ps = transform(state, spec.delta)
         row["phi"] = ps.phi
         for s in spec.tilde_s:
-            row["tv_s%s" % _fmt_s(s)] = sobolev_norm(ps.V, s)
-            row["tb_s%s" % _fmt_s(s)] = sobolev_norm(ps.B, s)
+            row["tv_s%s" % fmt_s(s)] = sobolev_norm(ps.V, s)
+            row["tb_s%s" % fmt_s(s)] = sobolev_norm(ps.B, s)
         tv1 = sobolev_norm(ps.V, 1.0)
         tb1 = sobolev_norm(ps.B, 1.0)
         tv2 = sobolev_norm(ps.V, 2.0)
@@ -602,7 +600,6 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
     arch = TraceArchive.create(outdir, manifest)
     ck_stride = config.checkpoint_stride or config.output_stride
     t0 = initial.t
-    need_deriv = bool(diagnostics.derivative_s or diagnostics.wiener_s)
 
     state = initial
     arch.append(_diagnostic_row(state, diagnostics, t0))

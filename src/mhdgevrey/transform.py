@@ -34,16 +34,6 @@ _MAX_BISECTIONS = 200
 # -- exponentially growing weight (first transform) ---------------------------
 
 
-@dataclass(frozen=True)
-class FoiasTemamParams:
-    """Parameters of the growing-weight estimate for 1/2 < s <= 1."""
-
-    sigma: float
-    s: float
-    gamma: float
-    c_second: float
-
-
 def _energy_s(state, s: float) -> float:
     return sobolev_norm(state.V, s) ** 2 + sobolev_norm(state.B, s) ** 2
 
@@ -116,7 +106,14 @@ def _theta(V, B, delta, phi):
 
 
 def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
-    """Unique root of Theta on (0, 1] by bisection (Theta is increasing)."""
+    """Unique root of Theta on (0, 1] by bisection (Theta is increasing).
+
+    Bisection stops at an absolute residual of PHI_RESIDUAL_TOL.  Near the
+    root the norm terms of Theta cancel against Phi^{-2}, so for large fields
+    that residual lies below the roundoff of Theta; once the bracket is one
+    ulp wide, the best point is accepted if its residual is within 1e-9
+    relative to Phi^{-2}.
+    """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
     theta1 = _theta(V, B, delta, 1.0)
@@ -138,10 +135,10 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
             lo = mid
         else:
             hi = mid
-    if abs(best_res) <= 1e-9:
+    if abs(best_res) * best_phi**2 <= 1e-9:
         return best_phi
     raise ConvergenceError(
-        "Phi bisection stalled with residual %r" % (best_res,)
+        "Phi bisection stalled with residual %r at Phi = %r" % (best_res, best_phi)
     )
 
 
@@ -161,7 +158,7 @@ class PhiState:
         if not (0.0 < self.phi <= 1.0):
             raise DomainError("phi must lie in (0, 1]")
         e = sobolev_norm(self.V, 1.5) ** 2 + sobolev_norm(self.B, 1.5) ** 2
-        if abs(self.phi - (1.0 + e) ** -0.5) > PHI_FIXED_POINT_TOL:
+        if abs(self.phi - (1.0 + e) ** -0.5) > PHI_FIXED_POINT_TOL * self.phi:
             raise DomainError("phi is not the fixed point of the weighted fields")
 
 
@@ -190,9 +187,37 @@ def untransform_field(w: SpectralField, delta: float, phi: float) -> SpectralFie
 def sigma_p(phi_state: PhiState, p: float) -> float:
     """The real value i*Sigma_p of the weighted triple-interaction sum.
 
-    Direct double summation over coefficient pairs; the p = 0 case uses the
-    index-swapped symmetrized kernel, which removes a cancellation between
-    large exponentials.
+    With dP = delta*Phi, the sum over mode pairs carries the weight
+    |n|^p e^{dP(|n| - |k| - |n-k|)}.  The weight factorises, so for the
+    un-weighted fields v = e^{-dP|n|} v~, b = e^{-dP|n|} b~ the inner sum over
+    k is the Galerkin nonlinearity (NL_v, NL_b) of (v, b), and
+
+        i Sigma_p = sum_n |n|^p e^{dP|n|}
+                    Re[conj(v~_n).NL_v(n) + conj(b~_n).NL_b(n)].
+
+    The Leray projection in NL_v drops out because v~_n is orthogonal to n,
+    and the padded grid of ``nonlinear_rhs_fast`` makes the truncated
+    convolution exact, so one padded evaluation gives the sum for every p.
+    ``_sigma_p_direct`` is the literal double sum, kept as the test oracle.
+    """
+    from .solver import MhdState, nonlinear_rhs_fast
+
+    dp = phi_state.delta * phi_state.phi
+    raw = MhdState(V=gevrey_scale(phi_state.V, -dp), B=gevrey_scale(phi_state.B, -dp))
+    nl_v, nl_b = nonlinear_rhs_fast(raw)
+    pairing = (
+        np.einsum("kc,kc->k", np.conj(phi_state.V.ball()), nl_v.ball())
+        + np.einsum("kc,kc->k", np.conj(phi_state.B.ball()), nl_b.ball())
+    )
+    g = geometry(phi_state.V.N)
+    return float(np.sum(g.absn**p * np.exp(dp * g.absn) * pairing.real))
+
+
+def _sigma_p_direct(phi_state: PhiState, p: float) -> float:
+    """Reference i*Sigma_p by literal double summation over coefficient pairs.
+
+    O(N^6); keep N <= 8.  The p = 0 case uses the index-swapped symmetrized
+    kernel, which removes a cancellation between large exponentials.
     """
     N = phi_state.V.N
     g = geometry(N)

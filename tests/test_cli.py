@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, reports and config validation."""
 
 import csv
+import importlib
 import json
 import math
 
@@ -12,12 +13,13 @@ from mhdgevrey.archive import checkpoint_save
 from mhdgevrey.cli import (
     EXIT_BLOWUP,
     EXIT_BOUND_FAILURE,
+    EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
 from mhdgevrey.config import load_run_config, parse_run_config
-from mhdgevrey.errors import ConfigError
+from mhdgevrey.errors import ConfigError, ConvergenceError
 from mhdgevrey.spectral import SpectralField, geometry
 
 
@@ -140,6 +142,19 @@ class TestRunCommand:
         assert code == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
         assert "blowup_t" in m.TraceArchive.load(out).manifest
+
+    def test_convergence_error_exit_code(self, tmp_path, table_json, capsys,
+                                         monkeypatch):
+        def stalled(V, B, delta):
+            raise ConvergenceError("Phi bisection stalled")
+
+        monkeypatch.setattr(importlib.import_module("mhdgevrey.transform"),
+                            "solve_phi", stalled)
+        cfg = write_config(tmp_path)
+        code = main(["run", cfg, "--out", str(tmp_path / "cv"),
+                     "--table", table_json, "--verbosity", "0"])
+        assert code == EXIT_CONVERGENCE
+        assert "stalled" in capsys.readouterr().err
 
     def test_no_outdir_anywhere(self, tmp_path, table_json, capsys):
         cfg = write_config(tmp_path)

@@ -10,6 +10,8 @@ from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.solver import MhdState, full_rhs, step
 from mhdgevrey.transform import (
     PhiState,
+    _sigma_p_direct,
+    _theta,
     balance_residual,
     delta_max,
     foias_temam_norms,
@@ -38,8 +40,6 @@ class TestSolvePhi:
         assert solve_phi(V, B, 0.1) == pytest.approx(0.7940369813, abs=1e-9)
 
     def test_residual_small_on_random_fields(self):
-        from mhdgevrey.transform import _theta
-
         for seed in range(5):
             V = random_field(5, seed)
             B = random_field(5, seed + 50)
@@ -56,6 +56,17 @@ class TestSolvePhi:
         z = m.SpectralField.zeros(3)
         with pytest.raises(DomainError):
             solve_phi(z, z, -0.1)
+
+    @pytest.mark.parametrize("which", ["zero", "std"])
+    def test_large_legal_input_converges(self, which, delta_std):
+        # The norm terms of Theta cancel against Phi^{-2} ~ 6e7 here, so an
+        # absolute residual test cannot be met in double precision.
+        delta = 0.0 if which == "zero" else delta_std
+        st = m.make_initial("random-spectrum",
+                            {"norm_v": 3000.0, "norm_b": 3000.0}, N=8, seed=0,
+                            nu=0.1, eta=0.1)
+        ps = transform(st, delta)
+        assert abs(_theta(st.V, st.B, delta, ps.phi)) * ps.phi**2 <= 1e-9
 
     def test_phi_decreases_with_amplitude(self):
         B = m.SpectralField.zeros(4)
@@ -126,20 +137,42 @@ class TestSigmaP:
         scale = (m.sobolev_norm(ps.V, 1.0) ** 2 + m.sobolev_norm(ps.B, 1.0) ** 2) ** 1.5
         assert abs(sigma_p(ps, 0.0)) <= 1e-11 * max(1.0, scale)
 
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("which", ["zero", "std", "one"])
+    def test_matches_direct_sum(self, N, p, which, delta_std):
+        delta = {"zero": 0.0, "std": delta_std, "one": 1.0}[which]
+        for seed in range(3):
+            st = MhdState(V=random_field(N, seed, 0.3),
+                          B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
+            ps = transform(st, delta)
+            s = 1.0 + 0.5 * p
+            scale = (m.sobolev_norm(ps.V, s) ** 2 + m.sobolev_norm(ps.B, s) ** 2) ** 1.5
+            assert abs(sigma_p(ps, p) - _sigma_p_direct(ps, p)) <= 1e-12 * max(1.0, scale)
+
+
+def _residual_along_trajectory(N, delta):
+    st = m.make_initial("random-spectrum",
+                        {"norm_v": 0.3, "norm_b": 0.15}, N=N, seed=5,
+                        nu=0.1, eta=0.1)
+    h = 1e-3
+    samples = []
+    cur = st
+    for _ in range(3):
+        samples.append(transform(cur, delta))
+        cur = step(cur, h)
+    res = balance_residual(samples)
+    e32 = m.sobolev_norm(samples[0].V, 1.5) ** 2
+    return res, e32
+
 
 class TestBalanceResidual:
     def test_residual_small_along_trajectory(self, delta_std):
-        st = m.make_initial("random-spectrum",
-                            {"norm_v": 0.3, "norm_b": 0.15}, N=6, seed=5,
-                            nu=0.1, eta=0.1)
-        h = 1e-3
-        samples = []
-        cur = st
-        for _ in range(3):
-            samples.append(transform(cur, delta_std))
-            cur = step(cur, h)
-        res = balance_residual(samples)
-        e32 = m.sobolev_norm(samples[0].V, 1.5) ** 2
+        res, e32 = _residual_along_trajectory(6, delta_std)
+        assert res <= 1e-4 * max(1.0, e32)
+
+    def test_residual_small_at_n16(self, delta_std):
+        res, e32 = _residual_along_trajectory(16, delta_std)
         assert res <= 1e-4 * max(1.0, e32)
 
     def test_requires_two_samples(self, singlemode_state, delta_std):
