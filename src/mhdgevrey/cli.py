@@ -82,13 +82,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _worst_pointwise(id, trace, table, delta, s):
-    worst = None
-    for st in trace.checkpoints():
-        rep = verify_pointwise(id, st, table, delta=delta, s=s)
-        if worst is None or rep.ratio > worst.ratio:
-            worst = rep
-    return worst
+def _worst_pointwise(id, checkpoints, table, delta, s):
+    if not checkpoints:
+        raise TraceError("archive holds no checkpoints")
+    return max((verify_pointwise(id, st, table, delta=delta, s=s)
+                for st in checkpoints), key=lambda rep: rep.ratio)
 
 
 def cmd_verify(args) -> int:
@@ -105,6 +103,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     s_list = args.s if args.s else [None]
+    checkpoints = trace.checkpoints() if set(ids) & set(POINTWISE_IDS) else []
     reports = []
     for id in ids:
         # B29 does not depend on the norm index; run it once.
@@ -114,10 +113,10 @@ def cmd_verify(args) -> int:
                     rep = verify_integral(id, trace, s, T, table,
                                           delta=delta, p=args.p)
                 else:
-                    rep = _worst_pointwise(id, trace, table, delta, s)
+                    rep = _worst_pointwise(id, checkpoints, table, delta, s)
             except (DomainError, TraceError):
                 # s outside the bound's validity range, or the trace does not
-                # carry the columns this (bound, s) pair needs
+                # carry the columns or checkpoints this (bound, s) pair needs
                 continue
             reports.append(rep)
     if not reports:

@@ -483,7 +483,6 @@ def _rescale(w, target):
     cur = sobolev_norm(w, 0.0)
     if cur == 0.0:
         raise ConfigError("cannot rescale a zero field")
-    g = geometry(w.N)
     c = w.coeffs * (target / cur)
     return SpectralField(w.N, c)
 
@@ -510,7 +509,7 @@ class DiagnosticsSpec:
 
 def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     dstate=None):
-    from .transform import solve_phi, transform
+    from .transform import _sigma_pairing, transform
 
     row = {"t": state.t}
     row["energy"] = 0.5 * (sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2)
@@ -519,9 +518,12 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
     for s in spec.s_grid:
         row["v_s%s" % fmt_s(s)] = sobolev_norm(state.V, s)
         row["b_s%s" % fmt_s(s)] = sobolev_norm(state.B, s)
+    # The nonlinearity of the state, shared by the derivative columns and Sigma_3.
+    nl = None
     if spec.derivative_s or spec.wiener_s:
         if dstate is None:
-            dstate = full_rhs(state)
+            nl = nonlinear_rhs_fast(state)
+            dstate = _diffusion(state, *nl)
         dV, dB = dstate
         for s in spec.derivative_s:
             row["dv_s%s" % fmt_s(s)] = sobolev_norm(dV, s)
@@ -555,9 +557,9 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
             tb1**2 + 4 * dp2 * tb2**2
         )
         if spec.sigma3:
-            from .transform import sigma_p
-
-            row["sigma3"] = sigma_p(ps, 3.0)
+            if nl is None:
+                nl = nonlinear_rhs_fast(state)
+            row["sigma3"] = _sigma_pairing(ps, nl, 3.0)
             row["tE2"] = tv2**2 + tb2**2
             row["tdiss52"] = state.nu * sobolev_norm(ps.V, 2.5) ** 2 + state.eta * sobolev_norm(
                 ps.B, 2.5

@@ -28,7 +28,9 @@ def geometry(N: int):
     """Cached lattice geometry for truncation radius N.
 
     Returns an object with the index cube, the ball mask, flattened mode
-    lists and a deterministic descending-|n| summation order.
+    lists and a deterministic descending-|n| summation order.  The shells
+    of the ball (distinct |n|) are listed largest first in ``shell_r``;
+    ``shell`` gives the shell index of each ball mode.
     """
     if N < 1:
         raise DomainError("truncation radius must be >= 1")
@@ -53,6 +55,9 @@ def geometry(N: int):
     g.absn = absn
     g.order = order
     g.ball_idx = np.nonzero(ball)
+    neg_nsq, shell = np.unique(-nsq[ball], return_inverse=True)
+    g.shell = shell.ravel()
+    g.shell_r = np.sqrt(-neg_nsq.astype(float))
     return g
 
 

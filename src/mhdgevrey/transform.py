@@ -23,8 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, TraceError
-from .spectral import SpectralField, geometry, gevrey_norm, gevrey_scale, sobolev_norm
+from .errors import ConvergenceError, DomainError, GevreyOverflowError, TraceError
+from .spectral import (
+    _SAFE_EXP,
+    SpectralField,
+    _sq_magnitudes,
+    geometry,
+    gevrey_norm,
+    gevrey_scale,
+    sobolev_norm,
+)
 
 PHI_RESIDUAL_TOL = 1e-12
 PHI_FIXED_POINT_TOL = 1e-10
@@ -96,13 +104,33 @@ def delta_max(table, nu: float, eta: float) -> float:
     return min(nu, eta) / (18.0 * math.sqrt(2.0) * table.Cprime_half())
 
 
+def _theta_of(V: SpectralField, B: SpectralField, delta: float):
+    """Theta as a function of Phi, for fixed fields and delta.
+
+    Theta depends on the fields only through the shell weights
+    w_m = r_m^3 sum_{|n| = r_m} (|V_n|^2 + |B_n|^2): one pass over the ball
+    forms them, and each evaluation sums w_m e^{2 delta Phi r_m} over the
+    shells, largest first, in extended precision.
+    """
+    if V.N != B.N:
+        raise DomainError("mismatched truncation radii")
+    g = geometry(V.N)
+    energy = np.bincount(g.shell, weights=_sq_magnitudes(V) + _sq_magnitudes(B),
+                         minlength=len(g.shell_r))
+    weights = g.shell_r**3 * energy
+
+    def theta(phi):
+        sigma = delta * phi
+        if 2.0 * sigma * V.N > _SAFE_EXP:
+            raise GevreyOverflowError("gevrey weight overflow")
+        contrib = weights * np.exp(2.0 * sigma * g.shell_r)
+        return float(np.sum(contrib.astype(np.longdouble))) + 1.0 - phi ** (-2.0)
+
+    return theta
+
+
 def _theta(V, B, delta, phi):
-    return (
-        gevrey_norm(V, delta * phi, 1.5) ** 2
-        + gevrey_norm(B, delta * phi, 1.5) ** 2
-        + 1.0
-        - phi ** (-2.0)
-    )
+    return _theta_of(V, B, delta)(phi)
 
 
 def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
@@ -112,11 +140,13 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
     root the norm terms of Theta cancel against Phi^{-2}, so for large fields
     that residual lies below the roundoff of Theta; once the bracket is one
     ulp wide, the best point is accepted if its residual is within 1e-9
-    relative to Phi^{-2}.
+    relative to Phi^{-2}.  Cost: one pass over the ball per call, then one
+    sum over the at most N^2 shells per Theta evaluation.
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    theta1 = _theta(V, B, delta, 1.0)
+    theta = _theta_of(V, B, delta)
+    theta1 = theta(1.0)
     if theta1 <= PHI_RESIDUAL_TOL:
         # Zero fields: Theta(1) = 0 exactly.
         return 1.0
@@ -126,7 +156,7 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        r = _theta(V, B, delta, mid)
+        r = theta(mid)
         if abs(r) < abs(best_res):
             best_phi, best_res = mid, r
         if abs(r) <= PHI_RESIDUAL_TOL:
@@ -204,7 +234,13 @@ def sigma_p(phi_state: PhiState, p: float) -> float:
 
     dp = phi_state.delta * phi_state.phi
     raw = MhdState(V=gevrey_scale(phi_state.V, -dp), B=gevrey_scale(phi_state.B, -dp))
-    nl_v, nl_b = nonlinear_rhs_fast(raw)
+    return _sigma_pairing(phi_state, nonlinear_rhs_fast(raw), p)
+
+
+def _sigma_pairing(phi_state: PhiState, nl, p: float) -> float:
+    """i*Sigma_p from the nonlinearity (NL_v, NL_b) of the un-weighted fields."""
+    nl_v, nl_b = nl
+    dp = phi_state.delta * phi_state.phi
     pairing = (
         np.einsum("kc,kc->k", np.conj(phi_state.V.ball()), nl_v.ball())
         + np.einsum("kc,kc->k", np.conj(phi_state.B.ball()), nl_b.ball())

@@ -10,6 +10,7 @@ import pytest
 
 import mhdgevrey as m
 from mhdgevrey.archive import checkpoint_save
+from mhdgevrey.bounds import POINTWISE_IDS
 from mhdgevrey.cli import (
     EXIT_BLOWUP,
     EXIT_BOUND_FAILURE,
@@ -210,6 +211,30 @@ class TestVerifyCommand:
         assert code == EXIT_BOUND_FAILURE
         report = json.loads((bad / "report.json").read_text())
         assert any(r["verdict"] == "fail" for r in report)
+
+    def test_archive_without_checkpoints(self, cli_run, tmp_path, table_json):
+        import shutil
+
+        bare = tmp_path / "bare"
+        shutil.copytree(cli_run, bare)
+        shutil.rmtree(bare / "checkpoints")
+        code = main(["verify", str(bare), "--table", table_json,
+                     "--s", "1", "-1"])
+        assert code == EXIT_OK
+        ids = {r["id"] for r in json.loads((bare / "report.json").read_text())}
+        assert ids and not ids & set(POINTWISE_IDS)
+
+    def test_checkpoints_loaded_once(self, cli_run, tmp_path, table_json,
+                                     monkeypatch):
+        loads = []
+        real = m.TraceArchive.checkpoints
+        monkeypatch.setattr(m.TraceArchive, "checkpoints",
+                            lambda self: loads.append(1) or real(self))
+        code = main(["verify", cli_run, "--table", table_json,
+                     "--out", str(tmp_path / "report.json"),
+                     "--s", "1.0", "0.0"])
+        assert code == EXIT_OK
+        assert len(loads) == 1
 
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mhdgevrey as m
-from mhdgevrey.errors import DomainError, TraceError
-from mhdgevrey.solver import MhdState, full_rhs, step
+from mhdgevrey.errors import DomainError, GevreyOverflowError, TraceError
+from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, step
 from mhdgevrey.transform import (
     PhiState,
     _sigma_p_direct,
@@ -24,6 +24,66 @@ from mhdgevrey.transform import (
 )
 
 from conftest import random_field
+
+
+def _theta_gevrey(V, B, delta, phi):
+    """Theta written with two Gevrey norms over every ball mode (oracle)."""
+    return (m.gevrey_norm(V, delta * phi, 1.5) ** 2
+            + m.gevrey_norm(B, delta * phi, 1.5) ** 2 + 1.0 - phi ** (-2.0))
+
+
+def _bisect_oracle(V, B, delta):
+    """solve_phi's bisection, run on the Gevrey-norm Theta."""
+    theta1 = _theta_gevrey(V, B, delta, 1.0)
+    if theta1 <= 1e-12:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    best_phi, best_res = 1.0, theta1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return best_phi
+        r = _theta_gevrey(V, B, delta, mid)
+        if abs(r) < abs(best_res):
+            best_phi, best_res = mid, r
+        if abs(r) <= 1e-12:
+            return mid
+        lo, hi = (mid, hi) if r < 0 else (lo, mid)
+
+
+class TestShellTheta:
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    @pytest.mark.parametrize("which", ["zero", "std", "half"])
+    def test_matches_gevrey_norm_theta(self, N, which, delta_std):
+        delta = {"zero": 0.0, "std": delta_std, "half": 0.5}[which]
+        for seed in range(3):
+            V, B = random_field(N, seed), random_field(N, seed + 50)
+            for phi in (0.1, 0.5, 1.0):
+                terms = (m.gevrey_norm(V, delta * phi, 1.5) ** 2
+                         + m.gevrey_norm(B, delta * phi, 1.5) ** 2
+                         + 1.0 + phi ** (-2.0))
+                diff = _theta(V, B, delta, phi) - _theta_gevrey(V, B, delta, phi)
+                assert abs(diff) <= 1e-13 * terms
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("norm", [0.3, 1.0, 3000.0, 1e4])
+    def test_solve_phi_matches_oracle_bisection(self, N, norm, delta_std):
+        st = m.make_initial("random-spectrum",
+                            {"norm_v": norm, "norm_b": 0.5 * norm}, N=N,
+                            seed=N, nu=0.1, eta=0.1)
+        for delta in (0.0, delta_std):
+            phi = solve_phi(st.V, st.B, delta)
+            assert phi == pytest.approx(_bisect_oracle(st.V, st.B, delta),
+                                        rel=1e-12, abs=0.0)
+
+    def test_overflow_guard(self):
+        V = random_field(8, 0)
+        with pytest.raises(GevreyOverflowError):
+            solve_phi(V, random_field(8, 1), 50.0)  # 2 * 50 * 8 > 700
+
+    def test_mismatched_truncations_rejected(self):
+        with pytest.raises(DomainError):
+            solve_phi(random_field(4, 0), random_field(5, 0), 0.1)
 
 
 class TestSolvePhi:
@@ -149,6 +209,30 @@ class TestSigmaP:
             s = 1.0 + 0.5 * p
             scale = (m.sobolev_norm(ps.V, s) ** 2 + m.sobolev_norm(ps.B, s) ** 2) ** 1.5
             assert abs(sigma_p(ps, p) - _sigma_p_direct(ps, p)) <= 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("derivative_s", [(), (0.0,)])
+    def test_diagnostic_row_shares_the_nonlinearity(self, derivative_s,
+                                                    delta_std, monkeypatch):
+        import mhdgevrey.solver as solver
+
+        st = MhdState(V=random_field(6, 3, 0.3), B=random_field(6, 23, 0.3),
+                      nu=0.1, eta=0.1)
+        expected = sigma_p(transform(st, delta_std), 3.0)
+        calls = []
+        real = solver.nonlinear_rhs_fast
+
+        def counting(state, *args, **kwargs):
+            calls.append(state.t)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast", counting)
+        spec = m.DiagnosticsSpec(delta=delta_std, derivative_s=derivative_s,
+                                 sigma3=True)
+        row = _diagnostic_row(st, spec, 0.0)
+        assert len(calls) == 1
+        ps = transform(st, delta_std)
+        scale = (m.sobolev_norm(ps.V, 2.5) ** 2 + m.sobolev_norm(ps.B, 2.5) ** 2) ** 1.5
+        assert abs(row["sigma3"] - expected) <= 1e-12 * max(1.0, scale)
 
 
 def _residual_along_trajectory(N, delta):
