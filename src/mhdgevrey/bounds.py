@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .spectral import (
     SpectralField,
     fmt_s,
     geometry,
+    gevrey_scale,
     sobolev_inner,
     sobolev_norm,
     wiener_norm,
@@ -57,6 +59,8 @@ INTEGRAL_IDS = (
     "B36_4",
 )
 POINTWISE_IDS = ("P40", "P42", "P44", "P51", "P52")
+# Bounds that do not depend on the norm index s: one report each.
+S_FREE_IDS = ("B29", "P40", "P51")
 
 
 def alpha_exponent(s: float) -> float:
@@ -285,18 +289,19 @@ class XiFields:
     delta: float
 
 
-def xi_fields(state, delta: float) -> XiFields:
-    """Weighted derivative coefficients xi_n = e^{delta Phi |n|} dU_n/dt."""
-    from .spectral import gevrey_scale
-
-    phi = solve_phi(state.V, state.B, delta)
-    dV, dB = full_rhs(state)
+def _xi_from(rhs, phi: float, delta: float) -> XiFields:
+    dV, dB = rhs
     return XiFields(
         xi_v=gevrey_scale(dV, delta * phi),
         xi_b=gevrey_scale(dB, delta * phi),
         phi=phi,
         delta=delta,
     )
+
+
+def xi_fields(state, delta: float) -> XiFields:
+    """Weighted derivative coefficients xi_n = e^{delta Phi |n|} dU_n/dt."""
+    return _xi_from(full_rhs(state), solve_phi(state.V, state.B, delta), delta)
 
 
 def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
@@ -337,8 +342,6 @@ def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
 
 def derivative_norm_sq_via_xi(xi: XiFields, s: float) -> float:
     """||dU/dt||_s^2 from the xi route: sum |n|^{2s} e^{-2 delta Phi |n|}|xi|^2."""
-    from .spectral import gevrey_scale
-
     w = -xi.delta * xi.phi
     return (
         sobolev_norm(gevrey_scale(xi.xi_v, w), s) ** 2
@@ -361,61 +364,123 @@ def _retry_with_better_constants(table, names, compute_rhs, lhs, rhs):
     return compute_rhs(), True
 
 
+def _pointwise_domain_error(id: str, s: float | None, delta: float | None) -> str:
+    """Why (id, s, delta) is not a legal pointwise check; "" if it is."""
+    if id not in POINTWISE_IDS:
+        return "unknown pointwise bound id %r" % id
+    if id in ("P40", "P42") and delta is None:
+        return "%s needs the weight scale delta" % id
+    if id in ("P40", "P42") and delta < 0:
+        return "delta must be nonnegative"
+    if id == "P42" and (s is None or not (-2.5 < s <= -0.5)):
+        return "P42 requires -5/2 < s <= -1/2"
+    if id == "P44" and (s is None or s < -1.0):
+        return "P44 requires s >= -1"
+    if id == "P52" and (s is None or not s < -3.5):
+        return "P52 requires s < -7/2"
+    return ""
+
+
+class _Derivatives:
+    """The time derivatives of one state, each computed on first use and
+    then shared by every pointwise check of that state."""
+
+    def __init__(self, state, delta):
+        self.state, self.delta = state, delta
+
+    @cached_property
+    def rhs(self):
+        return full_rhs(self.state)
+
+    @cached_property
+    def d2(self):
+        return second_time_derivative(self.state, rhs=self.rhs)
+
+    @cached_property
+    def ps(self):
+        return transform(self.state, self.delta)
+
+    @cached_property
+    def xi(self):
+        return _xi_from(self.rhs, self.ps.phi, self.delta)
+
+
+def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
+                           e_init: float | None = None) -> dict:
+    """Worst report of each pointwise (id, s) pair over the states.
+
+    Every pair is checked against its domain before any work.  The states
+    are then scanned once: each state's derivatives are computed once and
+    shared by all pairs (one ``full_rhs``; one ``transform`` if P40 or P42 is
+    asked for; one ``second_time_derivative`` if P52 is), and dropped before
+    the next state.  Ties keep the earliest state.  ``e_init`` is the
+    energy in the P51/P52 constant; None uses each state's own energy.
+    Returns {(id, s): BoundReport} in the order of ``pairs``.
+    """
+    for id, s in pairs:
+        error = _pointwise_domain_error(id, s, delta)
+        if error:
+            raise DomainError(error)
+    worst = dict.fromkeys(pairs)
+    for state in states:
+        derivs = _Derivatives(state, delta)
+        for id, s in worst:
+            rep = _pointwise_report(id, derivs, table, s, e_init)
+            if worst[(id, s)] is None or rep.ratio > worst[(id, s)].ratio:
+                worst[(id, s)] = rep
+    return worst
+
+
 def verify_pointwise(id: str, state, table, delta: float | None = None,
                      s: float | None = None, e_init: float | None = None) -> BoundReport:
     """Evaluate one pointwise inequality on a single state."""
-    if id not in POINTWISE_IDS:
-        raise DomainError("unknown pointwise bound id %r" % id)
+    return _worst_over_checkpoints([(id, s)], [state], table, delta, e_init)[(id, s)]
+
+
+def _pointwise_report(id, derivs, table, s, e_init) -> BoundReport:
+    state = derivs.state
     nu, eta = state.nu, state.eta
-    names = []
 
-    if id in ("P40", "P42"):
-        if delta is None:
-            raise DomainError("%s needs the weight scale delta" % id)
-        ps = transform(state, delta)
-        xi = xi_fields(state, delta)
-        if id == "P40":
-            s_eff = -0.5
-            lhs = 0.5 * (
-                sobolev_norm(xi.xi_v, -0.5) ** 2 + sobolev_norm(xi.xi_b, -0.5) ** 2
+    if id == "P40":
+        ps, xi = derivs.ps, derivs.xi
+        s_eff = -0.5
+        lhs = 0.5 * (
+            sobolev_norm(xi.xi_v, -0.5) ** 2 + sobolev_norm(xi.xi_b, -0.5) ** 2
+        )
+        table.ensure_C(0.5)
+        table.ensure_C(1.0)
+        names = ["C[0.5]", "C[1.0]"]
+        e1 = sobolev_norm(ps.V, 1.0) ** 2 + sobolev_norm(ps.B, 1.0) ** 2
+
+        def rhs_fn():
+            return (
+                nu**2 * sobolev_norm(ps.V, 1.5) ** 2
+                + eta**2 * sobolev_norm(ps.B, 1.5) ** 2
+                + 2.0 * table.Cprime_half() ** 2 * e1**2
             )
-            table.ensure_C(0.5)
-            table.ensure_C(1.0)
-            names = ["C[0.5]", "C[1.0]"]
-            e1 = sobolev_norm(ps.V, 1.0) ** 2 + sobolev_norm(ps.B, 1.0) ** 2
 
-            def rhs_fn():
-                return (
-                    nu**2 * sobolev_norm(ps.V, 1.5) ** 2
-                    + eta**2 * sobolev_norm(ps.B, 1.5) ** 2
-                    + 2.0 * table.Cprime_half() ** 2 * e1**2
-                )
+    elif id == "P42":
+        ps, xi = derivs.ps, derivs.xi
+        s_eff = s
+        lhs = sobolev_norm(xi.xi_v, s) ** 2 + sobolev_norm(xi.xi_b, s) ** 2
+        names = table.ensure_for_C_tilde_prime(s)
+        x = sobolev_norm(ps.V, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
+            ps.V, 0.0
+        ) ** ((-2.0 * s - 1.0) / 2.0)
+        y = sobolev_norm(ps.B, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
+            ps.B, 0.0
+        ) ** ((-2.0 * s - 1.0) / 2.0)
 
-        else:
-            if s is None or not (-2.5 < s <= -0.5):
-                raise DomainError("P42 requires -5/2 < s <= -1/2")
-            s_eff = s
-            lhs = sobolev_norm(xi.xi_v, s) ** 2 + sobolev_norm(xi.xi_b, s) ** 2
-            names = table.ensure_for_C_tilde_prime(s)
-            x = sobolev_norm(ps.V, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
-                ps.V, 0.0
-            ) ** ((-2.0 * s - 1.0) / 2.0)
-            y = sobolev_norm(ps.B, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
-                ps.B, 0.0
-            ) ** ((-2.0 * s - 1.0) / 2.0)
-
-            def rhs_fn():
-                return (
-                    2.0 * nu**2 * sobolev_norm(ps.V, s + 2.0) ** 2
-                    + 2.0 * eta**2 * sobolev_norm(ps.B, s + 2.0) ** 2
-                    + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
-                )
+        def rhs_fn():
+            return (
+                2.0 * nu**2 * sobolev_norm(ps.V, s + 2.0) ** 2
+                + 2.0 * eta**2 * sobolev_norm(ps.B, s + 2.0) ** 2
+                + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
+            )
 
     elif id == "P44":
-        if s is None or s < -1.0:
-            raise DomainError("P44 requires s >= -1")
         s_eff = s
-        dV, dB = full_rhs(state)
+        dV, dB = derivs.rhs
         lhs = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
         table.ensure_C(0.5)
         table.ensure_C(1.0)
@@ -434,26 +499,22 @@ def verify_pointwise(id: str, state, table, delta: float | None = None,
 
     elif id == "P51":
         s_eff = -1.0
-        dV, dB = full_rhs(state)
+        dV, dB = derivs.rhs
         lhs = sobolev_norm(dV, -1.0) ** 2 + sobolev_norm(dB, -1.0) ** 2
         table.ensure_C(0.5)
         table.ensure_C(1.0)
         names = ["C[0.5]", "C[1.0]"]
         e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
         if e_init is None:
-            e_init = 0.5 * (
-                sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2
-            )
+            e_init = _energy(state)
 
         def rhs_fn():
             return c_second_tilde(state.nu, state.eta, e_init, table) * (e1 + e1**1.5)
 
     else:  # P52
-        if s is None or not s < -3.5:
-            raise DomainError("P52 requires s < -7/2")
         s_eff = s
-        dV, dB = full_rhs(state)
-        d2V, d2B = second_time_derivative(state)
+        dV, dB = derivs.rhs
+        d2V, d2B = derivs.d2
         drift = 2.0 * nu * sobolev_inner(dV, d2V, s + 1.0) + 2.0 * eta * sobolev_inner(
             dB, d2B, s + 1.0
         )
@@ -466,9 +527,7 @@ def verify_pointwise(id: str, state, table, delta: float | None = None,
         names = ["C[0.5]", "C[1.0]"]
         e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
         if e_init is None:
-            e_init = 0.5 * (
-                sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2
-            )
+            e_init = _energy(state)
 
         def rhs_fn():
             return (
@@ -492,6 +551,11 @@ def verify_pointwise(id: str, state, table, delta: float | None = None,
         verdict=_verdict(lhs, rhs),
         note="re-estimated constants" if retried else "",
     )
+
+
+def _energy(state) -> float:
+    """E = (||V||^2 + ||B||^2)/2, the e_init of the P51 and P52 constants."""
+    return 0.5 * (sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2)
 
 
 def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
@@ -808,18 +872,11 @@ def standard_sweep(trace, table, delta: float | None = None,
         reports.append(verify_integral(id, trace, s, T, table,
                                        delta=delta, sigma=sigma, **kw))
     states = trace.checkpoints()[::checkpoint_step]
-    e_init = 0.5 * (
-        sobolev_norm(states[0].V, 0.0) ** 2 + sobolev_norm(states[0].B, 0.0) ** 2
-    )
-    for id, s in SWEEP_POINTWISE_CASES:
-        worst = None
-        for st in states:
-            rep = verify_pointwise(id, st, table, delta=delta, s=s,
-                                   e_init=e_init if id in ("P51", "P52") else None)
-            if worst is None or rep.ratio > worst.ratio:
-                worst = rep
-        reports.append(worst)
-    return reports
+    if not states:
+        raise TraceError("archive holds no checkpoints")
+    worst = _worst_over_checkpoints(SWEEP_POINTWISE_CASES, states, table, delta,
+                                   e_init=_energy(states[0]))
+    return reports + list(worst.values())
 
 
 def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport:
@@ -828,16 +885,9 @@ def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport
         raise DomainError("d2_report requires s < -7/2")
     states = trace.checkpoints()
     if not states:
-        raise TraceError("no checkpoints stored")
-    e_init = 0.5 * (
-        sobolev_norm(states[0].V, 0.0) ** 2 + sobolev_norm(states[0].B, 0.0) ** 2
-    )
-    worst = None
-    for st in states:
-        rep = verify_pointwise("P52", st, table, s=s, e_init=e_init)
-        if worst is None or rep.ratio > worst.ratio:
-            worst = rep
-    worst.id = "P52"
+        raise TraceError("archive holds no checkpoints")
+    worst = _worst_over_checkpoints([("P52", s)], states, table, delta,
+                                   e_init=_energy(states[0]))[("P52", s)]
     worst.note = (worst.note + "; " if worst.note else "") + (
         "max over %d checkpoints" % len(states)
     )

@@ -21,7 +21,14 @@ import sys
 from pathlib import Path
 
 from .archive import TraceArchive, checkpoint_load
-from .bounds import INTEGRAL_IDS, POINTWISE_IDS, verify_integral, verify_pointwise
+from .bounds import (
+    INTEGRAL_IDS,
+    POINTWISE_IDS,
+    S_FREE_IDS,
+    _pointwise_domain_error,
+    _worst_over_checkpoints,
+    verify_integral,
+)
 from .config import load_run_config
 from .constants import ConstantsTable, build_table
 from .errors import (
@@ -82,13 +89,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _worst_pointwise(id, checkpoints, table, delta, s):
-    if not checkpoints:
-        raise TraceError("archive holds no checkpoints")
-    return max((verify_pointwise(id, st, table, delta=delta, s=s)
-                for st in checkpoints), key=lambda rep: rep.ratio)
-
-
 def cmd_verify(args) -> int:
     trace = TraceArchive.load(args.trace)
     table = _load_table(args.table)
@@ -103,22 +103,28 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     s_list = args.s if args.s else [None]
-    checkpoints = trace.checkpoints() if set(ids) & set(POINTWISE_IDS) else []
+    pairs = [(id, s) for id in ids
+             for s in ([None] if id in S_FREE_IDS else s_list)]
+    pointwise = [(id, s) for id, s in pairs
+                 if id in POINTWISE_IDS and not _pointwise_domain_error(id, s, delta)]
+    checkpoints = trace.checkpoints() if pointwise else []
+    # One scan of the checkpoints serves every pointwise pair; without
+    # checkpoints the pointwise pairs are skipped.
+    worst = (_worst_over_checkpoints(pointwise, checkpoints, table, delta)
+             if checkpoints else {})
     reports = []
-    for id in ids:
-        # B29 does not depend on the norm index; run it once.
-        for s in ([None] if id == "B29" else s_list):
-            try:
-                if id in INTEGRAL_IDS:
-                    rep = verify_integral(id, trace, s, T, table,
-                                          delta=delta, p=args.p)
-                else:
-                    rep = _worst_pointwise(id, checkpoints, table, delta, s)
-            except (DomainError, TraceError):
-                # s outside the bound's validity range, or the trace does not
-                # carry the columns or checkpoints this (bound, s) pair needs
-                continue
-            reports.append(rep)
+    for id, s in pairs:
+        if id in POINTWISE_IDS:
+            if (id, s) in worst:
+                reports.append(worst[(id, s)])
+            continue
+        try:
+            reports.append(verify_integral(id, trace, s, T, table,
+                                           delta=delta, p=args.p))
+        except (DomainError, TraceError):
+            # s outside the bound's validity range, or the trace does not
+            # carry the columns this (bound, s) pair needs
+            continue
     if not reports:
         print("no applicable (bound, s) pairs", file=sys.stderr)
         return EXIT_USAGE

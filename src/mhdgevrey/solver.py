@@ -152,6 +152,12 @@ def _half_values(w: SpectralField, plan):
     return vals[keep]
 
 
+def _fields_to_phys(fields, plan):
+    """Inverse-transform the three components of each field, batched."""
+    halves = [_half_values(w, plan) for w in fields]
+    return _to_phys([h[:, c] for h in halves for c in range(3)], plan)
+
+
 def _cube_from_half(half_vals, plan):
     """Rebuild the conjugate-symmetric coefficient cube from half-grid data."""
     g = plan.g
@@ -214,6 +220,18 @@ def nonlinear_rhs_direct(state: MhdState):
     return SpectralField(N, accV), SpectralField(N, indc)
 
 
+# Upper triangle (i <= j) of the symmetric momentum-flux tensor.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _cross(x, y):
+    return (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        x[0] * y[1] - x[1] * y[0],
+    )
+
+
 def nonlinear_rhs_fast(state: MhdState, grid: int | None = None):
     """Nonlinear terms via padded transforms; exact convolution on the ball.
 
@@ -226,26 +244,24 @@ def nonlinear_rhs_fast(state: MhdState, grid: int | None = None):
         if grid < 3 * N + 1:
             raise ConfigError("convolution grid must have at least 3N+1 points")
         plan = _custom_plan(N, grid)
-    vh = _half_values(state.V, plan)
-    bh = _half_values(state.B, plan)
-    phys = _to_phys([vh[:, 0], vh[:, 1], vh[:, 2], bh[:, 0], bh[:, 1], bh[:, 2]], plan)
+    phys = _fields_to_phys([state.V, state.B], plan)
     v, b = phys[:3], phys[3:]
 
     prods = np.empty((9,) + v.shape[1:])
     # T_ij = V_i V_j - B_i B_j, upper triangle (6 products)
-    pos = 0
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    for i, j in pairs:
+    for pos, (i, j) in enumerate(_PAIRS):
         prods[pos] = v[i] * v[j] - b[i] * b[j]
-        pos += 1
     # w = V x B (3 products)
-    prods[6] = v[1] * b[2] - v[2] * b[1]
-    prods[7] = v[2] * b[0] - v[0] * b[2]
-    prods[8] = v[0] * b[1] - v[1] * b[0]
+    prods[6:] = _cross(v, b)
+    return _rhs_from_products(prods, plan)
 
+
+def _rhs_from_products(prods, plan):
+    """(-i P_n n_j T_ij, i n x w) from the physical products: the 6 entries
+    of T in ``_PAIRS`` order, then the 3 components of w."""
     spec = _to_spec(prods, plan)
-    T = {pairs[i]: spec[i] for i in range(6)}
-    for i, j in pairs:
+    T = {pair: spec[k] for k, pair in enumerate(_PAIRS)}
+    for i, j in _PAIRS:
         T[(j, i)] = T[(i, j)]
     n = plan.half_n
     adv = np.stack(
@@ -255,8 +271,8 @@ def nonlinear_rhs_fast(state: MhdState, grid: int | None = None):
     w = np.moveaxis(spec[6:], 0, -1)
     ind = 1j * np.cross(n, w)
     return (
-        SpectralField(N, _cube_from_half(adv, plan)),
-        SpectralField(N, _cube_from_half(ind, plan)),
+        SpectralField(plan.N, _cube_from_half(adv, plan)),
+        SpectralField(plan.N, _cube_from_half(ind, plan)),
     )
 
 
@@ -298,8 +314,7 @@ def advection_bilinear(X: SpectralField, Y: SpectralField):
     if X.N != Y.N:
         raise DomainError("mismatched truncation radii")
     plan = _plan(X.N)
-    xh, yh = _half_values(X, plan), _half_values(Y, plan)
-    phys = _to_phys([xh[:, i] for i in range(3)] + [yh[:, i] for i in range(3)], plan)
+    phys = _fields_to_phys([X, Y], plan)
     x, y = phys[:3], phys[3:]
     prods = np.stack([x[j] * y[i] for i in range(3) for j in range(3)])
     spec = _to_spec(prods, plan)
@@ -317,40 +332,39 @@ def induction_bilinear(X: SpectralField, Y: SpectralField):
     if X.N != Y.N:
         raise DomainError("mismatched truncation radii")
     plan = _plan(X.N)
-    xh, yh = _half_values(X, plan), _half_values(Y, plan)
-    phys = _to_phys([xh[:, i] for i in range(3)] + [yh[:, i] for i in range(3)], plan)
+    phys = _fields_to_phys([X, Y], plan)
     x, y = phys[:3], phys[3:]
-    w = np.stack(
-        [
-            x[1] * y[2] - x[2] * y[1],
-            x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0],
-        ]
-    )
-    spec = np.moveaxis(_to_spec(w, plan), 0, -1)
+    spec = np.moveaxis(_to_spec(np.stack(_cross(x, y)), plan), 0, -1)
     out = 1j * np.cross(plan.half_n, spec)
     return SpectralField(X.N, _cube_from_half(out, plan))
 
 
-def second_time_derivative(state: MhdState):
-    """Algebraic (d^2 V/dt^2, d^2 B/dt^2): diffusion of the first derivative
-    plus the bilinear terms with one slot replaced by that derivative."""
-    dV, dB = full_rhs(state)
-    g = geometry(state.N)
-    nsq = g.nsq.astype(float)[..., None]
-    d2v = (
-        -state.nu * nsq * dV.coeffs
-        + advection_bilinear(dV, state.V).coeffs
-        + advection_bilinear(state.V, dV).coeffs
-        - advection_bilinear(dB, state.B).coeffs
-        - advection_bilinear(state.B, dB).coeffs
-    )
-    d2b = (
-        -state.eta * nsq * dB.coeffs
-        + induction_bilinear(dV, state.B).coeffs
-        + induction_bilinear(state.V, dB).coeffs
-    )
-    return SpectralField(state.N, d2v), SpectralField(state.N, d2b)
+def _linearised_products(phys):
+    """Products of the nonlinearity linearised at (V, B) in the direction
+    (dV, dB), from the 12 physical components [V, B, dV, dB]."""
+    v, b, dv, db = phys[0:3], phys[3:6], phys[6:9], phys[9:12]
+    prods = np.empty((9,) + v.shape[1:])
+    # dT_ij = dV_i V_j + V_i dV_j - dB_i B_j - B_i dB_j, symmetric in (i, j)
+    for pos, (i, j) in enumerate(_PAIRS):
+        prods[pos] = dv[i] * v[j] + v[i] * dv[j] - db[i] * b[j] - b[i] * db[j]
+    # dw = dV x B + V x dB
+    for c, (x, y) in enumerate(zip(_cross(dv, b), _cross(v, db))):
+        prods[6 + c] = x + y
+    return prods
+
+
+def second_time_derivative(state: MhdState, rhs=None):
+    """Algebraic (d^2 V/dt^2, d^2 B/dt^2) of the Galerkin system.
+
+    With dU = (dV, dB) the first derivative (``rhs``, from ``full_rhs`` if not
+    given), d^2U is the diffusion of dU plus the nonlinearity linearised at U
+    in the direction dU, -i P_n n_j dT_ij and i n x dw.  One padded pass
+    evaluates it: 12 inverse and 9 forward transforms.
+    """
+    dV, dB = full_rhs(state) if rhs is None else rhs
+    plan = _plan(state.N)
+    prods = _linearised_products(_fields_to_phys([state.V, state.B, dV, dB], plan))
+    return _diffusion(replace(state, V=dV, B=dB), *_rhs_from_products(prods, plan))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -375,8 +389,13 @@ def _nl_pair(vc, bc, N, fast):
 
 
 def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
-         fast: bool = True) -> MhdState:
-    """One integrating-factor Runge-Kutta step of size dt."""
+         fast: bool = True, *, _nl=None) -> MhdState:
+    """One integrating-factor Runge-Kutta step of size dt.
+
+    ``_nl`` is private: ``simulate`` hands over the ``nonlinear_rhs_fast``
+    value of ``state`` that its sample row already computed, so the first
+    stage does not evaluate it again.
+    """
     if not dt > 0:
         raise DomainError("dt must be positive")
     if scheme not in SCHEMES:
@@ -387,20 +406,22 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
 
     # Overflow is how blow-up manifests; detect it below instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0)
+        return _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0, _nl)
 
 
-def _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0):
+def _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0, nl):
     N = state.N
-    if scheme == "integrating-factor-RK2":
+    if nl is None:
         k1v, k1b = _nl_pair(v0, b0, N, fast)
+    else:
+        k1v, k1b = nl[0].coeffs, nl[1].coeffs
+    if scheme == "integrating-factor-RK2":
         vp = ev * (v0 + dt * k1v)
         bp = eb * (b0 + dt * k1b)
         k2v, k2b = _nl_pair(vp, bp, N, fast)
         vn = ev * v0 + 0.5 * dt * (ev * k1v + k2v)
         bn = eb * b0 + 0.5 * dt * (eb * k1b + k2b)
     else:
-        k1v, k1b = _nl_pair(v0, b0, N, fast)
         k2v, k2b = _nl_pair(ev2 * (v0 + 0.5 * dt * k1v), eb2 * (b0 + 0.5 * dt * k1b), N, fast)
         k3v, k3b = _nl_pair(ev2 * v0 + 0.5 * dt * k2v, eb2 * b0 + 0.5 * dt * k2b, N, fast)
         k4v, k4b = _nl_pair(ev * v0 + dt * ev2 * k3v, eb * b0 + dt * eb2 * k3b, N, fast)
@@ -506,10 +527,20 @@ class DiagnosticsSpec:
     shells: bool = False
 
 
+def _row_uses_nl(spec: DiagnosticsSpec) -> bool:
+    """Whether a sample row needs the nonlinearity of its state."""
+    return bool(spec.derivative_s or spec.wiener_s
+                or (spec.sigma3 and spec.delta is not None))
+
 
 def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
-                    dstate=None):
+                    nl=None):
+    """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
+    has it; otherwise it is evaluated here when a column needs it."""
     from .transform import _sigma_pairing, transform
+
+    if nl is None and _row_uses_nl(spec):
+        nl = nonlinear_rhs_fast(state)
 
     row = {"t": state.t}
     row["energy"] = 0.5 * (sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2)
@@ -518,13 +549,8 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
     for s in spec.s_grid:
         row["v_s%s" % fmt_s(s)] = sobolev_norm(state.V, s)
         row["b_s%s" % fmt_s(s)] = sobolev_norm(state.B, s)
-    # The nonlinearity of the state, shared by the derivative columns and Sigma_3.
-    nl = None
     if spec.derivative_s or spec.wiener_s:
-        if dstate is None:
-            nl = nonlinear_rhs_fast(state)
-            dstate = _diffusion(state, *nl)
-        dV, dB = dstate
+        dV, dB = _diffusion(state, *nl)
         for s in spec.derivative_s:
             row["dv_s%s" % fmt_s(s)] = sobolev_norm(dV, s)
             row["db_s%s" % fmt_s(s)] = sobolev_norm(dB, s)
@@ -557,8 +583,6 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
             tb1**2 + 4 * dp2 * tb2**2
         )
         if spec.sigma3:
-            if nl is None:
-                nl = nonlinear_rhs_fast(state)
             row["sigma3"] = _sigma_pairing(ps, nl, 3.0)
             row["tE2"] = tv2**2 + tb2**2
             row["tdiss52"] = state.nu * sobolev_norm(ps.V, 2.5) ** 2 + state.eta * sobolev_norm(
@@ -603,8 +627,15 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
     ck_stride = config.checkpoint_stride or config.output_stride
     t0 = initial.t
 
+    def sample(state):
+        # The row's nonlinearity is the first RK stage of the next step; hand
+        # it over when that step uses the same transform path.
+        nl = nonlinear_rhs_fast(state) if _row_uses_nl(diagnostics) else None
+        arch.append(_diagnostic_row(state, diagnostics, t0, nl))
+        return nl if config.dealias else None
+
     state = initial
-    arch.append(_diagnostic_row(state, diagnostics, t0))
+    nl = sample(state)
     arch.save_checkpoint(state, 0)
 
     n_steps = int(round(config.t_end / config.dt))
@@ -617,9 +648,10 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
                 dt = t0 + config.t_end - state.t
                 if dt <= 0:
                     break
-            state = step(state, dt, scheme=config.scheme, fast=config.dealias)
+            state = step(state, dt, scheme=config.scheme, fast=config.dealias, _nl=nl)
+            nl = None
             if i % config.output_stride == 0 or i == n_steps:
-                arch.append(_diagnostic_row(state, diagnostics, t0))
+                nl = sample(state)
             if i % ck_stride == 0 or i == n_steps:
                 arch.save_checkpoint(state, i)
     except BlowUpError as exc:

@@ -9,6 +9,7 @@ import mhdgevrey as m
 from mhdgevrey.bounds import (
     INTEGRAL_IDS,
     POINTWISE_IDS,
+    SWEEP_POINTWISE_CASES,
     alpha_exponent,
     c_second_tilde,
     constants_chain,
@@ -23,6 +24,7 @@ from mhdgevrey.bounds import (
     q_prime,
     q_tilde,
     q_tilde_wiener,
+    standard_sweep,
     verify_integral,
     verify_pointwise,
     xi_fields,
@@ -203,11 +205,55 @@ class TestPointwise:
         rep = verify_pointwise("P44", st, table, s=0.0)
         assert rep.verdict == "vacuous"
 
+    @pytest.mark.parametrize("id,s", [("P42", 1.0), ("P42", None),
+                                      ("P44", -1.5), ("P52", -3.0)])
+    def test_domain_checked_before_any_work(self, singlemode_state, table,
+                                            delta_std, monkeypatch, id, s):
+        import mhdgevrey.solver as solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derivative evaluated outside the domain")
+
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast", forbidden)
+        with pytest.raises(DomainError):
+            verify_pointwise(id, singlemode_state, table, delta=delta_std, s=s)
+
     def test_report_serialises(self, singlemode_state, table):
         rep = verify_pointwise("P51", singlemode_state, table)
         d = rep.as_dict()
         assert set(d) == {"id", "s", "T", "lhs", "rhs", "ratio",
                           "constants_used", "verdict", "note"}
+
+
+class TestCheckpointScan:
+    def test_one_nonlinear_evaluation_per_checkpoint(self, random_trace, table,
+                                                     delta_std, monkeypatch):
+        import mhdgevrey.solver as solver
+
+        calls = []
+        real = solver.nonlinear_rhs_fast
+
+        def counting(state, *args, **kwargs):
+            calls.append(state.t)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast", counting)
+        reports = standard_sweep(random_trace, table, delta=delta_std, sigma=0.05)
+        times = [st.t for st in random_trace.checkpoints()]
+        assert calls == times
+        assert [r.id for r in reports[-5:]] == list(POINTWISE_IDS)
+
+    def test_worst_matches_single_state_checks(self, random_trace, table,
+                                               delta_std):
+        states = random_trace.checkpoints()
+        e_init = 0.5 * (sobolev_norm(states[0].V, 0.0) ** 2
+                        + sobolev_norm(states[0].B, 0.0) ** 2)
+        reports = standard_sweep(random_trace, table, delta=delta_std, sigma=0.05)
+        for rep, (id, s) in zip(reports[-5:], SWEEP_POINTWISE_CASES):
+            singles = [verify_pointwise(id, st, table, delta=delta_std, s=s,
+                                        e_init=e_init) for st in states]
+            worst = max(singles, key=lambda r: r.ratio)  # earliest of equals
+            assert rep.as_dict() == worst.as_dict()
 
 
 INTEGRAL_CASES = [

@@ -236,6 +236,29 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert len(loads) == 1
 
+    def test_each_pair_reported_once(self, cli_run, tmp_path, table_json):
+        out = tmp_path / "report.json"
+        code = main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--s", "2", "1", "0", "-1", "-3"])
+        assert code == EXIT_OK
+        pairs = [(r["id"], r["s"]) for r in json.loads(out.read_text())]
+        assert len(pairs) == len(set(pairs))
+        for id in ("B29", "P40", "P51"):
+            assert [p[0] for p in pairs].count(id) == 1
+
+    def test_one_nonlinear_evaluation_per_checkpoint(self, cli_run, tmp_path,
+                                                     table_json, monkeypatch):
+        solver = importlib.import_module("mhdgevrey.solver")
+        calls = []
+        real = solver.nonlinear_rhs_fast
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast",
+                            lambda state: calls.append(state.t) or real(state))
+        code = main(["verify", cli_run, "--table", table_json,
+                     "--out", str(tmp_path / "report.json"),
+                     "--s", "2", "1", "0", "-1", "-3"])
+        assert code == EXIT_OK
+        assert calls == [st.t for st in m.TraceArchive.load(cli_run).checkpoints()]
+
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),
                      "--table", table_json]) == EXIT_USAGE

@@ -23,6 +23,7 @@ from mhdgevrey.solver import (
     second_time_derivative,
     step,
 )
+from mhdgevrey.spectral import geometry
 
 from conftest import energy, random_field
 
@@ -254,6 +255,43 @@ class TestSimulate:
         assert "blowup_t" in tr.manifest
         assert len(tr.times) >= 1
 
+    @pytest.mark.parametrize("scheme,stages", [("integrating-factor-RK2", 2),
+                                               ("integrating-factor-RK4", 4)])
+    def test_row_nonlinearity_starts_the_next_step(self, tmp_path, monkeypatch,
+                                                   scheme, stages):
+        import mhdgevrey.solver as solver
+
+        st = random_state(N=5, seed=4, scale=0.3)
+        steps, stride = 6, 2
+        cfg = SolverConfig(N=5, nu=0.1, eta=0.1, dt=1e-3, t_end=steps * 1e-3,
+                           output_stride=stride, checkpoint_stride=1, scheme=scheme)
+        calls = []
+        real = solver.nonlinear_rhs_fast
+
+        def counting(state, *args, **kwargs):
+            calls.append(1)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast", counting)
+        tr = m.simulate(cfg, st, tmp_path / "tr",
+                        diagnostics=m.DiagnosticsSpec(s_grid=(), derivative_s=(0.0,)))
+        rows = len(tr.times)
+        assert rows == steps // stride + 1
+        # every row evaluates the nonlinearity; all but the last hand it over
+        assert len(calls) == stages * steps + rows - (rows - 1)
+
+        monkeypatch.setattr(solver, "nonlinear_rhs_fast", real)
+        expected = [st]
+        for i in range(steps):
+            dt = cfg.dt if i < steps - 1 else cfg.t_end - expected[-1].t
+            expected.append(step(expected[-1], dt, scheme=scheme))
+        got = tr.checkpoints()
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.t == b.t
+            assert np.array_equal(a.V.coeffs, b.V.coeffs)
+            assert np.array_equal(a.B.coeffs, b.B.coeffs)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SolverConfig(N=0, nu=0.1, eta=0.1, dt=0.01, t_end=1.0)
@@ -282,3 +320,31 @@ class TestSecondDerivative:
         scale = max(np.max(np.abs(d2v.coeffs)), np.max(np.abs(d2b.coeffs)))
         assert np.max(np.abs(d2v.coeffs - approx_v)) <= 1e-4 * scale
         assert np.max(np.abs(d2b.coeffs - approx_b)) <= 1e-4 * scale
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_fused_pass_matches_bilinear_construction(self, N):
+        """The one-pass linearisation against the eight bilinear kernels."""
+        nsq = geometry(N).nsq.astype(float)[..., None]
+        for seed in range(3):
+            st = random_state(N=N, seed=30 + seed, scale=0.4)
+            dV, dB = full_rhs(st)
+            oracle_v = (
+                -st.nu * nsq * dV.coeffs
+                + advection_bilinear(dV, st.V).coeffs
+                + advection_bilinear(st.V, dV).coeffs
+                - advection_bilinear(dB, st.B).coeffs
+                - advection_bilinear(st.B, dB).coeffs
+            )
+            oracle_b = (
+                -st.eta * nsq * dB.coeffs
+                + induction_bilinear(dV, st.B).coeffs
+                + induction_bilinear(st.V, dB).coeffs
+            )
+            d2v, d2b = second_time_derivative(st)
+            scale = max(np.max(np.abs(d2v.coeffs)), np.max(np.abs(d2b.coeffs)))
+            assert np.max(np.abs(d2v.coeffs - oracle_v)) <= 1e-12 * scale
+            assert np.max(np.abs(d2b.coeffs - oracle_b)) <= 1e-12 * scale
+            # a first derivative handed in gives the same fields
+            given = second_time_derivative(st, rhs=(dV, dB))
+            assert np.array_equal(given[0].coeffs, d2v.coeffs)
+            assert np.array_equal(given[1].coeffs, d2b.coeffs)
