@@ -9,10 +9,12 @@ coefficient, then of the magnetic one).
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,22 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sIIdddQ")
 _REC_DTYPE = np.dtype([("n", "<i4", (3,)), ("c", "<f8", (12,))])
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing; when the block
+    ends without error it replaces ``path``, otherwise it is removed.  A
+    reader, or a run that crashes, never sees ``path`` half written."""
+    path = Path(path)
+    tmp = path.with_name(".%s.tmp" % path.name)
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_save(state, path) -> None:
@@ -40,7 +58,7 @@ def checkpoint_save(state, path) -> None:
     rec["c"][:, 1:6:2] = vvals.imag
     rec["c"][:, 6:12:2] = bvals.real
     rec["c"][:, 7:12:2] = bvals.imag
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(
             _HEADER.pack(
                 MAGIC, VERSION, state.V.N, state.nu, state.eta, state.t, len(modes)
@@ -86,6 +104,7 @@ class TraceArchive:
 
     def __init__(self, root):
         self.root = Path(root)
+        self._manifest = None  # parsed manifest.json, read at most once
         self._columns = None
         self._csv_file = None
         self._writer = None
@@ -98,8 +117,7 @@ class TraceArchive:
         arch = cls(root)
         arch.root.mkdir(parents=True, exist_ok=True)
         (arch.root / "checkpoints").mkdir(exist_ok=True)
-        with open(arch.root / "manifest.json", "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
+        arch._write_manifest(manifest)
         arch._csv_file = open(arch.root / "series.csv", "w", newline="")
         arch._writer = csv.writer(arch._csv_file)
         return arch
@@ -123,8 +141,13 @@ class TraceArchive:
     def update_manifest(self, extra: dict) -> None:
         man = self.manifest
         man.update(extra)
-        with open(self.root / "manifest.json", "w") as f:
-            json.dump(man, f, indent=1, sort_keys=True)
+        self._write_manifest(man)
+
+    def _write_manifest(self, man: dict) -> None:
+        text = json.dumps(man, indent=1, sort_keys=True)
+        with atomic_open(self.root / "manifest.json") as f:
+            f.write(text)
+        self._manifest = json.loads(text)
 
     def finalize(self) -> None:
         if self._csv_file is not None:
@@ -154,8 +177,11 @@ class TraceArchive:
 
     @property
     def manifest(self) -> dict:
-        with open(self.root / "manifest.json") as f:
-            return json.load(f)
+        """A copy of the parsed manifest.json."""
+        if self._manifest is None:
+            with open(self.root / "manifest.json") as f:
+                self._manifest = json.load(f)
+        return copy.deepcopy(self._manifest)
 
     @property
     def columns(self):

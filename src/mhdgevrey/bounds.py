@@ -414,13 +414,16 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
     shared by all pairs (one ``full_rhs``; one ``transform`` if P40 or P42 is
     asked for; one ``second_time_derivative`` if P52 is), and dropped before
     the next state.  Ties keep the earliest state.  ``e_init`` is the
-    energy in the P51/P52 constant; None uses each state's own energy.
+    energy in the P51/P52 constant; None uses the energy of the first state,
+    so every checkpoint of a run is held to the same constant.
     Returns {(id, s): BoundReport} in the order of ``pairs``.
     """
     for id, s in pairs:
         error = _pointwise_domain_error(id, s, delta)
         if error:
             raise DomainError(error)
+    if e_init is None and states:
+        e_init = _energy(states[0])
     worst = dict.fromkeys(pairs)
     for state in states:
         derivs = _Derivatives(state, delta)
@@ -505,8 +508,6 @@ def _pointwise_report(id, derivs, table, s, e_init) -> BoundReport:
         table.ensure_C(1.0)
         names = ["C[0.5]", "C[1.0]"]
         e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
-        if e_init is None:
-            e_init = _energy(state)
 
         def rhs_fn():
             return c_second_tilde(state.nu, state.eta, e_init, table) * (e1 + e1**1.5)
@@ -526,8 +527,6 @@ def _pointwise_report(id, derivs, table, s, e_init) -> BoundReport:
         table.ensure_cp(-s - 2.0)
         names = ["C[0.5]", "C[1.0]"]
         e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
-        if e_init is None:
-            e_init = _energy(state)
 
         def rhs_fn():
             return (
@@ -874,8 +873,7 @@ def standard_sweep(trace, table, delta: float | None = None,
     states = trace.checkpoints()[::checkpoint_step]
     if not states:
         raise TraceError("archive holds no checkpoints")
-    worst = _worst_over_checkpoints(SWEEP_POINTWISE_CASES, states, table, delta,
-                                   e_init=_energy(states[0]))
+    worst = _worst_over_checkpoints(SWEEP_POINTWISE_CASES, states, table, delta)
     return reports + list(worst.values())
 
 
@@ -886,8 +884,7 @@ def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport
     states = trace.checkpoints()
     if not states:
         raise TraceError("archive holds no checkpoints")
-    worst = _worst_over_checkpoints([("P52", s)], states, table, delta,
-                                   e_init=_energy(states[0]))[("P52", s)]
+    worst = _worst_over_checkpoints([("P52", s)], states, table, delta)[("P52", s)]
     worst.note = (worst.note + "; " if worst.note else "") + (
         "max over %d checkpoints" % len(states)
     )

@@ -6,7 +6,7 @@ run        integrate one configured experiment and archive diagnostics
 verify     check a priori inequalities along an archived run
 constants  estimate/certify embedding and lattice constants, emit JSON
 spectrum   fit the spectral decay rate of a stored checkpoint
-compare    rerun one config at several truncation levels, report psi(t)
+compare    rerun one initial state at several truncation levels, report psi(t)
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical blow-up,
 3 at least one verified inequality failed, 4 an iterative solver (the Phi
@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .archive import TraceArchive, checkpoint_load
+from .archive import TraceArchive, atomic_open, checkpoint_load
 from .bounds import (
     INTEGRAL_IDS,
     POINTWISE_IDS,
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .radius import decay_fit, two_resolution_psi
 from .solver import simulate
+from .spectral import embed_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,7 +132,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     bundle = [r.as_dict() for r in reports]
     out = Path(args.out) if args.out else Path(args.trace) / "report.json"
-    with open(out, "w") as f:
+    with atomic_open(out) as f:
         json.dump(bundle, f, indent=1, sort_keys=True)
     failed = 0
     for r in reports:
@@ -175,13 +177,16 @@ def cmd_compare(args) -> int:
     delta, sigma, _ = cfg.resolve(table)
     outdir = Path(args.out or cfg.outdir or "compare-out")
     traces = []
-    from dataclasses import replace
+    # One initial state, drawn at the smallest N and zero-padded to the
+    # others, so that psi(t) measures truncation and not different data.
+    base = replace(cfg, N=min(args.N)).initial_state()
 
     for N in args.N:
         sub = outdir / ("N%03d" % N)
         cfgN = replace(cfg, N=int(N))
+        initial = replace(base, V=embed_field(base.V, N), B=embed_field(base.B, N))
         try:
-            tr = simulate(cfgN.solver_config(), cfgN.initial_state(), sub,
+            tr = simulate(cfgN.solver_config(), initial, sub,
                           diagnostics=cfgN.diagnostics(delta, sigma))
         except BlowUpError as exc:
             print("blow-up at t=%g for N=%d" % (exc.t, N), file=sys.stderr)

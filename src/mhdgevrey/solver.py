@@ -10,20 +10,20 @@ is integrated exactly and only the nonlinearity is treated explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
-from .archive import TraceArchive, checkpoint_load, checkpoint_save
+from .archive import TraceArchive
 from .errors import BlowUpError, ConfigError, DomainError
 from .spectral import (
     SpectralField,
     fmt_s,
     geometry,
     gevrey_norm,
-    leray_project,
     lq_norm,
     project_solenoidal,
     sobolev_norm,
@@ -86,93 +86,83 @@ class SolverConfig:
             raise ConfigError("unknown scheme %r" % self.scheme)
 
 
-# -- FFT plan ----------------------------------------------------------------
+# -- pruned padded transforms ------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _plan(N: int):
-    """Index plan for exact convolution of two radius-N balls on an rfft grid.
+def _plan(N: int, M: int | None = None):
+    """Gather indices for the exact convolution of two radius-N balls.
 
     The product of two fields supported in |n| <= N has modes up to 2N per
-    component; a grid of M >= 3N+1 points per dimension keeps every retained
-    mode alias-free, so the truncated convolution computed through physical
-    space is exact to roundoff.
+    component; a grid of M >= 3N+1 points per dimension (default: the
+    smallest fast size) keeps every retained mode alias-free, so the
+    truncated convolution computed through physical space is exact to
+    roundoff.  Only the pencils that hold the ball are transformed: the
+    spectral box has shape (2N+1, M, N+1) over (n1, n2 mod M, n3).  Inputs
+    are read at the ball modes with n3 >= 0; outputs are gathered on the
+    canonical half ball and expanded by conjugation.
     """
+    if M is None:
+        M = next_fast_len(3 * N + 1, real=True)
+    if M < 3 * N + 1:
+        raise ConfigError("convolution grid must have at least 3N+1 points")
     g = geometry(N)
-    M = next_fast_len(3 * N + 1, real=True)
-
-    class _Plan:
-        pass
-
-    p = _Plan()
-    p.N, p.M, p.g = N, M, g
-
-    keep = g.modes[:, 2] >= 0
-    hm = g.modes[keep]
-    p.half_modes = hm
-    p.half_n = hm.astype(float)
-    p.half_nsq = np.einsum("kc,kc->k", p.half_n, p.half_n)
-    p.scatter = (hm[:, 0] % M, hm[:, 1] % M, hm[:, 2])
-
-    # Map every ball mode to its representative in the half list so full
-    # conjugate-symmetric cubes can be rebuilt from half-grid values.
-    lookup = {tuple(m): j for j, m in enumerate(hm)}
-    jmap = np.empty(len(g.modes), dtype=np.intp)
-    conj = np.empty(len(g.modes), dtype=bool)
-    for k, m in enumerate(g.modes):
-        key = tuple(m)
-        if key in lookup:
-            jmap[k], conj[k] = lookup[key], False
-        else:
-            jmap[k], conj[k] = lookup[tuple(-m)], True
-    p.jmap, p.conj = jmap, conj
-    return p
+    mo = g.modes
+    box = ((mo[:, 0] + N) * M + mo[:, 1] % M) * (N + 1) + mo[:, 2]
+    cube = np.ravel_multi_index(g.ball_idx, (g.size,) * 3)
+    up, half = mo[:, 2] >= 0, g.canonical
+    return SimpleNamespace(
+        N=N, M=M,
+        rows=np.arange(-N, N + 1) % M,  # grid rows of the n1 pencils
+        src=cube[up], box_in=box[up],
+        box_out=box[half], dst=cube[half],
+        # -n sits at the mirrored flat index of the (2N+1)^3 cube
+        mirror=g.size**3 - 1 - cube[half],
+        n=mo[half].astype(float), nsq=g.nsq[g.ball][half].astype(float),
+    )
 
 
 def _to_phys(fields, plan):
-    """Inverse-transform a list of half-grid coefficient arrays, batched."""
-    M = plan.M
-    half = np.zeros((len(fields), M, M, M // 2 + 1), dtype=np.complex128)
-    for i, vals in enumerate(fields):
-        half[i][plan.scatter] = vals
-    return irfftn(half, s=(M, M, M), axes=(1, 2, 3), workers=1) * (M**3)
+    """Physical values of the three components of each field, shape
+    (3 len(fields), M, M, M).  One component at a time: the work arrays stay
+    small enough to be reused rather than faulted in afresh on every call."""
+    N, M = plan.N, plan.M
+    box = np.zeros((2 * N + 1, M, N + 1), dtype=np.complex128)
+    grid = np.zeros((M, M, N + 1), dtype=np.complex128)
+    phys = np.empty((3 * len(fields), M, M, M))
+    vals = np.concatenate([w.coeffs.reshape(-1, 3)[plan.src].T for w in fields])
+    for f, v in enumerate(vals):
+        box.reshape(-1)[plan.box_in] = v
+        grid[plan.rows] = ifft(box, axis=1, norm="forward", workers=1)
+        grid_x = ifft(grid, axis=0, norm="forward", workers=1)
+        phys[f] = irfft(grid_x, n=M, axis=2, norm="forward", workers=1)
+    return phys
 
 
-def _to_spec(phys, plan):
-    """Forward-transform physical arrays and gather the half-mode values."""
-    M = plan.M
-    spec = rfftn(phys, axes=(-3, -2, -1), workers=1) / (M**3)
-    return spec[(Ellipsis,) + plan.scatter]
+def _to_spec(prods, plan):
+    """Forward-transform the physical arrays of the iterable ``prods`` one
+    at a time; one row of canonical half-ball values per array."""
+    out = []
+    for p in prods:
+        spec = rfft(p, axis=2, norm="forward", workers=1)[:, :, :plan.N + 1]
+        spec = fft(spec, axis=0, norm="forward", workers=1)[plan.rows]
+        spec = fft(spec, axis=1, norm="forward", workers=1, overwrite_x=True)
+        out.append(spec.reshape(-1)[plan.box_out])
+    return np.stack(out)
 
 
-def _half_values(w: SpectralField, plan):
-    g = plan.g
-    vals = w.coeffs[g.ball_idx]
-    keep = g.modes[:, 2] >= 0
-    return vals[keep]
-
-
-def _fields_to_phys(fields, plan):
-    """Inverse-transform the three components of each field, batched."""
-    halves = [_half_values(w, plan) for w in fields]
-    return _to_phys([h[:, c] for h in halves for c in range(3)], plan)
-
-
-def _cube_from_half(half_vals, plan):
-    """Rebuild the conjugate-symmetric coefficient cube from half-grid data."""
-    g = plan.g
-    full = half_vals[plan.jmap]
-    full = np.where(plan.conj[:, None], np.conj(full), full)
-    # Symmetrize away the roundoff asymmetry of the forward transforms.
-    c = np.zeros((g.size, g.size, g.size, half_vals.shape[-1]), dtype=np.complex128)
-    c[g.ball_idx] = full
-    return 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
+def _cube(vals, plan):
+    """Conjugate-symmetric coefficient cube from canonical half-ball values."""
+    size = 2 * plan.N + 1
+    c = np.zeros((size**3, 3), dtype=np.complex128)
+    c[plan.dst] = vals
+    c[plan.mirror] = vals.conj()
+    return c.reshape(size, size, size, 3)
 
 
 def _project_half(vals, plan):
-    n = plan.half_n
-    dots = np.einsum("kc,kc->k", vals, n)
-    return vals - (dots / plan.half_nsq)[:, None] * n
+    dots = np.einsum("kc,kc->k", vals, plan.n)
+    return vals - (dots / plan.nsq)[:, None] * plan.n
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -233,27 +223,25 @@ def _cross(x, y):
 
 
 def nonlinear_rhs_fast(state: MhdState, grid: int | None = None):
-    """Nonlinear terms via padded transforms; exact convolution on the ball.
+    """Nonlinear terms via pruned padded transforms; exact convolution on the
+    ball.
 
     Momentum in divergence form, -i P_n (n_j T_ij) with T = V V - B B, and
-    induction as i n x (V x B)^hat: 6 inverse and 9 forward transforms.
+    induction as i n x (V x B)^hat: 6 inverse and 9 forward transforms on a
+    grid of ``grid`` points per dimension (default: the smallest fast size
+    >= 3N+1).
     """
-    N = state.N
-    plan = _plan(N)
-    if grid is not None:
-        if grid < 3 * N + 1:
-            raise ConfigError("convolution grid must have at least 3N+1 points")
-        plan = _custom_plan(N, grid)
-    phys = _fields_to_phys([state.V, state.B], plan)
-    v, b = phys[:3], phys[3:]
+    plan = _plan(state.N) if grid is None else _plan(state.N, grid)
+    phys = _to_phys([state.V, state.B], plan)
+    return _rhs_from_products(_products(phys[:3], phys[3:]), plan)
 
-    prods = np.empty((9,) + v.shape[1:])
-    # T_ij = V_i V_j - B_i B_j, upper triangle (6 products)
-    for pos, (i, j) in enumerate(_PAIRS):
-        prods[pos] = v[i] * v[j] - b[i] * b[j]
-    # w = V x B (3 products)
-    prods[6:] = _cross(v, b)
-    return _rhs_from_products(prods, plan)
+
+def _products(v, b):
+    """The physical products of the nonlinearity, formed one at a time:
+    T_ij = V_i V_j - B_i B_j (upper triangle, 6), then w = V x B (3)."""
+    for i, j in _PAIRS:
+        yield v[i] * v[j] - b[i] * b[j]
+    yield from _cross(v, b)
 
 
 def _rhs_from_products(prods, plan):
@@ -263,33 +251,16 @@ def _rhs_from_products(prods, plan):
     T = {pair: spec[k] for k, pair in enumerate(_PAIRS)}
     for i, j in _PAIRS:
         T[(j, i)] = T[(i, j)]
-    n = plan.half_n
+    n = plan.n
     adv = np.stack(
         [-1j * sum(n[:, j] * T[(i, j)] for j in range(3)) for i in range(3)], axis=-1
     )
     adv = _project_half(adv, plan)
-    w = np.moveaxis(spec[6:], 0, -1)
-    ind = 1j * np.cross(n, w)
+    ind = 1j * np.cross(n, spec[6:].T)
     return (
-        SpectralField(plan.N, _cube_from_half(adv, plan)),
-        SpectralField(plan.N, _cube_from_half(ind, plan)),
+        SpectralField(plan.N, _cube(adv, plan)),
+        SpectralField(plan.N, _cube(ind, plan)),
     )
-
-
-@lru_cache(maxsize=4)
-def _custom_plan(N: int, M: int):
-    base = _plan(N)
-
-    class _Plan:
-        pass
-
-    p = _Plan()
-    p.N, p.M, p.g = N, M, base.g
-    hm = base.half_modes
-    p.half_modes, p.half_n, p.half_nsq = hm, base.half_n, base.half_nsq
-    p.scatter = (hm[:, 0] % M, hm[:, 1] % M, hm[:, 2])
-    p.jmap, p.conj = base.jmap, base.conj
-    return p
 
 
 def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
@@ -314,17 +285,15 @@ def advection_bilinear(X: SpectralField, Y: SpectralField):
     if X.N != Y.N:
         raise DomainError("mismatched truncation radii")
     plan = _plan(X.N)
-    phys = _fields_to_phys([X, Y], plan)
+    phys = _to_phys([X, Y], plan)
     x, y = phys[:3], phys[3:]
-    prods = np.stack([x[j] * y[i] for i in range(3) for j in range(3)])
-    spec = _to_spec(prods, plan)
-    n = plan.half_n
+    spec = _to_spec((x[j] * y[i] for i in range(3) for j in range(3)), plan)
+    n = plan.n
     out = np.stack(
         [-1j * sum(n[:, j] * spec[3 * i + j] for j in range(3)) for i in range(3)],
         axis=-1,
     )
-    out = _project_half(out, plan)
-    return SpectralField(X.N, _cube_from_half(out, plan))
+    return SpectralField(X.N, _cube(_project_half(out, plan), plan))
 
 
 def induction_bilinear(X: SpectralField, Y: SpectralField):
@@ -332,25 +301,21 @@ def induction_bilinear(X: SpectralField, Y: SpectralField):
     if X.N != Y.N:
         raise DomainError("mismatched truncation radii")
     plan = _plan(X.N)
-    phys = _fields_to_phys([X, Y], plan)
+    phys = _to_phys([X, Y], plan)
     x, y = phys[:3], phys[3:]
-    spec = np.moveaxis(_to_spec(np.stack(_cross(x, y)), plan), 0, -1)
-    out = 1j * np.cross(plan.half_n, spec)
-    return SpectralField(X.N, _cube_from_half(out, plan))
+    spec = _to_spec(_cross(x, y), plan)
+    return SpectralField(X.N, _cube(1j * np.cross(plan.n, spec.T), plan))
 
 
-def _linearised_products(phys):
+def _linearised_products(v, b, dv, db):
     """Products of the nonlinearity linearised at (V, B) in the direction
-    (dV, dB), from the 12 physical components [V, B, dV, dB]."""
-    v, b, dv, db = phys[0:3], phys[3:6], phys[6:9], phys[9:12]
-    prods = np.empty((9,) + v.shape[1:])
+    (dV, dB), formed one at a time in the order of ``_products``."""
     # dT_ij = dV_i V_j + V_i dV_j - dB_i B_j - B_i dB_j, symmetric in (i, j)
-    for pos, (i, j) in enumerate(_PAIRS):
-        prods[pos] = dv[i] * v[j] + v[i] * dv[j] - db[i] * b[j] - b[i] * db[j]
+    for i, j in _PAIRS:
+        yield dv[i] * v[j] + v[i] * dv[j] - db[i] * b[j] - b[i] * db[j]
     # dw = dV x B + V x dB
-    for c, (x, y) in enumerate(zip(_cross(dv, b), _cross(v, db))):
-        prods[6 + c] = x + y
-    return prods
+    for x, y in zip(_cross(dv, b), _cross(v, db)):
+        yield x + y
 
 
 def second_time_derivative(state: MhdState, rhs=None):
@@ -363,7 +328,8 @@ def second_time_derivative(state: MhdState, rhs=None):
     """
     dV, dB = full_rhs(state) if rhs is None else rhs
     plan = _plan(state.N)
-    prods = _linearised_products(_fields_to_phys([state.V, state.B, dV, dB], plan))
+    phys = _to_phys([state.V, state.B, dV, dB], plan)
+    prods = _linearised_products(phys[0:3], phys[3:6], phys[6:9], phys[9:12])
     return _diffusion(replace(state, V=dV, B=dB), *_rhs_from_products(prods, plan))
 
 
@@ -485,12 +451,8 @@ def _abc_field(N, A, B, C):
 
 def _random_field(N, rng, a, b):
     g = geometry(N)
-    keep = g.modes[:, 2] > 0
-    keep |= (g.modes[:, 2] == 0) & (
-        (g.modes[:, 1] > 0) | ((g.modes[:, 1] == 0) & (g.modes[:, 0] > 0))
-    )
-    hm = g.modes[keep]
-    absn = g.absn[keep]
+    hm = g.modes[g.canonical]
+    absn = g.absn[g.canonical]
     mag = absn ** (-a) * np.exp(-b * absn)
     vec = rng.standard_normal((len(hm), 3)) + 1j * rng.standard_normal((len(hm), 3))
     vec *= (mag / np.maximum(np.linalg.norm(vec, axis=1), 1e-300))[:, None]

@@ -30,7 +30,9 @@ def geometry(N: int):
     Returns an object with the index cube, the ball mask, flattened mode
     lists and a deterministic descending-|n| summation order.  The shells
     of the ball (distinct |n|) are listed largest first in ``shell_r``;
-    ``shell`` gives the shell index of each ball mode.
+    ``shell`` gives the shell index of each ball mode.  ``canonical`` marks
+    one mode of each conjugate pair: n3 > 0, or n3 = 0 and (n2, n1)
+    lexicographically positive.
     """
     if N < 1:
         raise DomainError("truncation radius must be >= 1")
@@ -58,6 +60,8 @@ def geometry(N: int):
     neg_nsq, shell = np.unique(-nsq[ball], return_inverse=True)
     g.shell = shell.ravel()
     g.shell_r = np.sqrt(-neg_nsq.astype(float))
+    k1, k2, k3 = modes.T
+    g.canonical = (k3 > 0) | ((k3 == 0) & ((k2 > 0) | ((k2 == 0) & (k1 > 0))))
     return g
 
 
@@ -241,6 +245,19 @@ def gevrey_scale(w: SpectralField, sigma: float) -> SpectralField:
     c = w.coeffs.copy()
     c[g.ball_idx] = c[g.ball_idx] * np.exp(sigma * g.absn)[:, None]
     return SpectralField(w.N, c)
+
+
+def embed_field(w: SpectralField, N: int) -> SpectralField:
+    """Zero-pad a field into the larger Galerkin ball of radius N."""
+    if N == w.N:
+        return w
+    if N < w.N:
+        raise DomainError("cannot embed into a smaller ball")
+    size = 2 * N + 1
+    c = np.zeros((size, size, size, 3), dtype=np.complex128)
+    lo, hi = N - w.N, N + w.N + 1
+    c[lo:hi, lo:hi, lo:hi] = w.coeffs
+    return SpectralField(N, c)
 
 
 def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None):

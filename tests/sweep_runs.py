@@ -5,9 +5,8 @@ invalidates tests/data/bound_ratios.json, which must then be regenerated with
 scripts/pin_bound_ratios.py.
 """
 
-import numpy as np
-
 import mhdgevrey as m
+from mhdgevrey.spectral import embed_field
 
 SWEEP_SEED = 11
 SWEEP_BASE_N = 16
@@ -27,19 +26,6 @@ def sweep_diagnostics(delta):
         ft_s=(0.75, 1.0),
         tilde_s=(0.0, 0.5, 1.0, 1.5),
     )
-
-
-def embed_field(w, N):
-    """Zero-pad a spectral field into the larger Galerkin ball of size N."""
-    if N == w.N:
-        return w
-    if N < w.N:
-        raise ValueError("cannot embed into a smaller ball")
-    size = 2 * N + 1
-    c = np.zeros((size, size, size, 3), dtype=np.complex128)
-    lo, hi = N - w.N, N + w.N + 1
-    c[lo:hi, lo:hi, lo:hi] = w.coeffs
-    return m.SpectralField(N, c)
 
 
 def make_sweep_trace(N, outdir, table):

@@ -259,6 +259,26 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert calls == [st.t for st in m.TraceArchive.load(cli_run).checkpoints()]
 
+    def test_p51_p52_ratios_match_standard_sweep(self, tmp_path, table_json):
+        # Both hold every checkpoint to the P51/P52 constant of the run's
+        # initial energy; with per-checkpoint energies verify reported
+        # P51 4.777e-5 against 4.617e-5 on this run.
+        cfg = write_config(tmp_path, t_end=0.2, output_stride=10,
+                           checkpoint_stride=50)
+        out = str(tmp_path / "archive")
+        assert main(["run", cfg, "--out", out, "--table", table_json,
+                     "--verbosity", "0"]) == EXIT_OK
+        trace = m.TraceArchive.load(out)
+        assert len(trace.checkpoint_paths()) == 5
+        assert main(["verify", out, "--bounds", "P51", "P52", "--s", "-4",
+                     "--table", table_json]) == EXIT_OK
+        got = {r["id"]: r["ratio"]
+               for r in json.loads((trace.root / "report.json").read_text())}
+        sweep = {r.id: r.ratio for r in m.standard_sweep(
+            trace, m.ConstantsTable.from_json(table_json))}
+        assert got["P51"] == pytest.approx(sweep["P51"], rel=1e-12)
+        assert got["P52"] == pytest.approx(sweep["P52"], rel=1e-12)
+
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),
                      "--table", table_json]) == EXIT_USAGE
@@ -326,3 +346,18 @@ class TestCompareCommand:
         with open(out / "psi_N004_N006.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
         assert max(float(psi) for _, psi in rows) > 0.0
+
+    def test_nested_random_runs_start_from_one_state(self, tmp_path,
+                                                     table_json):
+        # The random initial state is drawn once, at the smallest N, and
+        # zero-padded: psi(0) is exactly 0, not the distance between two
+        # independent draws.
+        cfg = write_config(tmp_path, t_end=0.004)
+        out = tmp_path / "cmp3"
+        code = main(["compare", cfg, "--N", "4", "6", "--out", str(out),
+                     "--table", table_json])
+        assert code == EXIT_OK
+        with open(out / "psi_N004_N006.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[0][1]) == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mhdgevrey as m
+from mhdgevrey import archive
 from mhdgevrey.archive import TraceArchive, checkpoint_load, checkpoint_save
 from mhdgevrey.errors import (
     BlowUpError,
@@ -70,6 +71,36 @@ class TestConvolutionOracle:
             advection_bilinear(x, y)
         with pytest.raises(DomainError):
             induction_bilinear(x, y)
+
+
+def assert_conjugate_symmetric(w):
+    c = w.coeffs
+    assert np.array_equal(c, np.conj(c[::-1, ::-1, ::-1]))
+
+
+class TestPrunedTransforms:
+    """The pruned padded transforms against the direct sum, on odd and even
+    default grids (M = 10, 15, 16, 25 for N = 3, 4, 5, 8) and a larger one."""
+
+    @pytest.mark.parametrize("N,grid", [(3, None), (4, None), (5, None),
+                                        (8, None), (5, 32)])
+    def test_matches_direct_summation(self, N, grid):
+        st = random_state(N=N, seed=40 + N)
+        fv, fb = nonlinear_rhs_fast(st, grid=grid)
+        dv, db = nonlinear_rhs_direct(st)
+        scale = max(st.V.max_abs(), st.B.max_abs()) ** 2
+        assert np.max(np.abs(fv.coeffs - dv.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(fb.coeffs - db.coeffs)) <= 1e-12 * scale
+
+    def test_outputs_exactly_conjugate_symmetric(self):
+        st = random_state(N=5, seed=50)
+        assert_conjugate_symmetric(st.V)
+        for w in (*nonlinear_rhs_fast(st), *second_time_derivative(st)):
+            assert_conjugate_symmetric(w)
+        for scheme in ("integrating-factor-RK2", "integrating-factor-RK4"):
+            nxt = step(st, 1e-2, scheme=scheme)
+            assert_conjugate_symmetric(nxt.V)
+            assert_conjugate_symmetric(nxt.B)
 
 
 class TestStepping:
@@ -221,6 +252,51 @@ class TestArchive:
         ts = [st.t for st in singlemode_trace.checkpoints()]
         assert ts == sorted(ts)
         assert len(ts) == len(singlemode_trace.checkpoint_paths())
+
+    def test_failed_checkpoint_write_leaves_nothing(self, tmp_path,
+                                                    monkeypatch):
+        arch = TraceArchive.create(tmp_path / "a", {"version": 1})
+        real_open = open
+
+        class DiskFull:
+            """A file whose second write fails, as on a full disk."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(archive, "open",
+                            lambda *a, **kw: DiskFull(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            arch.save_checkpoint(random_state(N=3), 7)
+        monkeypatch.undo()
+        assert list((arch.root / "checkpoints").iterdir()) == []
+        arch.finalize()
+
+    def test_manifest_read_once_and_copied(self, tmp_path):
+        arch = TraceArchive.create(tmp_path / "a", {"config": {"N": 3}})
+        arch.append({"t": 0.0})
+        arch.finalize()
+        tr = TraceArchive.load(arch.root)
+        man = tr.manifest
+        man["config"]["N"] = 99
+        (tr.root / "manifest.json").unlink()
+        assert tr.manifest == {"config": {"N": 3}}
+        tr.update_manifest({"blowup_t": 0.5})
+        assert tr.manifest == {"config": {"N": 3}, "blowup_t": 0.5}
+        assert TraceArchive.load(tr.root).manifest == tr.manifest
 
 
 class TestSimulate:
