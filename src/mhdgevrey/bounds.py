@@ -21,7 +21,9 @@ Pointwise (per-state) inequalities:
   P52    second-derivative norms plus the derivative-energy drift, s < -7/2
 
 Here E_s denotes ||V||_s^2 + ||B||_s^2 and tilde quantities refer to the
-Phi-weighted fields.
+Phi-weighted fields.  Each bound is one entry of the registry ``BOUNDS``
+(see ``Bound``): its s domain, the run values and trace columns it reads,
+and its check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,25 +45,19 @@ from .spectral import (
     gevrey_scale,
     sobolev_inner,
     sobolev_norm,
-    wiener_norm,
 )
-from .transform import transform, sigma_p, solve_phi, verify_theorem2
-
-INTEGRAL_IDS = (
-    "B19",
-    "B29",
-    "B32_1",
-    "B32_2",
-    "B32_3",
-    "COR51",
-    "B36_1",
-    "B36_2",
-    "B36_3",
-    "B36_4",
+from .transform import (
+    _energy_s,
+    _growth_envelope,
+    _trace_q,
+    _trapz,
+    _verdict,
+    _window,
+    sigma_p,
+    solve_phi,
+    transform,
+    verify_theorem2,
 )
-POINTWISE_IDS = ("P40", "P42", "P44", "P51", "P52")
-# Bounds that do not depend on the norm index s: one report each.
-S_FREE_IDS = ("B29", "P40", "P51")
 
 
 def alpha_exponent(s: float) -> float:
@@ -97,12 +94,6 @@ class BoundReport:
             "verdict": self.verdict,
             "note": self.note,
         }
-
-
-def _verdict(lhs: float, rhs: float) -> str:
-    if lhs == 0.0 and rhs == 0.0:
-        return "vacuous"
-    return "pass" if lhs <= rhs else "fail"
 
 
 # -- constant chains -----------------------------------------------------------
@@ -349,7 +340,84 @@ def derivative_norm_sq_via_xi(xi: XiFields, s: float) -> float:
     )
 
 
-# -- pointwise inequalities ------------------------------------------------------
+# -- the bound registry ------------------------------------------------------------
+
+_Q_COLUMNS = ("phi", "tv_s0", "tb_s0", "tv_s0.5", "tb_s0.5", "tv_s1", "tb_s1")
+_VALUE_NAMES = {"delta": "the weight scale delta", "sigma": "the growth rate sigma",
+                "p": "the integrability order p"}
+
+
+def _pair(v, b):
+    """The columns of one diagnostic of V and of B at index s."""
+    return lambda s, p: ("%s_s%s" % (v, fmt_s(s)), "%s_s%s" % (b, fmt_s(s)))
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One inequality: where it applies, what it reads and how it is checked.
+
+    ``domain(s, p)`` tells whether s is in the bound's domain, ``domain_msg``
+    says what that domain is; a bound with ``fixed_s`` does not depend on s
+    and is reported at that index.  ``needs`` names the run values it reads
+    (delta, sigma, p).  An integral bound reads the trace columns
+    ``columns(s, p)``, and the columns of Q if it needs delta; ``uniform``
+    asks for evenly spaced samples.  ``check(window, s, *series)`` (integral)
+    or ``check(derivatives, s)`` (pointwise) returns the names of the
+    constants used and ``compute()``, which evaluates lhs and the rhs chain.
+    """
+
+    id: str
+    pointwise: bool
+    check: Callable
+    domain: Callable | None = None
+    domain_msg: str = ""
+    fixed_s: float | None = None
+    needs: tuple = ()
+    columns: Callable = lambda s, p: ()
+    uniform: bool = False
+
+    def inapplicable(self, s, values, trace=None, T=None):
+        """Why the bound cannot be checked at s, found before any work.
+
+        Returns the DomainError or TraceError that checking would raise, or
+        None.  ``values`` maps delta, sigma and p to their values (None if
+        absent).  Given a trace, its columns or checkpoints and the window
+        [t0, T] are checked too.
+        """
+        if s is None and self.fixed_s is None:
+            return DomainError("%s needs a norm index s" % self.id)
+        for name in self.needs:
+            if values.get(name) is None:
+                return DomainError("%s needs %s" % (self.id, _VALUE_NAMES[name]))
+        if "delta" in self.needs and values["delta"] < 0:
+            return DomainError("delta must be nonnegative")
+        if self.fixed_s is None and not self.domain(s, values.get("p")):
+            return DomainError(self.domain_msg)
+        if trace is None:
+            return None
+        if self.pointwise:
+            return None if trace.checkpoint_paths() else TraceError(
+                "archive holds no checkpoints")
+        q_columns = _Q_COLUMNS if "delta" in self.needs else ()
+        for name in self.columns(s, values.get("p")) + q_columns:
+            if not trace.has_col(name):
+                return TraceError("trace has no column %r" % name)
+        error = _window(trace, T, self.uniform)[3]
+        return TraceError(error) if error else None
+
+
+class _Eval(NamedTuple):
+    """Both sides of one evaluation.  A check that sets the verdict itself
+    is not re-evaluated with re-estimated constants."""
+
+    lhs: float
+    rhs: float
+    note: str = ""
+    verdict: str | None = None
+
+
+def _join(*notes):
+    return "; ".join(n for n in notes if n)
 
 
 def _retry_with_better_constants(table, names, compute_rhs, lhs, rhs):
@@ -364,29 +432,165 @@ def _retry_with_better_constants(table, names, compute_rhs, lhs, rhs):
     return compute_rhs(), True
 
 
-def _pointwise_domain_error(id: str, s: float | None, delta: float | None) -> str:
-    """Why (id, s, delta) is not a legal pointwise check; "" if it is."""
-    if id not in POINTWISE_IDS:
-        return "unknown pointwise bound id %r" % id
-    if id in ("P40", "P42") and delta is None:
-        return "%s needs the weight scale delta" % id
-    if id in ("P40", "P42") and delta < 0:
-        return "delta must be nonnegative"
-    if id == "P42" and (s is None or not (-2.5 < s <= -0.5)):
-        return "P42 requires -5/2 < s <= -1/2"
-    if id == "P44" and (s is None or s < -1.0):
-        return "P44 requires s >= -1"
-    if id == "P52" and (s is None or not s < -3.5):
-        return "P52 requires s < -7/2"
+def _evaluate(bound, s, T, table, names, compute) -> BoundReport:
+    """Report one check; if it fails, once more with re-estimated constants."""
+    ev = compute()
+    if ev.verdict is None:
+        again, retried = _retry_with_better_constants(table, names, compute, ev.lhs, ev.rhs)
+        if retried:
+            ev = again._replace(note=_join(again.note, "re-estimated constants"))
+    lhs, rhs = ev.lhs, ev.rhs
+    ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
+    verdict = ev.verdict or (
+        "informational" if "informational" in ev.note else _verdict(lhs, rhs))
+    return BoundReport(bound.id, s if bound.fixed_s is None else bound.fixed_s, T,
+                       float(lhs), float(rhs), float(ratio), table.describe(names),
+                       verdict, ev.note)
+
+
+def _ensure_C(table, *indices):
+    """Estimate (or recall) C_s at each index; returns their names."""
+    for x in indices:
+        table.ensure_C(x)
+    return [table.skey_C(x) for x in indices]
+
+
+# -- integral bounds --------------------------------------------------------------
+
+
+class _Window:
+    """The samples of a trace in [t0, T] and the run values a check reads."""
+
+    def __init__(self, trace, T, table, values):
+        man = trace.manifest
+        self.trace, self.T, self.table = trace, T, table
+        self.nu = float(man["config"]["nu"])
+        self.eta = float(man["config"]["eta"])
+        self.mn = min(self.nu, self.eta)
+        self.delta, self.sigma, self.p = (
+            None if values[k] is None else float(values[k]) for k in ("delta", "sigma", "p"))
+        self.ts, self.sel, self.t0, _ = _window(trace, T)
+        self.dT = T - self.t0
+
+    def col(self, name):
+        return self.trace.col(name)[self.sel]
+
+    @cached_property
+    def Q(self):
+        return _trace_q(self.trace, self.delta, self.sel)
+
+    def against_q(self, lhs, rhs_fn, note=""):
+        """``compute`` of a bound whose rhs grows from Q: Q < 0 makes it
+        informational."""
+        q_note = "Q <= 0; informational" if self.Q < 0 else ""
+        return lambda: _Eval(lhs, rhs_fn(), _join(q_note, note))
+
+
+def _quadrature_note(y, x):
+    """Richardson-style check: the half-sampled quadrature must agree to 1%."""
+    if len(x) < 5:
+        return ""
+    idx = np.unique(np.r_[np.arange(0, len(x), 2), len(x) - 1])
+    full = _trapz(y, x)
+    half = _trapz(y[idx], x[idx])
+    scale = max(abs(full), 1e-300)
+    if abs(full - half) / scale > 0.01:
+        return "quadrature unresolved: refine the output stride"
     return ""
+
+
+def _b19(w, s, lhs_series):
+    # At t = t0 the exponential weight is 1, so the first stored value of
+    # the weighted column is the plain squared H_s norm of the data.
+    e0 = lhs_series[0]
+    tau = w.ts - w.t0
+
+    def compute():
+        t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, e0, tau)
+        inwin = tau < t_star
+        if not np.any(inwin):
+            return _Eval(0.0, 0.0, "outside guaranteed window", "informational")
+        ratios = lhs_series[inwin] / np.where(qs[inwin] > 0, qs[inwin], np.nan)
+        k = int(np.nanargmax(ratios))
+        return _Eval(float(lhs_series[inwin][k]), float(qs[inwin][k]),
+                     "" if np.all(inwin) else "verified inside guaranteed window only")
+
+    return _ensure_C(w.table, s, 1.5 - s), compute
+
+
+def _b29(w, s, integrand):
+    rep = verify_theorem2(w.trace, w.delta, w.T, table=w.table)
+    ev = _Eval(rep.lhs_terminal + rep.lhs_integral, rep.rhs,
+               "Q <= 0" if rep.q_nonpositive else "", rep.verdict)
+    return ["C[0.5]", "C[1.0]"], lambda: ev
+
+
+def _b32_1(w, s, v, b):
+    y = (v**2 + b**2) ** (alpha_exponent(s) / 2.0)
+    return [], w.against_q(_trapz(y, w.ts),
+                           lambda: q_tilde(w.Q, w.delta, w.mn, w.dT, s),
+                           _quadrature_note(y, w.ts))
+
+
+def _b32_2(w, s, v, b):
+    lhs = _trapz((v**2 + b**2) ** (1.0 / s), w.ts)
+    e0_init = w.col("v_s0")[0] ** 2 + w.col("b_s0")[0] ** 2 \
+        if w.trace.has_col("v_s0") else 2.0 * w.col("energy")[0]
+    return [], lambda: _Eval(lhs, (2.0 * w.mn) ** -1.0 * e0_init ** (1.0 / s))
+
+
+def _b32_3(w, s, wv, wb):
+    y = (wv + wb) ** alpha_exponent(s + 1.5)
+    return [], w.against_q(_trapz(y, w.ts),
+                           lambda: q_tilde_wiener(w.Q, w.delta, w.mn, w.dT, s))
+
+
+def _cor51(w, s, lv, lb):
+    idx = s + 1.5 - 3.0 / w.p
+    a = alpha_exponent(idx)
+    names = _ensure_C(w.table, 1.5 - 3.0 / w.p)
+    return names, w.against_q(
+        _trapz((lv + lb) ** a, w.ts),
+        lambda: w.table.C(1.5 - 3.0 / w.p) ** a
+        * 2.0 ** (a / 2.0)
+        * q_tilde(w.Q, w.delta, w.mn, w.dT, idx),
+    )
+
+
+def _b36_1(w, s, dv, db):
+    y = (dv**2 + db**2) ** (alpha_exponent(s + 2.0) / 2.0)
+    return _ensure_C(w.table, 0.5, 1.0), w.against_q(
+        _trapz(y, w.ts), lambda: d1_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table))
+
+
+def _b36_2(w, s, dv, db):
+    y = (dv**2 + db**2) ** (2.0 / (2.0 * s + 5.0))
+    return w.table.ensure_for_C_tilde_prime(s), w.against_q(
+        _trapz(y, w.ts), lambda: d2_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table),
+        "derivation-dependent RHS")
+
+
+def _b36_3(w, s, dv, db):
+    w.table.ensure_cp(-s - 1.0)
+    return [w.table.skey_cp(-s - 1.0)], w.against_q(
+        float(np.max(dv**2 + db**2)), lambda: d3_constant(w.Q, w.nu, w.eta, s, w.table))
+
+
+def _b36_4(w, s, dwv, dwb):
+    y = (dwv + dwb) ** alpha_exponent(s + 3.5)
+    return _ensure_C(w.table, 0.5, 1.0), w.against_q(
+        _trapz(y, w.ts), lambda: d4_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table))
+
+
+# -- pointwise inequalities ------------------------------------------------------
 
 
 class _Derivatives:
     """The time derivatives of one state, each computed on first use and
     then shared by every pointwise check of that state."""
 
-    def __init__(self, state, delta):
-        self.state, self.delta = state, delta
+    def __init__(self, state, delta, table, e_init):
+        self.state, self.delta, self.table, self.e_init = state, delta, table, e_init
 
     @cached_property
     def rhs(self):
@@ -405,151 +609,71 @@ class _Derivatives:
         return _xi_from(self.rhs, self.ps.phi, self.delta)
 
 
-def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
-                           e_init: float | None = None) -> dict:
-    """Worst report of each pointwise (id, s) pair over the states.
-
-    Every pair is checked against its domain before any work.  The states
-    are then scanned once: each state's derivatives are computed once and
-    shared by all pairs (one ``full_rhs``; one ``transform`` if P40 or P42 is
-    asked for; one ``second_time_derivative`` if P52 is), and dropped before
-    the next state.  Ties keep the earliest state.  ``e_init`` is the
-    energy in the P51/P52 constant; None uses the energy of the first state,
-    so every checkpoint of a run is held to the same constant.
-    Returns {(id, s): BoundReport} in the order of ``pairs``.
-    """
-    for id, s in pairs:
-        error = _pointwise_domain_error(id, s, delta)
-        if error:
-            raise DomainError(error)
-    if e_init is None and states:
-        e_init = _energy(states[0])
-    worst = dict.fromkeys(pairs)
-    for state in states:
-        derivs = _Derivatives(state, delta)
-        for id, s in worst:
-            rep = _pointwise_report(id, derivs, table, s, e_init)
-            if worst[(id, s)] is None or rep.ratio > worst[(id, s)].ratio:
-                worst[(id, s)] = rep
-    return worst
+def _p40(d, s):
+    ps, xi, table, nu, eta = d.ps, d.xi, d.table, d.state.nu, d.state.eta
+    lhs = 0.5 * (sobolev_norm(xi.xi_v, -0.5) ** 2 + sobolev_norm(xi.xi_b, -0.5) ** 2)
+    names = _ensure_C(table, 0.5, 1.0)
+    e1 = _energy_s(ps, 1.0)
+    return names, lambda: _Eval(lhs, (
+        nu**2 * sobolev_norm(ps.V, 1.5) ** 2
+        + eta**2 * sobolev_norm(ps.B, 1.5) ** 2
+        + 2.0 * table.Cprime_half() ** 2 * e1**2
+    ))
 
 
-def verify_pointwise(id: str, state, table, delta: float | None = None,
-                     s: float | None = None, e_init: float | None = None) -> BoundReport:
-    """Evaluate one pointwise inequality on a single state."""
-    return _worst_over_checkpoints([(id, s)], [state], table, delta, e_init)[(id, s)]
+def _p42(d, s):
+    ps, xi, table, nu, eta = d.ps, d.xi, d.table, d.state.nu, d.state.eta
+    lhs = sobolev_norm(xi.xi_v, s) ** 2 + sobolev_norm(xi.xi_b, s) ** 2
+    names = table.ensure_for_C_tilde_prime(s)
+    x, y = (sobolev_norm(f, 1.0) ** ((2.0 * s + 5.0) / 2.0)
+            * sobolev_norm(f, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (ps.V, ps.B))
+    return names, lambda: _Eval(lhs, (
+        2.0 * nu**2 * sobolev_norm(ps.V, s + 2.0) ** 2
+        + 2.0 * eta**2 * sobolev_norm(ps.B, s + 2.0) ** 2
+        + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
+    ))
 
 
-def _pointwise_report(id, derivs, table, s, e_init) -> BoundReport:
-    state = derivs.state
-    nu, eta = state.nu, state.eta
+def _p44(d, s):
+    state, table = d.state, d.table
+    dV, dB = d.rhs
+    lhs = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
+    names = _ensure_C(table, 0.5, 1.0)
+    e1 = _energy_s(state, 1.0)
+    e_mid = _energy_s(state, s + 1.5)
+    return names, lambda: _Eval(lhs, (
+        2.0 * state.nu**2 * sobolev_norm(state.V, s + 2.0) ** 2
+        + 2.0 * state.eta**2 * sobolev_norm(state.B, s + 2.0) ** 2
+        + table.C_tripleprime(s) * e_mid * e1
+    ))
 
-    if id == "P40":
-        ps, xi = derivs.ps, derivs.xi
-        s_eff = -0.5
-        lhs = 0.5 * (
-            sobolev_norm(xi.xi_v, -0.5) ** 2 + sobolev_norm(xi.xi_b, -0.5) ** 2
-        )
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        names = ["C[0.5]", "C[1.0]"]
-        e1 = sobolev_norm(ps.V, 1.0) ** 2 + sobolev_norm(ps.B, 1.0) ** 2
 
-        def rhs_fn():
-            return (
-                nu**2 * sobolev_norm(ps.V, 1.5) ** 2
-                + eta**2 * sobolev_norm(ps.B, 1.5) ** 2
-                + 2.0 * table.Cprime_half() ** 2 * e1**2
-            )
+def _p51(d, s):
+    state, table = d.state, d.table
+    dV, dB = d.rhs
+    lhs = sobolev_norm(dV, -1.0) ** 2 + sobolev_norm(dB, -1.0) ** 2
+    names = _ensure_C(table, 0.5, 1.0)
+    e1 = _energy_s(state, 1.0)
+    return names, lambda: _Eval(
+        lhs, c_second_tilde(state.nu, state.eta, d.e_init, table) * (e1 + e1**1.5))
 
-    elif id == "P42":
-        ps, xi = derivs.ps, derivs.xi
-        s_eff = s
-        lhs = sobolev_norm(xi.xi_v, s) ** 2 + sobolev_norm(xi.xi_b, s) ** 2
-        names = table.ensure_for_C_tilde_prime(s)
-        x = sobolev_norm(ps.V, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
-            ps.V, 0.0
-        ) ** ((-2.0 * s - 1.0) / 2.0)
-        y = sobolev_norm(ps.B, 1.0) ** ((2.0 * s + 5.0) / 2.0) * sobolev_norm(
-            ps.B, 0.0
-        ) ** ((-2.0 * s - 1.0) / 2.0)
 
-        def rhs_fn():
-            return (
-                2.0 * nu**2 * sobolev_norm(ps.V, s + 2.0) ** 2
-                + 2.0 * eta**2 * sobolev_norm(ps.B, s + 2.0) ** 2
-                + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
-            )
-
-    elif id == "P44":
-        s_eff = s
-        dV, dB = derivs.rhs
-        lhs = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        names = ["C[0.5]", "C[1.0]"]
-        e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
-        e_mid = (
-            sobolev_norm(state.V, s + 1.5) ** 2 + sobolev_norm(state.B, s + 1.5) ** 2
-        )
-
-        def rhs_fn():
-            return (
-                2.0 * nu**2 * sobolev_norm(state.V, s + 2.0) ** 2
-                + 2.0 * eta**2 * sobolev_norm(state.B, s + 2.0) ** 2
-                + table.C_tripleprime(s) * e_mid * e1
-            )
-
-    elif id == "P51":
-        s_eff = -1.0
-        dV, dB = derivs.rhs
-        lhs = sobolev_norm(dV, -1.0) ** 2 + sobolev_norm(dB, -1.0) ** 2
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        names = ["C[0.5]", "C[1.0]"]
-        e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
-
-        def rhs_fn():
-            return c_second_tilde(state.nu, state.eta, e_init, table) * (e1 + e1**1.5)
-
-    else:  # P52
-        s_eff = s
-        dV, dB = derivs.rhs
-        d2V, d2B = derivs.d2
-        drift = 2.0 * nu * sobolev_inner(dV, d2V, s + 1.0) + 2.0 * eta * sobolev_inner(
-            dB, d2B, s + 1.0
-        )
-        lhs = (
-            sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
-        )
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        table.ensure_cp(-s - 2.0)
-        names = ["C[0.5]", "C[1.0]"]
-        e1 = sobolev_norm(state.V, 1.0) ** 2 + sobolev_norm(state.B, 1.0) ** 2
-
-        def rhs_fn():
-            return (
-                20.0
-                * table.cp(-s - 2.0) ** 2
-                * c_second_tilde(state.nu, state.eta, e_init, table)
-                * (e1**2 + e1**2.5)
-            )
-
-    rhs = rhs_fn()
-    rhs, retried = _retry_with_better_constants(table, names, rhs_fn, lhs, rhs)
-    ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    return BoundReport(
-        id=id,
-        s=s_eff,
-        T=state.t,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=float(ratio),
-        constants_used=table.describe(names),
-        verdict=_verdict(lhs, rhs),
-        note="re-estimated constants" if retried else "",
-    )
+def _p52(d, s):
+    state, table = d.state, d.table
+    dV, dB = d.rhs
+    d2V, d2B = d.d2
+    drift = (2.0 * state.nu * sobolev_inner(dV, d2V, s + 1.0)
+             + 2.0 * state.eta * sobolev_inner(dB, d2B, s + 1.0))
+    lhs = sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
+    names = _ensure_C(table, 0.5, 1.0)
+    table.ensure_cp(-s - 2.0)
+    e1 = _energy_s(state, 1.0)
+    return names, lambda: _Eval(lhs, (
+        20.0
+        * table.cp(-s - 2.0) ** 2
+        * c_second_tilde(state.nu, state.eta, d.e_init, table)
+        * (e1**2 + e1**2.5)
+    ))
 
 
 def _energy(state) -> float:
@@ -570,275 +694,143 @@ def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
     )
 
 
-# -- integral bounds --------------------------------------------------------------
+# -- the registry and its callers ------------------------------------------------
 
 
-def _window(trace, T):
-    t = trace.times
-    t0 = float(trace.manifest.get("t0", t[0]))
-    sel = (t >= t0 - 1e-12) & (t <= T + 1e-12)
-    if sel.sum() < 1:
-        raise TraceError("trace does not cover [t0, T]")
-    return t[sel], sel, t0
+BOUNDS = {b.id: b for b in (
+    Bound("B19", False, _b19, lambda s, p: 0.5 < s <= 1.0, "B19 requires 1/2 < s < 1 or s = 1",
+          needs=("sigma",), columns=lambda s, p: ("ft_s%s" % fmt_s(s),)),
+    Bound("B29", False, _b29, fixed_s=0.0, needs=("delta",),
+          columns=lambda s, p: ("lhs29_integrand",), uniform=True),
+    Bound("B32_1", False, _b32_1, lambda s, p: s > 1.0, "B32_1 requires s > 1",
+          needs=("delta",), columns=_pair("v", "b")),
+    Bound("B32_2", False, _b32_2, lambda s, p: 0.0 < s <= 1.0, "B32_2 requires 0 < s <= 1",
+          columns=_pair("v", "b")),
+    Bound("B32_3", False, _b32_3, lambda s, p: s > -0.5, "B32_3 requires s > -1/2",
+          needs=("delta",), columns=_pair("wv", "wb")),
+    Bound("COR51", False, _cor51,
+          lambda s, p: p >= 2.0 and s >= 3.0 / p - 0.5 and s + 1.5 - 3.0 / p > 1.0,
+          "COR51 requires p >= 2 and s > 3/p - 1/2", needs=("delta", "p"),
+          columns=lambda s, p: tuple("%s_q%s_s%s" % (f, fmt_s(p), fmt_s(s))
+                                     for f in ("lv", "lb"))),
+    Bound("B36_1", False, _b36_1, lambda s, p: s >= -0.5, "B36_1 requires s >= -1/2",
+          needs=("delta",), columns=_pair("dv", "db")),
+    Bound("B36_2", False, _b36_2, lambda s, p: -2.5 < s <= -0.5,
+          "B36_2 requires -5/2 < s <= -1/2", needs=("delta",), columns=_pair("dv", "db")),
+    Bound("B36_3", False, _b36_3, lambda s, p: s < -2.5, "B36_3 requires s < -5/2",
+          needs=("delta",), columns=_pair("dv", "db")),
+    Bound("B36_4", False, _b36_4, lambda s, p: s > -2.0, "B36_4 requires s > -2",
+          needs=("delta",), columns=_pair("dwv", "dwb")),
+    Bound("P40", True, _p40, fixed_s=-0.5, needs=("delta",)),
+    Bound("P42", True, _p42, lambda s, p: -2.5 < s <= -0.5, "P42 requires -5/2 < s <= -1/2",
+          needs=("delta",)),
+    Bound("P44", True, _p44, lambda s, p: s >= -1.0, "P44 requires s >= -1"),
+    Bound("P51", True, _p51, fixed_s=-1.0),
+    Bound("P52", True, _p52, lambda s, p: s < -3.5, "P52 requires s < -7/2"),
+)}
+INTEGRAL_IDS = tuple(id for id, b in BOUNDS.items() if not b.pointwise)
+POINTWISE_IDS = tuple(id for id, b in BOUNDS.items() if b.pointwise)
 
 
-def _trapz(y, x):
-    return float(np.trapezoid(y, x)) if len(x) > 1 else 0.0
-
-
-def _quadrature_note(y, x):
-    """Richardson-style check: the half-sampled quadrature must agree to 1%."""
-    if len(x) < 5:
-        return ""
-    idx = np.unique(np.r_[np.arange(0, len(x), 2), len(x) - 1])
-    full = _trapz(y, x)
-    half = _trapz(y[idx], x[idx])
-    scale = max(abs(full), 1e-300)
-    if abs(full - half) / scale > 0.01:
-        return "quadrature unresolved: refine the output stride"
-    return ""
-
-
-def _trace_q(trace, delta, sel0):
-    """Q of the weighted-energy inequality from the first selected sample."""
-    phi0 = trace.col("phi")[sel0][0]
-    e0 = trace.col("tv_s0")[sel0][0] ** 2 + trace.col("tb_s0")[sel0][0] ** 2
-    eh = trace.col("tv_s0.5")[sel0][0] ** 2 + trace.col("tb_s0.5")[sel0][0] ** 2
-    e1 = trace.col("tv_s1")[sel0][0] ** 2 + trace.col("tb_s1")[sel0][0] ** 2
-    return (
-        0.5 * e0
-        - delta * phi0 * eh
-        + delta**2 * phi0**2 * e1
-        + (2.0 * delta**3 / 3.0) * (phi0**3 - 3.0 * phi0 + 2.0)
-    )
+def _bound(id, pointwise: bool) -> Bound:
+    bound = BOUNDS.get(id)
+    if bound is None or bound.pointwise != pointwise:
+        raise DomainError("unknown %s bound id %r"
+                          % ("pointwise" if pointwise else "integral", id))
+    return bound
 
 
 def verify_integral(id: str, trace, s: float, T: float, table,
                     delta: float | None = None, p: float | None = None,
                     sigma: float | None = None) -> BoundReport:
-    """Verify one integral inequality over the archived trace up to time T."""
-    if id not in INTEGRAL_IDS:
-        raise DomainError("unknown integral bound id %r" % id)
-    if s is None and id != "B29":
-        raise DomainError("%s needs a norm index s" % id)
+    """Verify one integral inequality over the archived trace up to time T.
+
+    delta and sigma default to the values in the trace's manifest.
+    """
+    bound = _bound(id, pointwise=False)
     man = trace.manifest
-    nu = float(man["config"]["nu"])
-    eta = float(man["config"]["eta"])
-    mn = min(nu, eta)
-    ts, sel, t0 = _window(trace, T)
-    dT = T - t0
-    names = []
-    note = ""
-
-    if id == "B19":
-        if sigma is None:
-            sigma = float(man["sigma"])
-        if not (0.5 < s <= 1.0):
-            raise DomainError("B19 requires 1/2 < s < 1 or s = 1")
-        key = "ft_s%s" % fmt_s(s)
-        lhs_series = trace.col(key)[sel]
-        # At t = t0 the exponential weight is 1, so the first stored value of
-        # the weighted column is the plain squared H_s norm of the data.
-        e0 = lhs_series[0]
-        table.ensure_C(s)
-        table.ensure_C(1.5 - s)
-        names = [table.skey_C(s), table.skey_C(1.5 - s)]
-
-        def rhs_fn():
-            gamma = (mn - sigma) / (table.Cprime(s) * (2.5 - s))
-            c2 = table.C_second(s, gamma)
-            if e0 == 0.0:
-                return np.full_like(lhs_series, 0.0), math.inf
-            t_star = e0 ** (-2.0 / (2.0 * s - 1.0)) / c2
-            base = e0 ** (-2.0 / (2.0 * s - 1.0)) - c2 * (ts - t0)
-            qs = np.where(base > 0, base, np.nan) ** (-(s - 0.5))
-            return qs, t_star
-
-        qs, t_star = rhs_fn()
-        inwin = (ts - t0) < t_star
-        if not np.any(inwin):
-            return BoundReport(id, s, T, 0.0, 0.0, 0.0, table.describe(names),
-                               "informational", "outside guaranteed window")
-        ratios = lhs_series[inwin] / np.where(qs[inwin] > 0, qs[inwin], np.nan)
-        k = int(np.nanargmax(ratios))
-        lhs = float(lhs_series[inwin][k])
-        rhs = float(qs[inwin][k])
-        if lhs > rhs:
-            est = [n for n in names if table.provenance(n) == "estimated"]
-            if est:
-                for n in est:
-                    table.reestimate(n)
-                qs, t_star = rhs_fn()
-                inwin = (ts - t0) < t_star
-                ratios = lhs_series[inwin] / qs[inwin]
-                k = int(np.nanargmax(ratios))
-                lhs, rhs = float(lhs_series[inwin][k]), float(qs[inwin][k])
-                note = "re-estimated constants"
-        if not np.all(inwin):
-            note = (note + "; " if note else "") + "verified inside guaranteed window only"
-        ratio = lhs / rhs if rhs else 0.0
-        return BoundReport(id, s, T, lhs, rhs, ratio, table.describe(names),
-                           _verdict(lhs, rhs), note)
-
-    if id == "B29":
-        if delta is None:
-            delta = float(man["delta"])
-        rep = verify_theorem2(trace, delta, T, table=table)
-        lhs = rep.lhs_terminal + rep.lhs_integral
-        verdict = rep.verdict
-        note = "Q <= 0" if rep.q_nonpositive else ""
-        return BoundReport(id, 0.0, T, float(lhs), rep.rhs, rep.ratio,
-                           table.describe(["C[0.5]", "C[1.0]"]), verdict, note)
-
-    if delta is None:
-        delta = float(man.get("delta", 0.0)) or None
-
-    # All remaining bounds need Q from the weighted transform at t0.
-    if id != "B32_2":
-        if delta is None:
-            raise DomainError("%s needs the weight scale delta" % id)
-        Q = _trace_q(trace, delta, sel)
-        if Q < 0:
-            note = "Q <= 0; informational"
-
-    def _report(lhs, rhs_fn, names, s_eff=s):
-        rhs = rhs_fn()
-        rhs, retried = _retry_with_better_constants(table, names, rhs_fn, lhs, rhs)
-        extra = "re-estimated constants" if retried else ""
-        full_note = "; ".join(x for x in (note, extra) if x)
-        ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
-        verdict = _verdict(lhs, rhs)
-        if "informational" in full_note:
-            verdict = "informational"
-        return BoundReport(id, s_eff, T, float(lhs), float(rhs), float(ratio),
-                           table.describe(names), verdict, full_note)
-
-    def _col_pair(prefix, ss):
-        key = fmt_s(ss)
-        return trace.col("%s_s%s" % (prefix[0], key))[sel], trace.col(
-            "%s_s%s" % (prefix[1], key)
-        )[sel]
-
-    if id == "B32_1":
-        if s <= 1.0:
-            raise DomainError("B32_1 requires s > 1")
-        v, b = _col_pair(("v", "b"), s)
-        a = alpha_exponent(s)
-        y = (v**2 + b**2) ** (a / 2.0)
-        lhs = _trapz(y, ts)
-        qn = _quadrature_note(y, ts)
-        if qn:
-            note = (note + "; " if note else "") + qn
-        return _report(lhs, lambda: q_tilde(Q, delta, mn, dT, s), [])
-
-    if id == "B32_2":
-        if not (0.0 < s <= 1.0):
-            raise DomainError("B32_2 requires 0 < s <= 1")
-        v, b = _col_pair(("v", "b"), s)
-        y = (v**2 + b**2) ** (1.0 / s)
-        lhs = _trapz(y, ts)
-        e0_init = trace.col("v_s0")[sel][0] ** 2 + trace.col("b_s0")[sel][0] ** 2 \
-            if trace.has_col("v_s0") else 2.0 * trace.col("energy")[sel][0]
-        return _report(lhs, lambda: (2.0 * mn) ** -1.0 * e0_init ** (1.0 / s), [])
-
-    if id == "B32_3":
-        if s <= -0.5:
-            raise DomainError("B32_3 requires s > -1/2")
-        wv, wb = _col_pair(("wv", "wb"), s)
-        a = alpha_exponent(s + 1.5)
-        y = (wv + wb) ** a
-        lhs = _trapz(y, ts)
-        return _report(lhs, lambda: q_tilde_wiener(Q, delta, mn, dT, s), [])
-
-    if id == "COR51":
-        if p is None:
-            raise DomainError("COR51 needs the integrability order p")
-        if p < 2.0 or s < 3.0 / p - 0.5:
-            raise DomainError("COR51 requires p >= 2 and s >= 3/p - 1/2")
-        idx = s + 1.5 - 3.0 / p
-        if idx <= 1.0:
-            raise DomainError("COR51 implemented for s + 3/2 - 3/p > 1")
-        a = alpha_exponent(idx)
-        key = fmt_s(p)
-        skey = fmt_s(s)
-        lv = trace.col("lv_q%s_s%s" % (key, skey))[sel]
-        lb = trace.col("lb_q%s_s%s" % (key, skey))[sel]
-        y = (lv + lb) ** a
-        lhs = _trapz(y, ts)
-        table.ensure_C(1.5 - 3.0 / p)
-        names = [table.skey_C(1.5 - 3.0 / p)]
-        return _report(
-            lhs,
-            lambda: table.C(1.5 - 3.0 / p) ** a
-            * 2.0 ** (a / 2.0)
-            * q_tilde(Q, delta, mn, dT, idx),
-            names,
-        )
-
-    if id == "B36_1":
-        if s < -0.5:
-            raise DomainError("B36_1 requires s >= -1/2")
-        dv, db = _col_pair(("dv", "db"), s)
-        a = alpha_exponent(s + 2.0)
-        y = (dv**2 + db**2) ** (a / 2.0)
-        lhs = _trapz(y, ts)
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        names = ["C[0.5]", "C[1.0]"]
-        return _report(lhs, lambda: d1_constant(Q, delta, nu, eta, dT, s, table), names)
-
-    if id == "B36_2":
-        if not (-2.5 < s <= -0.5):
-            raise DomainError("B36_2 requires -5/2 < s <= -1/2")
-        dv, db = _col_pair(("dv", "db"), s)
-        q = 2.0 / (2.0 * s + 5.0)
-        y = (dv**2 + db**2) ** q
-        lhs = _trapz(y, ts)
-        names = table.ensure_for_C_tilde_prime(s)
-        note = (note + "; " if note else "") + "derivation-dependent RHS"
-        return _report(lhs, lambda: d2_constant(Q, delta, nu, eta, dT, s, table), names)
-
-    if id == "B36_3":
-        if s >= -2.5:
-            raise DomainError("B36_3 requires s < -5/2")
-        dv, db = _col_pair(("dv", "db"), s)
-        lhs = float(np.max(dv**2 + db**2))
-        table.ensure_cp(-s - 1.0)
-        names = [table.skey_cp(-s - 1.0)]
-        return _report(lhs, lambda: d3_constant(Q, nu, eta, s, table), names)
-
-    if id == "B36_4":
-        if s <= -2.0:
-            raise DomainError("B36_4 requires s > -2")
-        dwv, dwb = _col_pair(("dwv", "dwb"), s)
-        a = alpha_exponent(s + 3.5)
-        y = (dwv + dwb) ** a
-        lhs = _trapz(y, ts)
-        table.ensure_C(0.5)
-        table.ensure_C(1.0)
-        names = ["C[0.5]", "C[1.0]"]
-        return _report(lhs, lambda: d4_constant(Q, delta, nu, eta, dT, s, table), names)
-
-    raise DomainError("unhandled bound id %r" % id)
+    values = {"delta": man.get("delta") if delta is None else delta,
+              "sigma": man.get("sigma") if sigma is None else sigma, "p": p}
+    error = bound.inapplicable(s, values, trace, T)
+    if error:
+        raise error
+    w = _Window(trace, T, table, values)
+    names, compute = bound.check(w, s, *(w.col(c) for c in bound.columns(s, p)))
+    return _evaluate(bound, s, T, table, names, compute)
 
 
+def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
+                            e_init: float | None = None) -> dict:
+    """Worst report of each pointwise (id, s) pair over the states.
+
+    Every pair is checked against its domain before any work.  The states
+    are then scanned once: each state's derivatives are computed once and
+    shared by all pairs (one ``full_rhs``; one ``transform`` if P40 or P42 is
+    asked for; one ``second_time_derivative`` if P52 is), and dropped before
+    the next state.  Ties keep the earliest state.  ``e_init`` is the
+    energy in the P51/P52 constant; None uses the energy of the first state,
+    so every checkpoint of a run is held to the same constant.
+    Returns {(id, s): BoundReport} in the order of ``pairs``.
+    """
+    for id, s in pairs:
+        error = _bound(id, pointwise=True).inapplicable(s, {"delta": delta})
+        if error:
+            raise error
+    if e_init is None and states:
+        e_init = _energy(states[0])
+    worst = dict.fromkeys(pairs)
+    for state in states:
+        derivs = _Derivatives(state, delta, table, e_init)
+        for id, s in worst:
+            bound = BOUNDS[id]
+            rep = _evaluate(bound, s, state.t, table, *bound.check(derivs, s))
+            if worst[(id, s)] is None or rep.ratio > worst[(id, s)].ratio:
+                worst[(id, s)] = rep
+    return worst
+
+
+def verify_pointwise(id: str, state, table, delta: float | None = None,
+                     s: float | None = None, e_init: float | None = None) -> BoundReport:
+    """Evaluate one pointwise inequality on a single state."""
+    return _worst_over_checkpoints([(id, s)], [state], table, delta, e_init)[(id, s)]
+
+
+def _verify_pairs(pairs, trace, table, T, values, checkpoint_step=1) -> list:
+    """Reports of the (id, s) pairs, in order.
+
+    Integral pairs read the trace up to T with the run values (delta,
+    sigma, p); one scan of every ``checkpoint_step``-th checkpoint serves
+    all pointwise pairs.
+    """
+    reports = {(id, s): verify_integral(id, trace, s, T, table, **values)
+               for id, s in pairs if not BOUNDS[id].pointwise}
+    pointwise = [pair for pair in pairs if pair not in reports]
+    if pointwise:
+        states = trace.checkpoints()[::checkpoint_step]
+        if not states:
+            raise TraceError("archive holds no checkpoints")
+        reports.update(_worst_over_checkpoints(pointwise, states, table, values["delta"]))
+    return [reports[pair] for pair in pairs]
+
+
+# The canonical battery; COR51 is checked at p = 4.
 SWEEP_INTEGRAL_CASES = (
-    ("B19", 0.75, {}),
-    ("B19", 1.0, {}),
-    ("B29", None, {}),
-    ("B32_1", 2.0, {}),
-    ("B32_1", 3.0, {}),
-    ("B32_2", 0.5, {}),
-    ("B32_2", 1.0, {}),
-    ("B32_3", 0.0, {}),
-    ("B32_3", 1.0, {}),
-    ("COR51", 1.0, {"p": 4.0}),
-    ("B36_1", 0.0, {}),
-    ("B36_1", 1.0, {}),
-    ("B36_2", -1.0, {}),
-    ("B36_3", -3.0, {}),
-    ("B36_4", -1.0, {}),
-    ("B36_4", 0.0, {}),
+    ("B19", 0.75),
+    ("B19", 1.0),
+    ("B29", None),
+    ("B32_1", 2.0),
+    ("B32_1", 3.0),
+    ("B32_2", 0.5),
+    ("B32_2", 1.0),
+    ("B32_3", 0.0),
+    ("B32_3", 1.0),
+    ("COR51", 1.0),
+    ("B36_1", 0.0),
+    ("B36_1", 1.0),
+    ("B36_2", -1.0),
+    ("B36_3", -3.0),
+    ("B36_4", -1.0),
+    ("B36_4", 0.0),
 )
 SWEEP_POINTWISE_CASES = (
     ("P40", None),
@@ -866,26 +858,16 @@ def standard_sweep(trace, table, delta: float | None = None,
             float(man["config"]["nu"]), float(man["config"]["eta"]))))
     if T is None:
         T = float(trace.times[-1])
-    reports = []
-    for id, s, kw in SWEEP_INTEGRAL_CASES:
-        reports.append(verify_integral(id, trace, s, T, table,
-                                       delta=delta, sigma=sigma, **kw))
-    states = trace.checkpoints()[::checkpoint_step]
-    if not states:
-        raise TraceError("archive holds no checkpoints")
-    worst = _worst_over_checkpoints(SWEEP_POINTWISE_CASES, states, table, delta)
-    return reports + list(worst.values())
+    return _verify_pairs(SWEEP_INTEGRAL_CASES + SWEEP_POINTWISE_CASES, trace, table, T,
+                         {"delta": delta, "sigma": sigma, "p": 4.0}, checkpoint_step)
 
 
 def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport:
     """Second-derivative inequality along the stored checkpoints, s < -7/2."""
-    if not s < -3.5:
-        raise DomainError("d2_report requires s < -7/2")
+    error = BOUNDS["P52"].inapplicable(s, {"delta": delta}, trace)
+    if error:
+        raise error
     states = trace.checkpoints()
-    if not states:
-        raise TraceError("archive holds no checkpoints")
     worst = _worst_over_checkpoints([("P52", s)], states, table, delta)[("P52", s)]
-    worst.note = (worst.note + "; " if worst.note else "") + (
-        "max over %d checkpoints" % len(states)
-    )
+    worst.note = _join(worst.note, "max over %d checkpoints" % len(states))
     return worst

@@ -22,14 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .archive import TraceArchive, atomic_open, checkpoint_load
-from .bounds import (
-    INTEGRAL_IDS,
-    POINTWISE_IDS,
-    S_FREE_IDS,
-    _pointwise_domain_error,
-    _worst_over_checkpoints,
-    verify_integral,
-)
+from .bounds import BOUNDS, _verify_pairs
 from .config import load_run_config
 from .constants import ConstantsTable, build_table
 from .errors import (
@@ -95,38 +88,26 @@ def cmd_verify(args) -> int:
     trace = TraceArchive.load(args.trace)
     table = _load_table(args.table)
     man = trace.manifest
-    delta = man.get("delta")
+    values = {"delta": man.get("delta"), "sigma": man.get("sigma"), "p": args.p}
     T = args.T if args.T is not None else float(trace.times[-1])
-    ids = args.bounds or list(INTEGRAL_IDS + POINTWISE_IDS)
-    bad = [b for b in ids if b not in INTEGRAL_IDS + POINTWISE_IDS]
+    ids = args.bounds or list(BOUNDS)
+    bad = [b for b in ids if b not in BOUNDS]
     if bad:
         print("unknown bound ids: %s\nvalid ids: %s"
-              % (", ".join(bad), ", ".join(INTEGRAL_IDS + POINTWISE_IDS)),
-              file=sys.stderr)
+              % (", ".join(bad), ", ".join(BOUNDS)), file=sys.stderr)
         return EXIT_USAGE
-    s_list = args.s if args.s else [None]
-    pairs = [(id, s) for id in ids
-             for s in ([None] if id in S_FREE_IDS else s_list)]
-    pointwise = [(id, s) for id, s in pairs
-                 if id in POINTWISE_IDS and not _pointwise_domain_error(id, s, delta)]
-    checkpoints = trace.checkpoints() if pointwise else []
-    # One scan of the checkpoints serves every pointwise pair; without
-    # checkpoints the pointwise pairs are skipped.
-    worst = (_worst_over_checkpoints(pointwise, checkpoints, table, delta)
-             if checkpoints else {})
-    reports = []
-    for id, s in pairs:
-        if id in POINTWISE_IDS:
-            if (id, s) in worst:
-                reports.append(worst[(id, s)])
-            continue
-        try:
-            reports.append(verify_integral(id, trace, s, T, table,
-                                           delta=delta, p=args.p))
-        except (DomainError, TraceError):
-            # s outside the bound's validity range, or the trace does not
-            # carry the columns this (bound, s) pair needs
-            continue
+    # Every requested pair is checked against the archive before any work
+    # and either reported or listed as skipped, with the reason.
+    pairs = []
+    for id in ids:
+        bound = BOUNDS[id]
+        for s in [None] if bound.fixed_s is not None else (args.s or [None]):
+            reason = bound.inapplicable(s, values, trace, T)
+            if reason:
+                print("skip %s s=%s: %s" % (id, "-" if s is None else "%.12g" % s, reason))
+            else:
+                pairs.append((id, s))
+    reports = _verify_pairs(pairs, trace, table, T, values)
     if not reports:
         print("no applicable (bound, s) pairs", file=sys.stderr)
         return EXIT_USAGE
@@ -137,8 +118,7 @@ def cmd_verify(args) -> int:
     failed = 0
     for r in reports:
         print("%-6s s=%-6s verdict=%-13s ratio=%-12.5g %s"
-              % (r.id, "%g" % r.s if r.s is not None else "-",
-                 r.verdict, r.ratio, r.note))
+              % (r.id, "%.12g" % r.s, r.verdict, r.ratio, r.note))
         if r.verdict == "fail":
             failed += 1
     print("report written to %s" % out)

@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .solver import SCHEMES, DiagnosticsSpec, SolverConfig, make_initial
 
 _TOP_KEYS = {
-    "N", "nu", "eta", "dt", "t_end", "dealias", "output_stride",
+    "N", "nu", "eta", "dt", "t_end", "output_stride",
     "checkpoint_stride", "scheme", "initial", "delta", "sigma",
     "s_grid", "derivative_s", "wiener_s", "lq_grid", "ft_s", "tilde_s",
     "sigma3", "shells", "outdir",
@@ -51,7 +51,6 @@ class RunConfig:
     eta: float
     dt: float
     t_end: float
-    dealias: bool
     output_stride: int
     checkpoint_stride: int | None
     scheme: str
@@ -77,7 +76,6 @@ class RunConfig:
             eta=self.eta,
             dt=self.dt,
             t_end=self.t_end,
-            dealias=self.dealias,
             output_stride=self.output_stride,
             scheme=self.scheme,
             checkpoint_stride=self.checkpoint_stride,
@@ -150,9 +148,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     if t_end < 0:
         raise ConfigError("field 't_end' must be nonnegative")
 
-    dealias = doc.get("dealias", True)
-    if not isinstance(dealias, bool):
-        raise ConfigError("field 'dealias' must be a boolean")
     stride = doc.get("output_stride", 1)
     if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         raise ConfigError("field 'output_stride' must be a positive integer")
@@ -210,7 +205,6 @@ def parse_run_config(doc: dict) -> RunConfig:
         eta=eta,
         dt=dt,
         t_end=t_end,
-        dealias=dealias,
         output_stride=stride,
         checkpoint_stride=ck,
         scheme=scheme,

@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import DomainError, TraceError
 from .spectral import SpectralField, fmt_s, geometry, shell_spectrum, sobolev_norm
+from .transform import _growth_envelope
 
 DEFAULT_FIT_FLOOR = 1e-300
 
@@ -181,8 +182,6 @@ def guaranteed_intervals(trace, s: float, table, p: float | None = None,
         raise DomainError("sigma must lie in (0, min(nu, eta))")
     table.ensure_C(s)
     table.ensure_C(1.5 - s)
-    gamma = (mn - sigma) / (table.Cprime(s) * (2.5 - s))
-    c2 = table.C_second(s, gamma)
 
     ts = trace.times
     es = trace.col("v_s%s" % fmt_s(s)) ** 2 + trace.col("b_s%s" % fmt_s(s)) ** 2
@@ -198,7 +197,7 @@ def guaranteed_intervals(trace, s: float, table, p: float | None = None,
     checked = violations = 0
     for k, tk in enumerate(ts):
         e = es[k]
-        star = math.inf if e == 0.0 else e ** (-2.0 / (2.0 * s - 1.0)) / c2
+        star, qs = _growth_envelope(table, s, sigma, mn, e, ts - tk)
         stars.append(star)
         right = tk + star
         if right > tk:
@@ -211,9 +210,7 @@ def guaranteed_intervals(trace, s: float, table, p: float | None = None,
             if e == 0.0:
                 envelope = math.inf if p > s else 0.0
             else:
-                base = e ** (-2.0 / (2.0 * s - 1.0)) - c2 * tau
-                qs = base ** (-(s - 0.5))
-                envelope = qs
+                envelope = qs[j]
                 if p > s:
                     envelope *= ((p - s) / (math.e * sigma * tau)) ** (2.0 * (p - s))
             checked += 1

@@ -66,7 +66,6 @@ class SolverConfig:
     eta: float
     dt: float
     t_end: float
-    dealias: bool = True
     output_stride: int = 1
     scheme: str = "integrating-factor-RK4"
     checkpoint_stride: int | None = None
@@ -271,10 +270,9 @@ def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
     return SpectralField(state.N, vc), SpectralField(state.N, bc)
 
 
-def full_rhs(state: MhdState, fast: bool = True):
+def full_rhs(state: MhdState):
     """Exact time derivative (dV/dt, dB/dt) of the Galerkin system."""
-    nl = nonlinear_rhs_fast(state) if fast else nonlinear_rhs_direct(state)
-    return _diffusion(state, *nl)
+    return _diffusion(state, *nonlinear_rhs_fast(state))
 
 
 # -- bilinear kernels and the second time derivative -------------------------
@@ -576,7 +574,6 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
             "eta": config.eta,
             "dt": config.dt,
             "t_end": config.t_end,
-            "dealias": config.dealias,
             "output_stride": config.output_stride,
             "scheme": config.scheme,
         },
@@ -590,11 +587,10 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
     t0 = initial.t
 
     def sample(state):
-        # The row's nonlinearity is the first RK stage of the next step; hand
-        # it over when that step uses the same transform path.
+        # The row's nonlinearity is the first RK stage of the next step.
         nl = nonlinear_rhs_fast(state) if _row_uses_nl(diagnostics) else None
         arch.append(_diagnostic_row(state, diagnostics, t0, nl))
-        return nl if config.dealias else None
+        return nl
 
     state = initial
     nl = sample(state)
@@ -610,7 +606,7 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
                 dt = t0 + config.t_end - state.t
                 if dt <= 0:
                     break
-            state = step(state, dt, scheme=config.scheme, fast=config.dealias, _nl=nl)
+            state = step(state, dt, scheme=config.scheme, _nl=nl)
             nl = None
             if i % config.output_stride == 0 or i == n_steps:
                 nl = sample(state)

@@ -277,7 +277,7 @@ def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None
     mo = g.modes[keep]
     vals = w.coeffs[g.ball_idx][keep] * (g.absn[keep] ** s)[:, None]
     half[:, mo[:, 0] % M, mo[:, 1] % M, mo[:, 2]] = vals.T
-    phys = irfftn(half, s=(M, M, M), axes=(1, 2, 3)) * (M**3)
+    phys = irfftn(half, s=(M, M, M), axes=(1, 2, 3), norm="forward")
     return np.moveaxis(phys, 0, -1)
 
 

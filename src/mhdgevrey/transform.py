@@ -53,6 +53,28 @@ class FoiasTemamResult(NamedTuple):
     note: str
 
 
+def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau,
+                     gamma: float | None = None):
+    """(t_star, q_s(tau)) of the growing-weight envelope of data with E_s = e0.
+
+    gamma is pinned to its largest admissible value (mn - sigma)/(C'_s (5/2 - s))
+    unless given; with C'' = C_second(s, gamma), t_star = e0^{-2/(2s-1)}/C''
+    and q_s(tau) = (e0^{-2/(2s-1)} - C'' tau)^{-(s-1/2)}, nan from t_star on.
+    Zero data give t_star = inf and q_s = 0.
+    """
+    cps = table.Cprime(s)
+    if gamma is None:
+        gamma = (mn - sigma) / (cps * (2.5 - s))
+    elif cps * (2.5 - s) * gamma > (mn - sigma) * (1 + 1e-12):
+        raise DomainError("gamma violates the admissibility inequality")
+    c2 = table.C_second(s, gamma)
+    if e0 == 0.0:
+        return math.inf, np.zeros_like(tau, dtype=float)
+    a = e0 ** (-2.0 / (2.0 * s - 1.0))
+    base = a - c2 * tau
+    return a / c2, np.where(base > 0, base, np.nan) ** (-(s - 0.5))
+
+
 def foias_temam_norms(state, t0: float, sigma: float, s: float, table,
                       initial=None, gamma: float | None = None) -> FoiasTemamResult:
     """Weighted energy at time t against its closed-form envelope.
@@ -70,13 +92,6 @@ def foias_temam_norms(state, t0: float, sigma: float, s: float, table,
     t = state.t
     if t < t0:
         raise DomainError("state sampled before t0")
-    cps = table.Cprime(s)
-    if gamma is None:
-        gamma = (mn - sigma) / (cps * (2.5 - s))
-    elif cps * (2.5 - s) * gamma > (mn - sigma) * (1 + 1e-12):
-        raise DomainError("gamma violates the admissibility inequality")
-    c2 = table.C_second(s, gamma)
-
     lhs = (
         gevrey_norm(state.V, sigma * (t - t0), s) ** 2
         + gevrey_norm(state.B, sigma * (t - t0), s) ** 2
@@ -87,13 +102,10 @@ def foias_temam_norms(state, t0: float, sigma: float, s: float, table,
         e0 = lhs
     else:
         e0 = _energy_s(initial, s)
-    if e0 == 0.0:
-        return FoiasTemamResult(lhs, 0.0, math.inf, "")
-    t_star = e0 ** (-2.0 / (2.0 * s - 1.0)) / c2
+    t_star, qs = _growth_envelope(table, s, sigma, mn, e0, t - t0, gamma)
     if t - t0 >= t_star:
         return FoiasTemamResult(lhs, math.inf, t_star, "outside guaranteed window")
-    qs = (e0 ** (-2.0 / (2.0 * s - 1.0)) - c2 * (t - t0)) ** (-(s - 0.5))
-    return FoiasTemamResult(lhs, qs, t_star, "")
+    return FoiasTemamResult(lhs, float(qs), t_star, "")
 
 
 # -- the Phi weight ------------------------------------------------------------
@@ -349,57 +361,78 @@ class Theorem2Report:
     def verdict(self) -> str:
         if not self.delta_admissible:
             return "informational"
-        if self.rhs == 0.0 and self.lhs_terminal + self.lhs_integral == 0.0:
-            return "vacuous"
-        return "pass" if self.lhs_terminal + self.lhs_integral <= self.rhs else "fail"
+        return _verdict(self.lhs_terminal + self.lhs_integral, self.rhs)
+
+
+def _verdict(lhs: float, rhs: float) -> str:
+    if lhs == 0.0 and rhs == 0.0:
+        return "vacuous"
+    return "pass" if lhs <= rhs else "fail"
+
+
+def _q(delta, phi, e0, eh, e1):
+    """The initial-data functional Q from Phi and the E_0, E_{1/2}, E_1 energies
+    of the weighted fields."""
+    return (
+        0.5 * e0
+        - delta * phi * eh
+        + delta**2 * phi**2 * e1
+        + (2.0 * delta**3 / 3.0) * (phi**3 - 3.0 * phi + 2.0)
+    )
 
 
 def q_functional(phi_state: PhiState) -> float:
     """The initial-data functional Q of the weighted-energy inequality."""
-    d, phi = phi_state.delta, phi_state.phi
-    e0 = sobolev_norm(phi_state.V, 0.0) ** 2 + sobolev_norm(phi_state.B, 0.0) ** 2
-    eh = sobolev_norm(phi_state.V, 0.5) ** 2 + sobolev_norm(phi_state.B, 0.5) ** 2
-    e1 = sobolev_norm(phi_state.V, 1.0) ** 2 + sobolev_norm(phi_state.B, 1.0) ** 2
-    return (
-        0.5 * e0
-        - d * phi * eh
-        + d**2 * phi**2 * e1
-        + (2.0 * d**3 / 3.0) * (phi**3 - 3.0 * phi + 2.0)
-    )
+    return _q(phi_state.delta, phi_state.phi, _energy_s(phi_state, 0.0),
+              _energy_s(phi_state, 0.5), _energy_s(phi_state, 1.0))
+
+
+def _trace_q(trace, delta, sel):
+    """Q from the archived columns of the first sample selected by ``sel``."""
+    e = [trace.col("tv_s%s" % k)[sel][0] ** 2 + trace.col("tb_s%s" % k)[sel][0] ** 2
+         for k in ("0", "0.5", "1")]
+    return _q(delta, trace.col("phi")[sel][0], *e)
+
+
+def _window(trace, T, uniform=False):
+    """(times, mask, t0, error) of the samples in [t0, T].
+
+    ``error`` says why the window cannot be checked ("" if it can): it holds
+    no sample, or, with ``uniform``, fewer than two when T > t0 or a gap
+    wider than twice the smallest.
+    """
+    t = trace.times
+    t0 = float(trace.manifest.get("t0", t[0]))
+    sel = (t >= t0 - 1e-12) & (t <= T + 1e-12)
+    ts = t[sel]
+    gaps = np.diff(ts)
+    error = ""
+    if len(ts) < 1 or (uniform and len(ts) < 2 and T > t0):
+        error = "trace does not cover [t0, T]"
+    elif uniform and len(gaps) and np.max(gaps) > 2.0 * np.min(gaps) * (1 + 1e-9):
+        error = "trace too sparse"
+    return ts, sel, t0, error
+
+
+def _trapz(y, x):
+    return float(np.trapezoid(y, x)) if len(x) > 1 else 0.0
 
 
 def verify_theorem2(trace, delta: float, T: float, table=None) -> Theorem2Report:
     """Check the weighted-energy inequality LHS <= 9Q over [t0, T]."""
-    t = trace.times
-    man = trace.manifest
-    t0 = float(man.get("t0", t[0]))
-    sel = (t >= t0 - 1e-12) & (t <= T + 1e-12)
-    if sel.sum() < 2 and T > t0:
-        raise TraceError("trace does not cover [t0, T]")
-    ts = t[sel]
-    gaps = np.diff(ts)
-    if len(gaps) and np.max(gaps) > 2.0 * np.min(gaps) * (1 + 1e-9):
-        raise TraceError("trace too sparse")
-
-    phi = trace.col("phi")[sel]
+    ts, sel, t0, error = _window(trace, T, uniform=True)
+    if error:
+        raise TraceError(error)
     e0 = trace.col("tv_s0")[sel] ** 2 + trace.col("tb_s0")[sel] ** 2
-    eh = trace.col("tv_s0.5")[sel] ** 2 + trace.col("tb_s0.5")[sel] ** 2
-    e1 = trace.col("tv_s1")[sel] ** 2 + trace.col("tb_s1")[sel] ** 2
-    integrand = trace.col("lhs29_integrand")[sel]
-
-    Q = (
-        0.5 * e0[0]
-        - delta * phi[0] * eh[0]
-        + delta**2 * phi[0] ** 2 * e1[0]
-        + (2.0 * delta**3 / 3.0) * (phi[0] ** 3 - 3.0 * phi[0] + 2.0)
-    )
+    Q = _trace_q(trace, delta, sel)
     lhs_term = 2.25 * e0[-1]
-    lhs_int = float(np.trapezoid(integrand, ts)) if len(ts) > 1 else 0.0
+    lhs_int = _trapz(trace.col("lhs29_integrand")[sel], ts)
     rhs = 9.0 * Q
     lhs = lhs_term + lhs_int
     ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
     admissible = True
     if table is not None:
+        man = trace.manifest
         nu = float(man["config"]["nu"])
         eta = float(man["config"]["eta"])
         admissible = delta <= delta_max(table, nu, eta) * (1 + 1e-12)

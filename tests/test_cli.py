@@ -4,13 +4,14 @@ import csv
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import mhdgevrey as m
 from mhdgevrey.archive import checkpoint_save
-from mhdgevrey.bounds import POINTWISE_IDS
+from mhdgevrey.bounds import BOUNDS, POINTWISE_IDS, verify_integral, verify_pointwise
 from mhdgevrey.cli import (
     EXIT_BLOWUP,
     EXIT_BOUND_FAILURE,
@@ -20,7 +21,7 @@ from mhdgevrey.cli import (
     main,
 )
 from mhdgevrey.config import load_run_config, parse_run_config
-from mhdgevrey.errors import ConfigError, ConvergenceError
+from mhdgevrey.errors import ConfigError, ConvergenceError, DomainError, TraceError
 from mhdgevrey.spectral import SpectralField, geometry
 
 
@@ -45,9 +46,11 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path, name="run.json", **overrides):
+def write_config(tmp_path, name="run.json", drop=(), **overrides):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc.update(overrides)
+    for key in drop:
+        del doc[key]
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
@@ -69,6 +72,10 @@ class TestConfigParsing:
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(ConfigError, match="unknown config fields: bogus"):
             parse_run_config(dict(BASE_CONFIG, bogus=1))
+
+    def test_dealias_is_not_a_config_field(self):
+        with pytest.raises(ConfigError, match="unknown config fields: dealias"):
+            parse_run_config(dict(BASE_CONFIG, dealias=True))
 
     def test_missing_required_field(self):
         doc = dict(BASE_CONFIG)
@@ -279,9 +286,109 @@ class TestVerifyCommand:
         assert got["P51"] == pytest.approx(sweep["P51"], rel=1e-12)
         assert got["P52"] == pytest.approx(sweep["P52"], rel=1e-12)
 
+    def test_each_requested_pair_reported_or_skipped(self, cli_run, tmp_path,
+                                                     table_json, capsys):
+        out = tmp_path / "report.json"
+        s_values = [2.0, 1.0, 0.0, -1.0, -3.0]
+        capsys.readouterr()
+        code = main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--s"] + [repr(s) for s in s_values])
+        assert code == EXIT_OK
+        seen = [(r["id"], None if BOUNDS[r["id"]].fixed_s is not None else r["s"])
+                for r in json.loads(out.read_text())]
+        skips = _skip_lines(capsys.readouterr().out)
+        assert all(reason for _, _, reason in skips)
+        seen += [(id, None if s == "-" else float(s)) for id, s, _ in skips]
+        requested = [(id, s) for id, b in BOUNDS.items()
+                     for s in ([None] if b.fixed_s is not None else s_values)]
+        assert sorted(seen, key=repr) == sorted(requested, key=repr)
+
+    @pytest.mark.parametrize("id,ends", [
+        ("B19", (0.5, 1.0)), ("B32_1", (1.0,)), ("B32_2", (0.0, 1.0)),
+        ("B32_3", (-0.5,)), ("COR51", (0.25,)), ("B36_1", (-0.5,)),
+        ("B36_2", (-2.5, -0.5)), ("B36_3", (-2.5,)), ("B36_4", (-2.0,)),
+        ("P42", (-2.5, -0.5)), ("P44", (-1.0,)), ("P52", (-3.5,)),
+    ])
+    def test_domain_boundaries(self, cli_run, tmp_path, table_json, capsys,
+                               id, ends):
+        # s at each endpoint of the bound's domain and 1e-9 on either side:
+        # the checks raise DomainError exactly where the registry's domain
+        # predicate is false (COR51 at p = 4), and verify skips exactly those
+        # pairs, giving the domain as the reason.
+        bound = BOUNDS[id]
+        grid = [e + d for e in ends for d in (-1e-9, 0.0, 1e-9)]
+        outside = [s for s in grid if not bound.domain(s, 4.0)]
+        assert 0 < len(outside) < len(grid)
+        trace = m.TraceArchive.load(cli_run)
+        table = m.ConstantsTable.from_json(table_json)
+        state = trace.checkpoints()[0]
+        for s in grid:
+            try:
+                if bound.pointwise:
+                    verify_pointwise(id, state, table, delta=trace.manifest["delta"], s=s)
+                else:
+                    verify_integral(id, trace, s, float(trace.times[-1]), table, p=4.0)
+                raised = False
+            except DomainError:
+                raised = True
+            except TraceError:  # in the domain, but no column stored at this s
+                raised = False
+            assert raised == (s in outside), s
+        table.to_json(tmp_path / "table.json")
+        capsys.readouterr()
+        main(["verify", cli_run, "--table", str(tmp_path / "table.json"),
+              "--out", str(tmp_path / "report.json"), "--bounds", id,
+              "--s"] + ["%.12f" % s for s in grid])
+        skipped = [s for _, s, reason in _skip_lines(capsys.readouterr().out)
+                   if reason == bound.domain_msg]
+        assert skipped == ["%.12g" % s for s in outside]
+
+    def test_archive_without_sigma(self, tmp_path, table_json, capsys):
+        # B19 needs the growth rate sigma; verify used to crash on KeyError.
+        out = str(tmp_path / "archive")
+        assert main(["run", write_config(tmp_path, drop=["sigma"], ft_s=[]),
+                     "--out", out, "--table", table_json,
+                     "--verbosity", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", out, "--table", table_json,
+                     "--s", "1.0", "0.0"]) == EXIT_OK
+        skips = _skip_lines(capsys.readouterr().out)
+        assert ("B19", "1", "B19 needs the growth rate sigma") in skips
+        ids = {r["id"] for r in json.loads((tmp_path / "archive" / "report.json").read_text())}
+        assert "B19" not in ids and {"B29", "P40"} <= ids
+        trace = m.TraceArchive.load(out)
+        with pytest.raises(DomainError, match="sigma"):
+            verify_integral("B19", trace, 1.0, float(trace.times[-1]),
+                            m.ConstantsTable.from_json(table_json))
+
+    def test_archive_without_delta(self, tmp_path, table_json, capsys):
+        # B29 and the Q-based bounds need the weight scale delta; verify used
+        # to crash on KeyError.
+        out = str(tmp_path / "archive")
+        assert main(["run", write_config(tmp_path, drop=["delta"], tilde_s=[]),
+                     "--out", out, "--table", table_json,
+                     "--verbosity", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", out, "--table", table_json,
+                     "--s", "1.0", "0.0"]) == EXIT_OK
+        skips = {(id, s): reason for id, s, reason in _skip_lines(capsys.readouterr().out)}
+        for id, s in [("B29", "-"), ("B32_3", "1"), ("B36_1", "0"), ("P40", "-")]:
+            assert skips[(id, s)] == "%s needs the weight scale delta" % id
+        ids = {r["id"] for r in json.loads((tmp_path / "archive" / "report.json").read_text())}
+        assert {"B19", "B32_2", "P44", "P51"} <= ids and "B29" not in ids
+        trace = m.TraceArchive.load(out)
+        with pytest.raises(DomainError, match="delta"):
+            verify_integral("B29", trace, None, float(trace.times[-1]),
+                            m.ConstantsTable.from_json(table_json))
+
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),
                      "--table", table_json]) == EXIT_USAGE
+
+
+def _skip_lines(out):
+    """(id, s, reason) of every skip line that verify printed."""
+    return re.findall(r"^skip (\S+) s=(\S+): (.*)$", out, re.M)
 
 
 class TestConstantsCommand:

@@ -179,6 +179,15 @@ class TestQFunctional:
             e0 = m.sobolev_norm(ps.V, 0.0) ** 2 + m.sobolev_norm(ps.B, 0.0) ** 2
             assert q_functional(ps) >= 0.25 * e0 - 1e-12
 
+    def test_state_and_trace_columns_agree(self, random_trace, delta_std):
+        # Q of the first checkpoint's weighted fields against the Q that the
+        # integral bounds read from the archived columns of that sample.
+        first = random_trace.checkpoints()[0]
+        from_trace = verify_theorem2(random_trace, delta_std,
+                                     float(random_trace.times[-1])).Q
+        assert q_functional(transform(first, delta_std)) == pytest.approx(
+            from_trace, rel=1e-12)
+
 
 class TestSigmaP:
     def test_vanishes_for_single_mode(self, delta_std):
