@@ -2,9 +2,11 @@
 
 Checkpoint layout (little-endian): magic ``MHDG``, format version u32=1, then
 N:u32, nu:f64, eta:f64, t:f64, coefficient count u64, then one record per
-stored wavevector sorted lexicographically by (n1, n2, n3): n1:i32, n2:i32,
-n3:i32 followed by 12 f64 (Re/Im of the 3 components of the velocity
-coefficient, then of the magnetic one).
+mode of the ball 0 < |n| <= N sorted lexicographically by (n1, n2, n3):
+n1:i32, n2:i32, n3:i32 followed by 12 f64 (Re/Im of the 3 components of the
+velocity coefficient, then of the magnetic one).  The records are the rows of
+``SpectralField.coeffs`` in order; a file must hold every mode of the ball
+exactly once to load.
 """
 
 from __future__ import annotations
@@ -46,12 +48,8 @@ def atomic_open(path, mode: str = "w"):
 
 
 def checkpoint_save(state, path) -> None:
-    g = geometry(state.V.N)
-    modes = g.modes
-    order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0]))
-    modes = modes[order]
-    vvals = state.V.coeffs[g.ball_idx][order]
-    bvals = state.B.coeffs[g.ball_idx][order]
+    modes = geometry(state.V.N).modes
+    vvals, bvals = state.V.coeffs, state.B.coeffs
     rec = np.empty(len(modes), dtype=_REC_DTYPE)
     rec["n"] = modes
     rec["c"][:, 0:6:2] = vvals.real
@@ -82,15 +80,13 @@ def checkpoint_load(path):
         body = f.read(count * _REC_DTYPE.itemsize)
         if len(body) < count * _REC_DTYPE.itemsize:
             raise CheckpointError("unexpected end of checkpoint")
+    if N < 1:
+        raise CheckpointError("truncation radius must be >= 1")
     rec = np.frombuffer(body, dtype=_REC_DTYPE)
-    size = 2 * N + 1
-    vc = np.zeros((size, size, size, 3), dtype=np.complex128)
-    bc = np.zeros_like(vc)
-    idx = rec["n"] + N
-    if np.any(idx < 0) or np.any(idx >= size):
-        raise CheckpointError("wavevector outside the stored ball")
-    vc[idx[:, 0], idx[:, 1], idx[:, 2]] = rec["c"][:, 0:6:2] + 1j * rec["c"][:, 1:6:2]
-    bc[idx[:, 0], idx[:, 1], idx[:, 2]] = rec["c"][:, 6:12:2] + 1j * rec["c"][:, 7:12:2]
+    if not np.array_equal(rec["n"], geometry(N).modes):
+        raise CheckpointError("records must hold every mode of the ball once, in order")
+    vc = rec["c"][:, 0:6:2] + 1j * rec["c"][:, 1:6:2]
+    bc = rec["c"][:, 6:12:2] + 1j * rec["c"][:, 7:12:2]
     try:
         V = SpectralField(N, vc).validate()
         B = SpectralField(N, bc).validate()

@@ -316,13 +316,11 @@ def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
     de32 = 2.0 * (sigma_p(ps, 3.0) - diss) / (1.0 + delta * ps.phi**3 * e2)
     dphi = -(ps.phi**3 / 2.0) * de32
 
-    g = geometry(state.N)
+    absn = geometry(state.N).absn[:, None]
     dvt = (ps_next.V.coeffs - ps_prev.V.coeffs) / (h1 + h2)
     dbt = (ps_next.B.coeffs - ps_prev.B.coeffs) / (h1 + h2)
-    absn = np.zeros_like(g.nsq, dtype=float)
-    absn[g.ball_idx] = g.absn
-    xv = dvt - delta * dphi * absn[..., None] * ps.V.coeffs
-    xb = dbt - delta * dphi * absn[..., None] * ps.B.coeffs
+    xv = dvt - delta * dphi * absn * ps.V.coeffs
+    xb = dbt - delta * dphi * absn * ps.B.coeffs
     return XiFields(
         xi_v=SpectralField(state.N, xv),
         xi_b=SpectralField(state.N, xb),
@@ -443,8 +441,16 @@ def _evaluate(bound, s, T, table, names, compute) -> BoundReport:
     ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
     verdict = ev.verdict or (
         "informational" if "informational" in ev.note else _verdict(lhs, rhs))
+    constants = table.describe(names)
+    if not math.isfinite(rhs):
+        # an overflowed constant must not make the bound hold trivially
+        bad = ["%s = %r" % (c["name"], c["value"]) for c in constants
+               if c["value"] is not None and not math.isfinite(c["value"])]
+        ev = ev._replace(note=_join(ev.note, "rhs not finite (%s); informational"
+                                    % (", ".join(bad) or "overflow in the rhs")))
+        verdict = "informational"
     return BoundReport(bound.id, s if bound.fixed_s is None else bound.fixed_s, T,
-                       float(lhs), float(rhs), float(ratio), table.describe(names),
+                       float(lhs), float(rhs), float(ratio), constants,
                        verdict, ev.note)
 
 
@@ -506,6 +512,10 @@ def _b19(w, s, lhs_series):
     tau = w.ts - w.t0
 
     def compute():
+        if e0 == 0.0:
+            # zero data: the envelope is 0, so any weighted energy fails it
+            lhs = float(np.max(lhs_series))
+            return _Eval(lhs, 0.0, "zero initial data", _verdict(lhs, 0.0))
         t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, e0, tau)
         inwin = tau < t_star
         if not np.any(inwin):

@@ -235,13 +235,10 @@ def guaranteed_intervals(trace, s: float, table, p: float | None = None,
 
 
 def _restrict(w: SpectralField, N: int) -> np.ndarray:
-    """Coefficients of w restricted to the ball |n| <= N, as a (2N+1)^3 cube."""
+    """Coefficients of w at the modes of the ball |n| <= N, in its row order."""
     if w.N < N:
         raise DomainError("cannot restrict to a larger ball")
-    sl = slice(w.N - N, w.N + N + 1)
-    out = w.coeffs[sl, sl, sl].copy()
-    out[~geometry(N).ball] = 0.0
-    return out
+    return w.coeffs[geometry(w.N).rows(geometry(N).modes)]
 
 
 def two_resolution_psi(trace_lo, trace_hi):
@@ -281,9 +278,7 @@ def lipschitz_check(trace) -> BoundReport:
     if len(states) < 2:
         raise TraceError("need at least two checkpoints")
     first = states[0]
-    N = first.N
-    g = geometry(N)
-    absn = g.absn
+    absn = geometry(first.N).absn
     nsq = absn**2
     E = 0.5 * (sobolev_norm(first.V, 0.0) ** 2 + sobolev_norm(first.B, 0.0) ** 2)
     if E == 0.0:
@@ -292,15 +287,13 @@ def lipschitz_check(trace) -> BoundReport:
     sq2e = math.sqrt(2.0 * E)
     rv = first.nu * nsq * sq2e + 2.0 * E * absn
     rb = first.eta * nsq * sq2e + E * absn
-    vs = [st.V.coeffs[g.ball_idx] for st in states]
-    bs = [st.B.coeffs[g.ball_idx] for st in states]
     worst = 0.0
     lhs = rhs = 0.0
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             dt = abs(states[j].t - states[i].t)
-            dv = np.linalg.norm(vs[j] - vs[i], axis=-1)
-            db = np.linalg.norm(bs[j] - bs[i], axis=-1)
+            dv = np.linalg.norm(states[j].V.coeffs - states[i].V.coeffs, axis=-1)
+            db = np.linalg.norm(states[j].B.coeffs - states[i].B.coeffs, axis=-1)
             for d, r in ((dv, rv), (db, rb)):
                 ratios = d / (dt * r)
                 k = int(np.argmax(ratios))

@@ -98,7 +98,7 @@ def _plan(N: int, M: int | None = None):
     truncated convolution computed through physical space is exact to
     roundoff.  Only the pencils that hold the ball are transformed: the
     spectral box has shape (2N+1, M, N+1) over (n1, n2 mod M, n3).  Inputs
-    are read at the ball modes with n3 >= 0; outputs are gathered on the
+    are read at the ball rows with n3 >= 0; outputs are gathered on the
     canonical half ball and expanded by conjugation.
     """
     if M is None:
@@ -108,16 +108,14 @@ def _plan(N: int, M: int | None = None):
     g = geometry(N)
     mo = g.modes
     box = ((mo[:, 0] + N) * M + mo[:, 1] % M) * (N + 1) + mo[:, 2]
-    cube = np.ravel_multi_index(g.ball_idx, (g.size,) * 3)
-    up, half = mo[:, 2] >= 0, g.canonical
+    up, half = mo[:, 2] >= 0, np.nonzero(g.canonical)[0]
     return SimpleNamespace(
         N=N, M=M,
         rows=np.arange(-N, N + 1) % M,  # grid rows of the n1 pencils
-        src=cube[up], box_in=box[up],
-        box_out=box[half], dst=cube[half],
-        # -n sits at the mirrored flat index of the (2N+1)^3 cube
-        mirror=g.size**3 - 1 - cube[half],
-        n=mo[half].astype(float), nsq=g.nsq[g.ball][half].astype(float),
+        src=up, box_in=box[up],
+        box_out=box[half], dst=half,
+        mirror=len(mo) - 1 - half,  # the row of -n
+        n=mo[half].astype(float), nsq=g.nsq[half].astype(float),
     )
 
 
@@ -129,7 +127,7 @@ def _to_phys(fields, plan):
     box = np.zeros((2 * N + 1, M, N + 1), dtype=np.complex128)
     grid = np.zeros((M, M, N + 1), dtype=np.complex128)
     phys = np.empty((3 * len(fields), M, M, M))
-    vals = np.concatenate([w.coeffs.reshape(-1, 3)[plan.src].T for w in fields])
+    vals = np.concatenate([w.coeffs[plan.src].T for w in fields])
     for f, v in enumerate(vals):
         box.reshape(-1)[plan.box_in] = v
         grid[plan.rows] = ifft(box, axis=1, norm="forward", workers=1)
@@ -150,13 +148,12 @@ def _to_spec(prods, plan):
     return np.stack(out)
 
 
-def _cube(vals, plan):
-    """Conjugate-symmetric coefficient cube from canonical half-ball values."""
-    size = 2 * plan.N + 1
-    c = np.zeros((size**3, 3), dtype=np.complex128)
+def _ball(vals, plan):
+    """Conjugate-symmetric ball field from canonical half-ball values."""
+    c = np.empty((2 * len(vals), 3), dtype=np.complex128)  # dst and mirror cover it
     c[plan.dst] = vals
     c[plan.mirror] = vals.conj()
-    return c.reshape(size, size, size, 3)
+    return SpectralField(plan.N, c)
 
 
 def _project_half(vals, plan):
@@ -175,12 +172,15 @@ def nonlinear_rhs_direct(state: MhdState):
     """
     N = state.N
     g = geometry(N)
-    size = g.size
-    Vc, Bc = state.V.coeffs, state.B.coeffs
+    size = 2 * N + 1
+    at = tuple((g.modes + N).T)  # the ball rows inside a local (2N+1)^3 cube
+    Vc = np.zeros((size, size, size, 3), dtype=np.complex128)
+    Bc = np.zeros_like(Vc)
+    Vc[at], Bc[at] = state.V.coeffs, state.B.coeffs
     accV = np.zeros_like(Vc)
     accW = np.zeros_like(Vc)  # sum over k of V_{n-k} x B_k
 
-    for k, Bk, Vk in zip(g.modes, state.B.ball(), state.V.ball()):
+    for k, Bk, Vk in zip(g.modes, state.B.coeffs, state.V.coeffs):
         dst = tuple(
             slice(max(0, kd), size + min(0, kd)) for kd in k
         )
@@ -198,15 +198,10 @@ def nonlinear_rhs_direct(state: MhdState):
         )
         accW += np.cross(VS, Bk[None, None, None, :])
 
-    accV[~g.ball] = 0.0
-    accW[~g.ball] = 0.0
     nf = g.modes.astype(float)
-    vvals = accV[g.ball_idx]
+    vvals = accV[at]
     vvals = vvals - (np.einsum("kc,kc->k", vvals, nf) / g.absn**2)[:, None] * nf
-    accV[g.ball_idx] = vvals
-    indc = np.zeros_like(Bc)
-    indc[g.ball_idx] = 1j * np.cross(nf, accW[g.ball_idx])
-    return SpectralField(N, accV), SpectralField(N, indc)
+    return SpectralField(N, vvals), SpectralField(N, 1j * np.cross(nf, accW[at]))
 
 
 # Upper triangle (i <= j) of the symmetric momentum-flux tensor.
@@ -256,15 +251,11 @@ def _rhs_from_products(prods, plan):
     )
     adv = _project_half(adv, plan)
     ind = 1j * np.cross(n, spec[6:].T)
-    return (
-        SpectralField(plan.N, _cube(adv, plan)),
-        SpectralField(plan.N, _cube(ind, plan)),
-    )
+    return _ball(adv, plan), _ball(ind, plan)
 
 
 def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
-    g = geometry(state.N)
-    nsq = g.nsq.astype(float)[..., None]
+    nsq = geometry(state.N).nsq.astype(float)[:, None]
     vc = dV.coeffs - state.nu * nsq * state.V.coeffs
     bc = dB.coeffs - state.eta * nsq * state.B.coeffs
     return SpectralField(state.N, vc), SpectralField(state.N, bc)
@@ -291,7 +282,7 @@ def advection_bilinear(X: SpectralField, Y: SpectralField):
         [-1j * sum(n[:, j] * spec[3 * i + j] for j in range(3)) for i in range(3)],
         axis=-1,
     )
-    return SpectralField(X.N, _cube(_project_half(out, plan), plan))
+    return _ball(_project_half(out, plan), plan)
 
 
 def induction_bilinear(X: SpectralField, Y: SpectralField):
@@ -302,7 +293,7 @@ def induction_bilinear(X: SpectralField, Y: SpectralField):
     phys = _to_phys([X, Y], plan)
     x, y = phys[:3], phys[3:]
     spec = _to_spec(_cross(x, y), plan)
-    return SpectralField(X.N, _cube(1j * np.cross(plan.n, spec.T), plan))
+    return _ball(1j * np.cross(plan.n, spec.T), plan)
 
 
 def _linearised_products(v, b, dv, db):
@@ -336,8 +327,7 @@ def second_time_derivative(state: MhdState, rhs=None):
 
 @lru_cache(maxsize=32)
 def _decay_factors(N: int, nu: float, eta: float, dt: float):
-    g = geometry(N)
-    nsq = g.nsq.astype(float)[..., None]
+    nsq = geometry(N).nsq.astype(float)[:, None]
     return (
         np.exp(-nu * nsq * dt),
         np.exp(-eta * nsq * dt),
@@ -449,14 +439,13 @@ def _abc_field(N, A, B, C):
 
 def _random_field(N, rng, a, b):
     g = geometry(N)
-    hm = g.modes[g.canonical]
     absn = g.absn[g.canonical]
     mag = absn ** (-a) * np.exp(-b * absn)
-    vec = rng.standard_normal((len(hm), 3)) + 1j * rng.standard_normal((len(hm), 3))
+    vec = rng.standard_normal((len(absn), 3)) + 1j * rng.standard_normal((len(absn), 3))
     vec *= (mag / np.maximum(np.linalg.norm(vec, axis=1), 1e-300))[:, None]
-    c = np.zeros((g.size, g.size, g.size, 3), dtype=np.complex128)
-    c[hm[:, 0] + N, hm[:, 1] + N, hm[:, 2] + N] = vec
-    c += np.conj(c[::-1, ::-1, ::-1].copy())
+    c = np.zeros((len(g.modes), 3), dtype=np.complex128)
+    c[g.canonical] = vec
+    c += np.conj(c[::-1])
     return project_solenoidal(SpectralField(N, c))
 
 

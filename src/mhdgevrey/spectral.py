@@ -1,10 +1,12 @@
 """Fourier-space representation of periodic solenoidal vector fields and norms.
 
-Fields on the torus [0, 2pi)^3 are stored as truncated Fourier coefficient
-cubes: ``coeffs[n1+N, n2+N, n3+N]`` is the complex 3-vector coefficient of
-``exp(i n.x)`` for wavevectors in the ball 0 < |n| <= N.  Coefficients of a
-real field come in conjugate pairs, the mean (n = 0) vanishes, and every
-coefficient is orthogonal to its wavevector.
+Fields on the torus [0, 2pi)^3 are stored on the Galerkin ball 0 < |n| <= N:
+``coeffs[i]`` is the complex 3-vector coefficient of ``exp(i n.x)`` for
+n = ``geometry(N).modes[i]``, with the K modes in lexicographic (n1, n2, n3)
+order.  Coefficients of a real field come in conjugate pairs, and since the
+ball is symmetric under n -> -n, row K-1-i holds the partner of row i, so
+``coeffs[::-1]`` is the mirror.  Every coefficient is orthogonal to its
+wavevector; the mean (n = 0) is not stored.
 """
 
 from __future__ import annotations
@@ -23,46 +25,58 @@ TOL_REALITY = 1e-12
 _SAFE_EXP = 700.0
 
 
+class _Geometry:
+    """Lattice data of the Galerkin ball 0 < |n| <= N; see ``geometry``."""
+
+    def __init__(self, N: int):
+        r = np.arange(-N, N + 1)
+        lattice = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        nsq = np.einsum("ki,ki->k", lattice, lattice)
+        ball = (nsq > 0) & (nsq <= N * N)
+        self.N = N
+        self.modes = lattice[ball]
+        self.nsq = nsq[ball]
+        self.absn = np.sqrt(self.nsq.astype(float))
+        # Stable descending sort makes every norm reduction run in one fixed order.
+        self.order = np.argsort(-self.absn, kind="stable")
+        neg_nsq, shell = np.unique(-self.nsq, return_inverse=True)
+        self.shell = shell.ravel()
+        self.shell_r = np.sqrt(-neg_nsq.astype(float))
+        k1, k2, k3 = self.modes.T
+        self.canonical = (k3 > 0) | ((k3 == 0) & ((k2 > 0) | ((k2 == 0) & (k1 > 0))))
+        self._keys = self._key(self.modes)
+
+    def _key(self, n):
+        N, b = self.N, 2 * self.N + 1
+        return ((n[..., 0] + N) * b + n[..., 1] + N) * b + n[..., 2] + N
+
+    def rows(self, n) -> np.ndarray:
+        """Row of each wavevector of ``n`` (shape (..., 3)) in ``modes``; -1
+        where it is not a mode of the ball."""
+        n = np.asarray(n, dtype=np.int64)
+        inside = np.all(np.abs(n) <= self.N, axis=-1)
+        key = self._key(np.where(inside[..., None], n, 0))
+        pos = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == key), pos, -1)
+
+
 @lru_cache(maxsize=None)
-def geometry(N: int):
+def geometry(N: int) -> _Geometry:
     """Cached lattice geometry for truncation radius N.
 
-    Returns an object with the index cube, the ball mask, flattened mode
-    lists and a deterministic descending-|n| summation order.  The shells
-    of the ball (distinct |n|) are listed largest first in ``shell_r``;
-    ``shell`` gives the shell index of each ball mode.  ``canonical`` marks
-    one mode of each conjugate pair: n3 > 0, or n3 = 0 and (n2, n1)
-    lexicographically positive.
+    ``modes`` lists the K wavevectors of the ball 0 < |n| <= N in
+    lexicographic (n1, n2, n3) order; the ball is symmetric under n -> -n,
+    so row K-1-i holds -modes[i].  ``nsq`` and ``absn`` give |n|^2 and |n|
+    per row, ``order`` a deterministic descending-|n| summation order and
+    ``rows(n)`` the row of each wavevector.  The shells of the ball
+    (distinct |n|) are listed largest first in ``shell_r``; ``shell`` gives
+    the shell index of each row.  ``canonical`` marks one mode of each
+    conjugate pair: n3 > 0, or n3 = 0 and (n2, n1) lexicographically
+    positive.
     """
     if N < 1:
         raise DomainError("truncation radius must be >= 1")
-    r = np.arange(-N, N + 1)
-    n1, n2, n3 = np.meshgrid(r, r, r, indexing="ij")
-    nsq = n1 * n1 + n2 * n2 + n3 * n3
-    ball = (nsq > 0) & (nsq <= N * N)
-    modes = np.stack([n1[ball], n2[ball], n3[ball]], axis=1)
-    absn = np.sqrt(nsq[ball].astype(float))
-    # Stable descending sort makes every norm reduction run in one fixed order.
-    order = np.argsort(-absn, kind="stable")
-
-    class _Geo:
-        pass
-
-    g = _Geo()
-    g.N = N
-    g.size = 2 * N + 1
-    g.nsq = nsq
-    g.ball = ball
-    g.modes = modes
-    g.absn = absn
-    g.order = order
-    g.ball_idx = np.nonzero(ball)
-    neg_nsq, shell = np.unique(-nsq[ball], return_inverse=True)
-    g.shell = shell.ravel()
-    g.shell_r = np.sqrt(-neg_nsq.astype(float))
-    k1, k2, k3 = modes.T
-    g.canonical = (k3 > 0) | ((k3 == 0) & ((k2 > 0) | ((k2 == 0) & (k1 > 0))))
-    return g
+    return _Geometry(N)
 
 
 def _accumulate(contrib: np.ndarray, order: np.ndarray) -> float:
@@ -85,52 +99,48 @@ class SpectralField:
     """Truncated Fourier coefficients of a real zero-mean solenoidal field."""
 
     N: int
-    coeffs: np.ndarray  # complex, shape (2N+1, 2N+1, 2N+1, 3)
+    coeffs: np.ndarray  # complex, shape (K, 3), rows in geometry(N).modes order
 
     def __post_init__(self):
-        g = geometry(self.N)
-        c = self.coeffs
-        if c.shape != (g.size, g.size, g.size, 3):
+        shape = (len(geometry(self.N).modes), 3)
+        if self.coeffs.shape != shape:
             raise FieldInvariantError(
-                "coefficient cube has shape %r, expected %r"
-                % (c.shape, (g.size, g.size, g.size, 3))
+                "coefficient array has shape %r, expected %r" % (self.coeffs.shape, shape)
             )
-        if c.dtype != np.complex128:
+        if self.coeffs.dtype != np.complex128:
             raise FieldInvariantError("coefficients must be complex128")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, N: int) -> "SpectralField":
-        g = geometry(N)
-        return cls(N, np.zeros((g.size, g.size, g.size, 3), dtype=np.complex128))
+        return cls(N, np.zeros((len(geometry(N).modes), 3), dtype=np.complex128))
 
     @classmethod
     def from_modes(cls, N: int, entries, add_conjugates: bool = False) -> "SpectralField":
         """Build a field from a {(n1,n2,n3): 3-vector} mapping."""
         g = geometry(N)
-        c = np.zeros((g.size, g.size, g.size, 3), dtype=np.complex128)
+        c = cls.zeros(N).coeffs
         for n, vec in entries.items():
-            n = tuple(int(x) for x in n)
+            i = int(g.rows(n))
+            if i < 0:
+                raise FieldInvariantError("n=%r is not in the ball 0<|n|<=N" % (tuple(n),))
             vec = np.asarray(vec, dtype=np.complex128)
-            c[n[0] + N, n[1] + N, n[2] + N] += vec
+            c[i] += vec
             if add_conjugates:
-                c[-n[0] + N, -n[1] + N, -n[2] + N] += np.conj(vec)
+                c[len(c) - 1 - i] += np.conj(vec)
         return cls(N, c)
 
     # -- accessors ---------------------------------------------------------
 
-    def ball(self) -> np.ndarray:
-        """Coefficients at the ball modes, shape (K, 3)."""
-        g = geometry(self.N)
-        return self.coeffs[g.ball_idx]
-
     def coeff(self, n) -> np.ndarray:
-        N = self.N
-        return self.coeffs[n[0] + N, n[1] + N, n[2] + N]
+        i = int(geometry(self.N).rows(n))
+        if i < 0:
+            raise DomainError("n=%r is not in the ball 0<|n|<=N" % (tuple(n),))
+        return self.coeffs[i]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.ball()))) if self.N >= 1 else 0.0
+        return float(np.max(np.abs(self.coeffs)))
 
     # -- invariants --------------------------------------------------------
 
@@ -139,24 +149,16 @@ class SpectralField:
         c = self.coeffs
         if not np.all(np.isfinite(c.view(np.float64))):
             raise FieldInvariantError("non-finite coefficient")
-        outside = ~g.ball
-        if np.any(c[outside] != 0):
-            bad = np.argwhere(np.any(c[outside] != 0, axis=-1))
-            raise FieldInvariantError(
-                "nonzero coefficient outside the ball 0<|n|<=N (%d entries)" % len(bad)
-            )
-        mirrored = np.conj(c[::-1, ::-1, ::-1])
+        # row K-1-i holds the coefficient of -n
         scale = max(1.0, float(np.max(np.abs(c))))
-        err = np.abs(c - mirrored)
+        err = np.abs(c - np.conj(c[::-1]))
         if np.max(err) > TOL_REALITY * scale:
-            i = np.unravel_index(np.argmax(err), err.shape)
-            n = (i[0] - self.N, i[1] - self.N, i[2] - self.N)
-            raise FieldInvariantError("reality violation at n=%r" % (n,))
-        vals = c[g.ball_idx]
-        dots = np.abs(np.einsum("kc,kc->k", vals, g.modes.astype(float)))
+            k = int(np.argmax(err)) // 3
+            raise FieldInvariantError("reality violation at n=%r" % (tuple(g.modes[k]),))
+        dots = np.abs(np.einsum("kc,kc->k", c, g.modes.astype(float)))
         # floor at the field scale: a mode annihilated by projection carries
         # only roundoff and must not fail a purely relative check
-        lim = tol_div * np.maximum(np.linalg.norm(vals, axis=1) * g.absn, scale)
+        lim = tol_div * np.maximum(np.linalg.norm(c, axis=1) * g.absn, scale)
         if np.any(dots > np.maximum(lim, 0.0)):
             k = int(np.argmax(dots - lim))
             raise FieldInvariantError(
@@ -168,19 +170,16 @@ class SpectralField:
 def project_solenoidal(w: SpectralField) -> SpectralField:
     """Apply the orthogonal-to-wavevector projection to every coefficient."""
     g = geometry(w.N)
-    c = w.coeffs.copy()
-    vals = c[g.ball_idx]
     nf = g.modes.astype(float)
-    vals = vals - (np.einsum("kc,kc->k", vals, nf) / (g.absn**2))[:, None] * nf
-    c[g.ball_idx] = vals
-    return SpectralField(w.N, c)
+    c = w.coeffs
+    return SpectralField(w.N, c - (np.einsum("kc,kc->k", c, nf) / (g.absn**2))[:, None] * nf)
 
 
 # -- norms -----------------------------------------------------------------
 
 
 def _sq_magnitudes(w: SpectralField) -> np.ndarray:
-    vals = w.ball()
+    vals = w.coeffs
     return np.einsum("kc,kc->k", vals.real, vals.real) + np.einsum(
         "kc,kc->k", vals.imag, vals.imag
     )
@@ -213,14 +212,13 @@ def sobolev_inner(u: SpectralField, w: SpectralField, s: float) -> float:
     if u.N != w.N:
         raise DomainError("mismatched truncation radii")
     g = geometry(u.N)
-    uv, wv = u.ball(), w.ball()
-    contrib = np.einsum("kc,kc->k", uv, np.conj(wv)).real * g.absn ** (2.0 * s)
+    contrib = np.einsum("kc,kc->k", u.coeffs, np.conj(w.coeffs)).real * g.absn ** (2.0 * s)
     return float(np.sum(contrib[g.order].astype(np.longdouble)))
 
 
 def fmt_s(s: float) -> str:
     """Format a regularity index for use inside column names ("m" = minus)."""
-    return ("%g" % float(s)).replace("-", "m")
+    return ("%.12g" % float(s)).replace("-", "m")
 
 
 def shell_spectrum(w: SpectralField):
@@ -241,10 +239,7 @@ def gevrey_scale(w: SpectralField, sigma: float) -> SpectralField:
     """Multiply every coefficient by exp(sigma |n|) (negative sigma allowed)."""
     if abs(sigma) * w.N > _SAFE_EXP:
         raise GevreyOverflowError("gevrey weight overflow")
-    g = geometry(w.N)
-    c = w.coeffs.copy()
-    c[g.ball_idx] = c[g.ball_idx] * np.exp(sigma * g.absn)[:, None]
-    return SpectralField(w.N, c)
+    return SpectralField(w.N, w.coeffs * np.exp(sigma * geometry(w.N).absn)[:, None])
 
 
 def embed_field(w: SpectralField, N: int) -> SpectralField:
@@ -253,10 +248,8 @@ def embed_field(w: SpectralField, N: int) -> SpectralField:
         return w
     if N < w.N:
         raise DomainError("cannot embed into a smaller ball")
-    size = 2 * N + 1
-    c = np.zeros((size, size, size, 3), dtype=np.complex128)
-    lo, hi = N - w.N, N + w.N + 1
-    c[lo:hi, lo:hi, lo:hi] = w.coeffs
+    c = SpectralField.zeros(N).coeffs
+    c[geometry(N).rows(geometry(w.N).modes)] = w.coeffs
     return SpectralField(N, c)
 
 
@@ -275,7 +268,7 @@ def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None
     half = np.zeros((3, M, M, M // 2 + 1), dtype=np.complex128)
     keep = g.modes[:, 2] >= 0
     mo = g.modes[keep]
-    vals = w.coeffs[g.ball_idx][keep] * (g.absn[keep] ** s)[:, None]
+    vals = w.coeffs[keep] * (g.absn[keep] ** s)[:, None]
     half[:, mo[:, 0] % M, mo[:, 1] % M, mo[:, 2]] = vals.T
     phys = irfftn(half, s=(M, M, M), axes=(1, 2, 3), norm="forward")
     return np.moveaxis(phys, 0, -1)

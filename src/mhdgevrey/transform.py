@@ -254,8 +254,8 @@ def _sigma_pairing(phi_state: PhiState, nl, p: float) -> float:
     nl_v, nl_b = nl
     dp = phi_state.delta * phi_state.phi
     pairing = (
-        np.einsum("kc,kc->k", np.conj(phi_state.V.ball()), nl_v.ball())
-        + np.einsum("kc,kc->k", np.conj(phi_state.B.ball()), nl_b.ball())
+        np.einsum("kc,kc->k", np.conj(phi_state.V.coeffs), nl_v.coeffs)
+        + np.einsum("kc,kc->k", np.conj(phi_state.B.coeffs), nl_b.coeffs)
     )
     g = geometry(phi_state.V.N)
     return float(np.sum(g.absn**p * np.exp(dp * g.absn) * pairing.real))
@@ -269,22 +269,27 @@ def _sigma_p_direct(phi_state: PhiState, p: float) -> float:
     """
     N = phi_state.V.N
     g = geometry(N)
-    size = g.size
+    size = 2 * N + 1
     dp = phi_state.delta * phi_state.phi
-    vc, bc = phi_state.V.coeffs, phi_state.B.coeffs
+    at = tuple((g.modes + N).T)  # the ball rows inside a local (2N+1)^3 cube
+    vc = np.zeros((size, size, size, 3), dtype=np.complex128)
+    bc = np.zeros_like(vc)
+    vc[at], bc[at] = phi_state.V.coeffs, phi_state.B.coeffs
 
-    absn_cube = np.sqrt(g.nsq.astype(float))
+    r = np.arange(-N, N + 1)
+    nsq = r[:, None, None] ** 2 + r[None, :, None] ** 2 + r[None, None, :] ** 2
+    absn_cube = np.sqrt(nsq.astype(float))
     # v~_{-n} = conj(v~_n) by reality of the source field.
     vmn = np.conj(vc)
     bmn = np.conj(bc)
     if p == 0.0:
         wp = None
     else:
-        safe = np.where(g.nsq == 0, 1.0, absn_cube)
-        wp = np.where(g.nsq == 0, 0.0, safe**p)
+        safe = np.where(nsq == 0, 1.0, absn_cube)
+        wp = np.where(nsq == 0, 0.0, safe**p)
 
     total = np.zeros((), dtype=np.complex128)
-    for k, vk, bk in zip(g.modes, phi_state.V.ball(), phi_state.B.ball()):
+    for k, vk, bk in zip(g.modes, phi_state.V.coeffs, phi_state.B.coeffs):
         dst = tuple(slice(max(0, kd), size + min(0, kd)) for kd in k)
         src = tuple(slice(max(0, -kd), size + min(0, -kd)) for kd in k)
         VS = np.zeros_like(vc)
@@ -307,9 +312,7 @@ def _sigma_p_direct(phi_state: PhiState, p: float) -> float:
             )
         else:
             w = wp * np.exp(dp * (absn_cube - absk - ANS))
-        contrib = w * bracket
-        contrib[~g.ball] = 0.0
-        total = total + np.sum(contrib)
+        total = total + np.sum((w * bracket)[at])
     return float((1j * total).real)
 
 

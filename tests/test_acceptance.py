@@ -223,14 +223,12 @@ CASES = 10_000
 def small_random_fields(count, N=2, seed=0):
     rng = np.random.default_rng(seed)
     g = geometry(N)
-    size = g.size
-    mask = np.zeros((size, size, size, 1), dtype=bool)
-    mask[g.modes[:, 0] + N, g.modes[:, 1] + N, g.modes[:, 2] + N, 0] = True
-    mask[N, N, N, 0] = False  # drop the mean mode
+    size = 2 * N + 1
+    at = tuple((g.modes + N).T)  # the ball inside the drawn cube
     for _ in range(count):
         c = rng.standard_normal((size, size, size, 3)) \
             + 1j * rng.standard_normal((size, size, size, 3))
-        yield SpectralField(N, np.where(mask, c, 0.0))
+        yield SpectralField(N, c[at])
 
 
 class TestElementaryInequalities:

@@ -1,5 +1,6 @@
 """Constant chains and inequality verification on archived trajectories."""
 
+import copy
 import math
 
 import numpy as np
@@ -171,6 +172,16 @@ class TestPointwise:
         rep = verify_pointwise("P42", singlemode_state, table,
                                delta=delta_std, s=s)
         assert rep.verdict == "pass"
+
+    def test_p42_non_finite_rhs_never_passes(self, singlemode_state, table, delta_std):
+        # Near s = -5/2 the chain needs C_s at s -> 3/2, whose estimate
+        # overflows to inf; an infinite rhs must not make P42 hold.
+        fresh = m.ConstantsTable.from_snapshot(copy.deepcopy(table.snapshot()))
+        rep = verify_pointwise("P42", singlemode_state, fresh,
+                               delta=delta_std, s=-2.5 + 1e-9)
+        assert not math.isfinite(rep.rhs)
+        assert rep.verdict == "informational"
+        assert "rhs not finite (C[1.49999999" in rep.note
 
     def test_p42_domain(self, singlemode_state, table, delta_std):
         with pytest.raises(DomainError):

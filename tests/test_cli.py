@@ -343,6 +343,33 @@ class TestVerifyCommand:
                    if reason == bound.domain_msg]
         assert skipped == ["%.12g" % s for s in outside]
 
+    def test_norm_index_keeps_its_digits(self, cli_run, tmp_path, table_json, capsys):
+        # s = 2.000000001 has no stored column; it used to read the s = 2 ones
+        trace = m.TraceArchive.load(cli_run)
+        with pytest.raises(TraceError, match="v_s2.000000001"):
+            verify_integral("B32_1", trace, 2.000000001, float(trace.times[-1]),
+                            m.ConstantsTable.from_json(table_json))
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        main(["verify", cli_run, "--table", table_json, "--out", str(out),
+              "--bounds", "B32_1", "--s", "2.000000001", "2"])
+        assert _skip_lines(capsys.readouterr().out) == [
+            ("B32_1", "2.000000001", "trace has no column 'v_s2.000000001'")]
+        assert [r["s"] for r in json.loads(out.read_text())] == [2.0]
+
+    def test_b19_on_zero_initial_data(self, tmp_path, table_json):
+        # q_s = 0 for zero data; B19 used to divide by it and crash
+        zero = {"kind": "single-mode",
+                "params": {"n_v": [0, 0, 1], "amp_v": [0.0, 0.0, 0.0], "n_b": None}}
+        out = str(tmp_path / "archive")
+        assert main(["run", write_config(tmp_path, N=3, initial=zero, ft_s=[1.0]),
+                     "--out", out, "--table", table_json,
+                     "--verbosity", "0"]) == EXIT_OK
+        assert main(["verify", out, "--table", table_json,
+                     "--bounds", "B19", "--s", "1"]) == EXIT_OK
+        [rep] = json.loads((tmp_path / "archive" / "report.json").read_text())
+        assert (rep["id"], rep["verdict"], rep["rhs"]) == ("B19", "vacuous", 0.0)
+
     def test_archive_without_sigma(self, tmp_path, table_json, capsys):
         # B19 needs the growth rate sigma; verify used to crash on KeyError.
         out = str(tmp_path / "archive")
@@ -411,11 +438,11 @@ class TestSpectrumCommand:
     def test_constructed_decay_rate(self, tmp_path, capsys):
         N = 32
         g = geometry(N)
-        c = np.zeros((g.size, g.size, g.size, 3), dtype=complex)
+        c = np.zeros((2 * N + 1,) * 3 + (3,), dtype=complex)
         for n, a in zip(g.modes, g.absn):
             c[tuple(n + N)] = math.exp(-0.5 * a)
         c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
-        w = m.project_solenoidal(SpectralField(N, c))
+        w = m.project_solenoidal(SpectralField(N, c[tuple((g.modes + N).T)]))
         st = m.MhdState(V=w, B=w, nu=0.1, eta=0.1)
         path = tmp_path / "ck.bin"
         checkpoint_save(st, path)

@@ -26,11 +26,11 @@ from conftest import full_diagnostics, random_field
 def constructed_field(N, profile):
     """Solenoidal field whose shell amplitudes follow profile(|n|) exactly."""
     g = geometry(N)
-    c = np.zeros((g.size, g.size, g.size, 3), dtype=complex)
+    c = np.zeros((2 * N + 1,) * 3 + (3,), dtype=complex)
     for n, a in zip(g.modes, g.absn):
         c[tuple(n + N)] = profile(a)
     c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
-    return m.project_solenoidal(SpectralField(N, c))
+    return m.project_solenoidal(SpectralField(N, c[tuple((g.modes + N).T)]))
 
 
 class TestDecayFit:

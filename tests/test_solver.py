@@ -1,5 +1,7 @@
 """Galerkin dynamics: convolution oracle, stepping, archiving, initial data."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ class TestConvolutionOracle:
 
 def assert_conjugate_symmetric(w):
     c = w.coeffs
-    assert np.array_equal(c, np.conj(c[::-1, ::-1, ::-1]))
+    assert np.array_equal(c, np.conj(c[::-1]))
 
 
 class TestPrunedTransforms:
@@ -229,6 +231,55 @@ class TestArchive:
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"MHDX" + b"\x00" * 64)
+        with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    def test_checkpoint_bytes(self, tmp_path):
+        # The on-disk format, written out independently: the header, then one
+        # record of 3 i4 and 12 f8 per ball mode in lexicographic order.
+        st = random_state(N=2, seed=14)
+        st = MhdState(V=st.V, B=st.B, t=0.25, nu=0.1, eta=0.2)
+        modes = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
+                 for c in range(-2, 3) if 0 < a * a + b * b + c * c <= 4]
+        expected = struct.pack("<4sIIdddQ", b"MHDG", 1, 2, 0.1, 0.2, 0.25, len(modes))
+        for n in modes:
+            vals = np.concatenate([st.V.coeff(n), st.B.coeff(n)])
+            parts = [x for z in vals for x in (z.real, z.imag)]
+            expected += struct.pack("<3i12d", *n, *parts)
+        path = tmp_path / "ck.bin"
+        checkpoint_save(st, path)
+        assert path.read_bytes() == expected
+
+    @staticmethod
+    def _rewrite(path, edit):
+        """Rewrite the records of a checkpoint through ``edit`` and fix the
+        stored count."""
+        raw = path.read_bytes()
+        head = archive._HEADER.unpack(raw[:archive._HEADER.size])
+        rec = edit(np.frombuffer(raw[archive._HEADER.size:],
+                                 dtype=archive._REC_DTYPE).copy())
+        path.write_bytes(archive._HEADER.pack(*head[:-1], len(rec)) + rec.tobytes())
+
+    @staticmethod
+    def _drop_pair(rec):
+        # the first and last records are the modes -n and n; without them
+        # the field is still valid, but the file no longer holds the ball
+        return rec[1:-1]
+
+    @staticmethod
+    def _duplicate(rec):
+        return np.concatenate([rec[:5], rec[4:]])
+
+    @staticmethod
+    def _outside(rec):
+        rec["n"][0] = (2, 2, 2)  # |n|^2 = 12 > N^2
+        return rec
+
+    @pytest.mark.parametrize("edit", ["_drop_pair", "_duplicate", "_outside"])
+    def test_records_must_be_the_ball(self, tmp_path, edit):
+        path = tmp_path / "ck.bin"
+        checkpoint_save(random_state(N=2, seed=15), path)
+        self._rewrite(path, getattr(self, edit))
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
 

@@ -33,21 +33,23 @@ class TestInvariants:
     def test_reality_violation_detected(self):
         w = single_mode()
         c = w.coeffs.copy()
-        c[4, 4, 5] *= 1.0 + 1e-6  # break the conjugate pairing
+        c[geometry(4).rows((0, 0, 1))] *= 1.0 + 1e-6  # break the conjugate pairing
         with pytest.raises(FieldInvariantError, match="reality violation at n="):
             SpectralField(4, c).validate()
 
     def test_solenoidality_violation_detected(self):
         w = single_mode()
         c = w.coeffs.copy()
-        c[4, 4, 5, 2] += 1e-6
-        c[4, 4, 3, 2] += 1e-6
+        c[geometry(4).rows((0, 0, 1)), 2] += 1e-6
+        c[geometry(4).rows((0, 0, -1)), 2] += 1e-6
         with pytest.raises(FieldInvariantError, match="solenoidality violation"):
             SpectralField(4, c).validate()
 
     def test_mean_mode_must_vanish(self):
-        c = SpectralField.zeros(3).coeffs.copy()
-        c[3, 3, 3] = [1.0, 0.0, 0.0]
+        # the ball has no row for n = 0: an array with a row beyond its K
+        # rows is rejected
+        c = np.zeros((len(geometry(3).modes) + 1, 3), dtype=complex)
+        c[-1] = [1.0, 0.0, 0.0]
         with pytest.raises(FieldInvariantError):
             SpectralField(3, c).validate()
 
@@ -115,11 +117,12 @@ class TestNorms:
     def test_shell_spectrum_constructed_decay(self):
         N = 10
         g = geometry(N)
-        c = np.zeros((g.size, g.size, g.size, 3), dtype=complex)
+        c = np.zeros((2 * N + 1,) * 3 + (3,), dtype=complex)
         # e^{-0.5|n|} per mode, solenoidal by construction afterwards
         for n, a in zip(g.modes, g.absn):
             c[tuple(n + N)] = math.exp(-0.5 * a)
-        w = m.project_solenoidal(SpectralField(N, 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))))
+        c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
+        w = m.project_solenoidal(SpectralField(N, c[tuple((g.modes + N).T)]))
         shells = dict(m.shell_spectrum(w))
         assert set(shells) == set(range(1, N + 1))
 
@@ -131,6 +134,10 @@ class TestNorms:
         assert fmt_s(1.0) == "1"
         assert fmt_s(0.5) == "0.5"
         assert fmt_s(-1.5) == "m1.5"
+        assert fmt_s(1.000000001) != fmt_s(1.0)
+        for s, text in [(0, "0"), (0.5, "0.5"), (0.75, "0.75"), (1, "1"), (1.5, "1.5"),
+                        (2, "2"), (3, "3"), (-1, "m1"), (-3, "m3")]:
+            assert fmt_s(s) == text
 
 
 class TestGevreyScale:
