@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, TraceError
+from .errors import CheckpointError, ConfigError, TraceError
 from .spectral import SpectralField, geometry
 
 MAGIC = b"MHDG"
@@ -47,15 +47,24 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
+def read_json(path):
+    """Parse a JSON file; a syntax error is a ConfigError naming the file,
+    line and column."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
+        ) from exc
+
+
 def checkpoint_save(state, path) -> None:
     modes = geometry(state.V.N).modes
-    vvals, bvals = state.V.coeffs, state.B.coeffs
     rec = np.empty(len(modes), dtype=_REC_DTYPE)
     rec["n"] = modes
-    rec["c"][:, 0:6:2] = vvals.real
-    rec["c"][:, 1:6:2] = vvals.imag
-    rec["c"][:, 6:12:2] = bvals.real
-    rec["c"][:, 7:12:2] = bvals.imag
+    rec["c"] = np.hstack([state.V.coeffs, state.B.coeffs]).view(np.float64)
     with atomic_open(path, "wb") as f:
         f.write(
             _HEADER.pack(
@@ -85,11 +94,10 @@ def checkpoint_load(path):
     rec = np.frombuffer(body, dtype=_REC_DTYPE)
     if not np.array_equal(rec["n"], geometry(N).modes):
         raise CheckpointError("records must hold every mode of the ball once, in order")
-    vc = rec["c"][:, 0:6:2] + 1j * rec["c"][:, 1:6:2]
-    bc = rec["c"][:, 6:12:2] + 1j * rec["c"][:, 7:12:2]
+    c = rec["c"].copy().view(np.complex128)  # (K, 6): V, then B
     try:
-        V = SpectralField(N, vc).validate()
-        B = SpectralField(N, bc).validate()
+        V = SpectralField(N, c[:, :3]).validate()
+        B = SpectralField(N, c[:, 3:]).validate()
     except Exception as exc:
         raise CheckpointError(str(exc)) from exc
     return MhdState(V=V, B=B, t=t, nu=nu, eta=eta)

@@ -47,6 +47,7 @@ from .spectral import (
     sobolev_norm,
 )
 from .transform import (
+    _balance_terms,
     _energy_s,
     _growth_envelope,
     _trace_q,
@@ -311,8 +312,7 @@ def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
         raise DomainError("states must be time-ordered")
 
     # dPhi/dt = -(Phi^3/2) dE_{3/2}/dt with dE_{3/2}/dt from the balance.
-    e2 = sobolev_norm(ps.V, 2.0) ** 2 + sobolev_norm(ps.B, 2.0) ** 2
-    diss = state.nu * sobolev_norm(ps.V, 2.5) ** 2 + state.eta * sobolev_norm(ps.B, 2.5) ** 2
+    e2, diss = _balance_terms(ps)
     de32 = 2.0 * (sigma_p(ps, 3.0) - diss) / (1.0 + delta * ps.phi**3 * e2)
     dphi = -(ps.phi**3 / 2.0) * de32
 
@@ -686,11 +686,6 @@ def _p52(d, s):
     ))
 
 
-def _energy(state) -> float:
-    """E = (||V||^2 + ||B||^2)/2, the e_init of the P51 and P52 constants."""
-    return 0.5 * (sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2)
-
-
 def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
     """Data-dependent constant of the s = -1 derivative bound.
 
@@ -787,7 +782,7 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
         if error:
             raise error
     if e_init is None and states:
-        e_init = _energy(states[0])
+        e_init = 0.5 * _energy_s(states[0], 0.0)
     worst = dict.fromkeys(pairs)
     for state in states:
         derivs = _Derivatives(state, delta, table, e_init)
@@ -805,18 +800,18 @@ def verify_pointwise(id: str, state, table, delta: float | None = None,
     return _worst_over_checkpoints([(id, s)], [state], table, delta, e_init)[(id, s)]
 
 
-def _verify_pairs(pairs, trace, table, T, values, checkpoint_step=1) -> list:
+def _verify_pairs(pairs, trace, table, T, values) -> list:
     """Reports of the (id, s) pairs, in order.
 
     Integral pairs read the trace up to T with the run values (delta,
-    sigma, p); one scan of every ``checkpoint_step``-th checkpoint serves
-    all pointwise pairs.
+    sigma, p); one scan of the stored checkpoints serves all pointwise
+    pairs.
     """
     reports = {(id, s): verify_integral(id, trace, s, T, table, **values)
                for id, s in pairs if not BOUNDS[id].pointwise}
     pointwise = [pair for pair in pairs if pair not in reports]
     if pointwise:
-        states = trace.checkpoints()[::checkpoint_step]
+        states = trace.checkpoints()
         if not states:
             raise TraceError("archive holds no checkpoints")
         reports.update(_worst_over_checkpoints(pointwise, states, table, values["delta"]))
@@ -852,13 +847,12 @@ SWEEP_POINTWISE_CASES = (
 
 
 def standard_sweep(trace, table, delta: float | None = None,
-                   sigma: float | None = None, T: float | None = None,
-                   checkpoint_step: int = 1) -> list:
+                   sigma: float | None = None, T: float | None = None) -> list:
     """Run the canonical battery of integral and pointwise checks on a trace.
 
     Integral bounds use the full stored series; pointwise inequalities are
-    evaluated on every ``checkpoint_step``-th stored checkpoint and the worst
-    ratio is reported per bound.  Returns a list of BoundReport.
+    evaluated on every stored checkpoint and the worst ratio is reported per
+    bound.  Returns a list of BoundReport.
     """
     man = trace.manifest
     if delta is None:
@@ -869,7 +863,7 @@ def standard_sweep(trace, table, delta: float | None = None,
     if T is None:
         T = float(trace.times[-1])
     return _verify_pairs(SWEEP_INTEGRAL_CASES + SWEEP_POINTWISE_CASES, trace, table, T,
-                         {"delta": delta, "sigma": sigma, "p": 4.0}, checkpoint_step)
+                         {"delta": delta, "sigma": sigma, "p": 4.0})
 
 
 def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport:

@@ -47,10 +47,10 @@ EXIT_BOUND_FAILURE = 3
 EXIT_CONVERGENCE = 4
 
 
-def _load_table(path, safety=2.0):
+def _load_table(path):
     if path:
         return ConstantsTable.from_json(path)
-    return build_table(safety=safety)
+    return build_table()
 
 
 def cmd_run(args) -> int:
@@ -135,7 +135,7 @@ def cmd_constants(args) -> int:
     snap = table.snapshot()
     text = json.dumps(snap, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_open(args.out) as f:
             f.write(text + "\n")
     print(text)
     return EXIT_OK
@@ -175,7 +175,7 @@ def cmd_compare(args) -> int:
     for (n1, t1), (n2, t2) in zip(traces, traces[1:]):
         rows = two_resolution_psi(t1, t2)
         path = outdir / ("psi_N%03d_N%03d.csv" % (n1, n2))
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             f.write("t,psi\n")
             for t, psi in rows:
                 f.write("%r,%r\n" % (t, psi))

@@ -7,9 +7,9 @@ manifest alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .archive import read_json
 from .errors import ConfigError
 from .solver import SCHEMES, DiagnosticsSpec, SolverConfig, make_initial
 
@@ -227,12 +227,4 @@ def parse_run_config(doc: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     """Parse a config file, reporting JSON syntax errors with line numbers."""
-    with open(path) as f:
-        text = f.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
-        ) from exc
-    return parse_run_config(doc)
+    return parse_run_config(read_json(path))

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfft, irfft, rfftn
 from scipy.special import gamma as _gamma
 
-from .errors import DomainError, MissingConstantError
+from .archive import atomic_open, read_json
+from .errors import ConfigError, DomainError, MissingConstantError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -163,13 +164,16 @@ def _ascent_step(phys: np.ndarray, K0: int, s: float, M: int) -> np.ndarray:
     return vals / nrm if nrm > 0 else vals
 
 
+# Fixed-point ascent steps per trial field of estimate_Cs.
+ASCENT_STEPS = 12
+
+
 def estimate_Cs(
     s: float,
     resolution: int = 16,
     trials: int = 24,
     seed: int = 0,
     safety: float = 2.0,
-    ascent_steps: int = 12,
 ) -> float:
     """Empirical estimate of the L^{6/(3-2s)} embedding constant C_s.
 
@@ -195,7 +199,7 @@ def estimate_Cs(
         candidates.append(_random_scalar_spectrum(tr, K0, float(d)))
     for spec in candidates:
         cur = spec
-        for _ in range(ascent_steps):
+        for _ in range(ASCENT_STEPS):
             ratio, phys = _scalar_ratio(cur, K0, s, M)
             if ratio > best:
                 best = ratio
@@ -365,11 +369,24 @@ class ConstantsTable:
         return {"safety": self.safety, "entries": self.entries, "meta": self.meta}
 
     def to_json(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(self.snapshot(), f, indent=1, sort_keys=True)
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "ConstantsTable":
+        """The table of a ``snapshot()``; ConfigError if ``snap`` is not one."""
+        if not (isinstance(snap, dict) and isinstance(snap.get("entries", {}), dict)
+                and isinstance(snap.get("meta", {}), dict)):
+            raise ConfigError("a constants table must be an object whose entries "
+                              "and meta are objects")
+        # the rule of _put: an estimate that overflowed to inf is kept (its
+        # bounds report as informational), a nan or nonpositive value is not
+        values = {"safety": snap.get("safety", 2.0)}
+        for name, e in snap.get("entries", {}).items():
+            values["constant " + name] = e.get("value") if isinstance(e, dict) else None
+        for name, v in values.items():
+            if not (isinstance(v, (int, float)) and v > 0):
+                raise ConfigError("%s must be a positive number" % name)
         t = cls(safety=snap.get("safety", 2.0))
         t.entries = dict(snap.get("entries", {}))
         t.meta = dict(snap.get("meta", {}))
@@ -377,13 +394,15 @@ class ConstantsTable:
 
     @classmethod
     def from_json(cls, path) -> "ConstantsTable":
-        with open(path) as f:
-            return cls.from_snapshot(json.load(f))
+        snap = read_json(path)
+        try:
+            return cls.from_snapshot(snap)
+        except ConfigError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def build_table(
     s_values=(0.5, 0.75, 1.0),
-    cp_values=(),
     resolution: int = 16,
     trials: int = 24,
     seed: int = 0,
@@ -393,6 +412,4 @@ def build_table(
     t = ConstantsTable(safety=safety)
     for s in s_values:
         t.ensure_C(s, resolution=resolution, trials=trials, seed=seed)
-    for p in cp_values:
-        t.ensure_cp(p)
     return t

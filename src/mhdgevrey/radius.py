@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .errors import DomainError, TraceError
 from .spectral import SpectralField, fmt_s, geometry, shell_spectrum, sobolev_norm
-from .transform import _growth_envelope
+from .transform import _energy_s, _growth_envelope
 
 DEFAULT_FIT_FLOOR = 1e-300
 
@@ -31,7 +31,6 @@ class RadiusEstimate:
     sigma_fit: float
     fit_range: tuple
     residual: float
-    lower_bound: float = 0.0
 
     def __post_init__(self):
         if not self.fit_range[0] < self.fit_range[1]:
@@ -67,7 +66,7 @@ def _shell_amplitudes(fields, m_lo, m_hi):
 
 
 def decay_fit(w: SpectralField, m_lo: int | None = None,
-              m_hi: int | None = None, lower_bound: float = 0.0) -> RadiusEstimate:
+              m_hi: int | None = None) -> RadiusEstimate:
     """Fit log(shell amplitude) vs shell index; sigma_fit = -slope, floored at 0."""
     lo, hi = default_fit_shells(w.N)
     m_lo = lo if m_lo is None else int(m_lo)
@@ -82,7 +81,6 @@ def decay_fit(w: SpectralField, m_lo: int | None = None,
         sigma_fit=max(0.0, -slope),
         fit_range=(m_lo, m_hi),
         residual=resid,
-        lower_bound=lower_bound,
     )
 
 
@@ -280,7 +278,7 @@ def lipschitz_check(trace) -> BoundReport:
     first = states[0]
     absn = geometry(first.N).absn
     nsq = absn**2
-    E = 0.5 * (sobolev_norm(first.V, 0.0) ** 2 + sobolev_norm(first.B, 0.0) ** 2)
+    E = 0.5 * _energy_s(first, 0.0)
     if E == 0.0:
         return BoundReport("LIP47", 0.0, states[-1].t, 0.0, 0.0, 0.0, [],
                            "vacuous", "zero initial data")

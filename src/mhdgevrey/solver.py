@@ -81,6 +81,8 @@ class SolverConfig:
             raise ConfigError("diffusivities must be positive")
         if self.output_stride < 1:
             raise ConfigError("output_stride must be >= 1")
+        if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
+            raise ConfigError("checkpoint_stride must be >= 1")
         if self.scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r" % self.scheme)
 
@@ -89,22 +91,19 @@ class SolverConfig:
 
 
 @lru_cache(maxsize=8)
-def _plan(N: int, M: int | None = None):
+def _plan(N: int):
     """Gather indices for the exact convolution of two radius-N balls.
 
     The product of two fields supported in |n| <= N has modes up to 2N per
-    component; a grid of M >= 3N+1 points per dimension (default: the
-    smallest fast size) keeps every retained mode alias-free, so the
-    truncated convolution computed through physical space is exact to
-    roundoff.  Only the pencils that hold the ball are transformed: the
-    spectral box has shape (2N+1, M, N+1) over (n1, n2 mod M, n3).  Inputs
-    are read at the ball rows with n3 >= 0; outputs are gathered on the
-    canonical half ball and expanded by conjugation.
+    component; a grid of M >= 3N+1 points per dimension (the smallest fast
+    size) keeps every retained mode alias-free, so the truncated
+    convolution computed through physical space is exact to roundoff.  Only
+    the pencils that hold the ball are transformed: the spectral box has
+    shape (2N+1, M, N+1) over (n1, n2 mod M, n3).  Inputs are read at the
+    ball rows with n3 >= 0; outputs are gathered on the canonical half ball
+    and expanded by conjugation.
     """
-    if M is None:
-        M = next_fast_len(3 * N + 1, real=True)
-    if M < 3 * N + 1:
-        raise ConfigError("convolution grid must have at least 3N+1 points")
+    M = next_fast_len(3 * N + 1, real=True)
     g = geometry(N)
     mo = g.modes
     box = ((mo[:, 0] + N) * M + mo[:, 1] % M) * (N + 1) + mo[:, 2]
@@ -216,16 +215,15 @@ def _cross(x, y):
     )
 
 
-def nonlinear_rhs_fast(state: MhdState, grid: int | None = None):
+def nonlinear_rhs_fast(state: MhdState):
     """Nonlinear terms via pruned padded transforms; exact convolution on the
     ball.
 
     Momentum in divergence form, -i P_n (n_j T_ij) with T = V V - B B, and
-    induction as i n x (V x B)^hat: 6 inverse and 9 forward transforms on a
-    grid of ``grid`` points per dimension (default: the smallest fast size
-    >= 3N+1).
+    induction as i n x (V x B)^hat: 6 inverse and 9 forward transforms on
+    the smallest fast grid of at least 3N+1 points per dimension.
     """
-    plan = _plan(state.N) if grid is None else _plan(state.N, grid)
+    plan = _plan(state.N)
     phys = _to_phys([state.V, state.B], plan)
     return _rhs_from_products(_products(phys[:3], phys[3:]), plan)
 
@@ -266,34 +264,7 @@ def full_rhs(state: MhdState):
     return _diffusion(state, *nonlinear_rhs_fast(state))
 
 
-# -- bilinear kernels and the second time derivative -------------------------
-
-
-def advection_bilinear(X: SpectralField, Y: SpectralField):
-    """-i P_n sum_k (X_{n-k}.k) Y_k for solenoidal X, via exact transforms."""
-    if X.N != Y.N:
-        raise DomainError("mismatched truncation radii")
-    plan = _plan(X.N)
-    phys = _to_phys([X, Y], plan)
-    x, y = phys[:3], phys[3:]
-    spec = _to_spec((x[j] * y[i] for i in range(3) for j in range(3)), plan)
-    n = plan.n
-    out = np.stack(
-        [-1j * sum(n[:, j] * spec[3 * i + j] for j in range(3)) for i in range(3)],
-        axis=-1,
-    )
-    return _ball(_project_half(out, plan), plan)
-
-
-def induction_bilinear(X: SpectralField, Y: SpectralField):
-    """i n x sum_k (X_{n-k} x Y_k) via exact transforms."""
-    if X.N != Y.N:
-        raise DomainError("mismatched truncation radii")
-    plan = _plan(X.N)
-    phys = _to_phys([X, Y], plan)
-    x, y = phys[:3], phys[3:]
-    spec = _to_spec(_cross(x, y), plan)
-    return _ball(1j * np.cross(plan.n, spec.T), plan)
+# -- the second time derivative ---------------------------------------------
 
 
 def _linearised_products(v, b, dv, db):
@@ -327,66 +298,55 @@ def second_time_derivative(state: MhdState, rhs=None):
 
 @lru_cache(maxsize=32)
 def _decay_factors(N: int, nu: float, eta: float, dt: float):
+    """The integrating factors of the stacked pair (V, B) over dt and dt/2,
+    each of shape (2, K, 1)."""
     nsq = geometry(N).nsq.astype(float)[:, None]
-    return (
-        np.exp(-nu * nsq * dt),
-        np.exp(-eta * nsq * dt),
-        np.exp(-nu * nsq * (dt / 2)),
-        np.exp(-eta * nsq * (dt / 2)),
-    )
-
-
-def _nl_pair(vc, bc, N, fast):
-    st = MhdState(SpectralField(N, vc), SpectralField(N, bc))
-    f = nonlinear_rhs_fast(st) if fast else nonlinear_rhs_direct(st)
-    return f[0].coeffs, f[1].coeffs
+    return tuple(np.stack([np.exp(-nu * nsq * h), np.exp(-eta * nsq * h)])
+                 for h in (dt, dt / 2))
 
 
 def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
          fast: bool = True, *, _nl=None) -> MhdState:
     """One integrating-factor Runge-Kutta step of size dt.
 
-    ``_nl`` is private: ``simulate`` hands over the ``nonlinear_rhs_fast``
-    value of ``state`` that its sample row already computed, so the first
-    stage does not evaluate it again.
+    V and B advance together as one (2, K, 3) array u, with integrating
+    factors e = e^{-kappa |n|^2 dt} and e2 = e^{-kappa |n|^2 dt/2} (kappa is
+    nu for V and eta for B).  ``_nl`` is private: ``simulate`` hands over the
+    ``nonlinear_rhs_fast`` value of ``state`` that its sample row already
+    computed, so the first stage does not evaluate it again.
     """
     if not dt > 0:
         raise DomainError("dt must be positive")
     if scheme not in SCHEMES:
         raise ConfigError("unknown scheme %r" % scheme)
     N = state.N
-    ev, eb, ev2, eb2 = _decay_factors(N, state.nu, state.eta, dt)
-    v0, b0 = state.V.coeffs, state.B.coeffs
+    e, e2 = _decay_factors(N, state.nu, state.eta, dt)
 
+    def stacked(pair):
+        return np.stack([w.coeffs for w in pair])
+
+    def nl(u):
+        # looked up per call, so a patched or traced module function is used
+        rhs = nonlinear_rhs_fast if fast else nonlinear_rhs_direct
+        return stacked(rhs(MhdState(SpectralField(N, u[0]), SpectralField(N, u[1]))))
+
+    u0 = stacked((state.V, state.B))
     # Overflow is how blow-up manifests; detect it below instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0, _nl)
-
-
-def _step_stages(state, dt, scheme, fast, ev, eb, ev2, eb2, v0, b0, nl):
-    N = state.N
-    if nl is None:
-        k1v, k1b = _nl_pair(v0, b0, N, fast)
-    else:
-        k1v, k1b = nl[0].coeffs, nl[1].coeffs
-    if scheme == "integrating-factor-RK2":
-        vp = ev * (v0 + dt * k1v)
-        bp = eb * (b0 + dt * k1b)
-        k2v, k2b = _nl_pair(vp, bp, N, fast)
-        vn = ev * v0 + 0.5 * dt * (ev * k1v + k2v)
-        bn = eb * b0 + 0.5 * dt * (eb * k1b + k2b)
-    else:
-        k2v, k2b = _nl_pair(ev2 * (v0 + 0.5 * dt * k1v), eb2 * (b0 + 0.5 * dt * k1b), N, fast)
-        k3v, k3b = _nl_pair(ev2 * v0 + 0.5 * dt * k2v, eb2 * b0 + 0.5 * dt * k2b, N, fast)
-        k4v, k4b = _nl_pair(ev * v0 + dt * ev2 * k3v, eb * b0 + dt * eb2 * k3b, N, fast)
-        vn = ev * v0 + (dt / 6.0) * (ev * k1v + 2.0 * ev2 * (k2v + k3v) + k4v)
-        bn = eb * b0 + (dt / 6.0) * (eb * k1b + 2.0 * eb2 * (k2b + k3b) + k4b)
-
-    t_new = state.t + dt
-    if not (np.all(np.isfinite(vn.view(np.float64))) and np.all(np.isfinite(bn.view(np.float64)))):
-        raise BlowUpError(t_new, state)
-    Vn = project_solenoidal(SpectralField(N, vn))
-    return replace(state, V=Vn, B=SpectralField(N, bn), t=t_new)
+        k1 = nl(u0) if _nl is None else stacked(_nl)
+        if scheme == "integrating-factor-RK2":
+            k2 = nl(e * (u0 + dt * k1))
+            un = e * u0 + 0.5 * dt * (e * k1 + k2)
+        else:
+            k2 = nl(e2 * (u0 + 0.5 * dt * k1))
+            k3 = nl(e2 * u0 + 0.5 * dt * k2)
+            k4 = nl(e * u0 + dt * e2 * k3)
+            un = e * u0 + (dt / 6.0) * (e * k1 + 2.0 * e2 * (k2 + k3) + k4)
+        t_new = state.t + dt
+        if not np.all(np.isfinite(un.view(np.float64))):
+            raise BlowUpError(t_new, state)
+        Vn = project_solenoidal(SpectralField(N, un[0]))
+    return replace(state, V=Vn, B=SpectralField(N, un[1]), t=t_new)
 
 
 # -- initial conditions ------------------------------------------------------
@@ -486,13 +446,13 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     nl=None):
     """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
     has it; otherwise it is evaluated here when a column needs it."""
-    from .transform import _sigma_pairing, transform
+    from .transform import _energy_s, _sigma_pairing, transform
 
     if nl is None and _row_uses_nl(spec):
         nl = nonlinear_rhs_fast(state)
 
     row = {"t": state.t}
-    row["energy"] = 0.5 * (sobolev_norm(state.V, 0.0) ** 2 + sobolev_norm(state.B, 0.0) ** 2)
+    row["energy"] = 0.5 * _energy_s(state, 0.0)
     row["diss_v"] = state.nu * sobolev_norm(state.V, 1.0) ** 2
     row["diss_b"] = state.eta * sobolev_norm(state.B, 1.0) ** 2
     for s in spec.s_grid:

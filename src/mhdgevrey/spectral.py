@@ -144,7 +144,7 @@ class SpectralField:
 
     # -- invariants --------------------------------------------------------
 
-    def validate(self, tol_div: float = TOL_DIV) -> "SpectralField":
+    def validate(self) -> "SpectralField":
         g = geometry(self.N)
         c = self.coeffs
         if not np.all(np.isfinite(c.view(np.float64))):
@@ -158,7 +158,7 @@ class SpectralField:
         dots = np.abs(np.einsum("kc,kc->k", c, g.modes.astype(float)))
         # floor at the field scale: a mode annihilated by projection carries
         # only roundoff and must not fail a purely relative check
-        lim = tol_div * np.maximum(np.linalg.norm(c, axis=1) * g.absn, scale)
+        lim = TOL_DIV * np.maximum(np.linalg.norm(c, axis=1) * g.absn, scale)
         if np.any(dots > np.maximum(lim, 0.0)):
             k = int(np.argmax(dots - lim))
             raise FieldInvariantError(

@@ -199,7 +199,7 @@ class PhiState:
     def __post_init__(self):
         if not (0.0 < self.phi <= 1.0):
             raise DomainError("phi must lie in (0, 1]")
-        e = sobolev_norm(self.V, 1.5) ** 2 + sobolev_norm(self.B, 1.5) ** 2
+        e = _energy_s(self, 1.5)
         if abs(self.phi - (1.0 + e) ** -0.5) > PHI_FIXED_POINT_TOL * self.phi:
             raise DomainError("phi is not the fixed point of the weighted fields")
 
@@ -319,6 +319,13 @@ def _sigma_p_direct(phi_state: PhiState, p: float) -> float:
 # -- balance residual of the weighted system -----------------------------------
 
 
+def _balance_terms(ps):
+    """E~_2 = ||v~||_2^2 + ||b~||_2^2 and the weighted dissipation
+    nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 of the weighted-energy balance."""
+    return (_energy_s(ps, 2.0),
+            ps.nu * sobolev_norm(ps.V, 2.5) ** 2 + ps.eta * sobolev_norm(ps.B, 2.5) ** 2)
+
+
 def balance_residual(samples) -> float:
     """Midpoint residual of the weighted-energy balance along samples.
 
@@ -331,9 +338,8 @@ def balance_residual(samples) -> float:
         raise DomainError("need at least two consecutive samples")
     vals = []
     for ps in samples:
-        e32 = sobolev_norm(ps.V, 1.5) ** 2 + sobolev_norm(ps.B, 1.5) ** 2
-        e2 = sobolev_norm(ps.V, 2.0) ** 2 + sobolev_norm(ps.B, 2.0) ** 2
-        diss = ps.nu * sobolev_norm(ps.V, 2.5) ** 2 + ps.eta * sobolev_norm(ps.B, 2.5) ** 2
+        e32 = _energy_s(ps, 1.5)
+        e2, diss = _balance_terms(ps)
         pref = 0.5 * (1.0 + ps.delta * ps.phi**3 * e2)
         vals.append((ps.t, e32, pref, diss, sigma_p(ps, 3.0)))
     worst = 0.0

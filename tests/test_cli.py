@@ -137,6 +137,26 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"safety": 2.0, "entries": {"C[0.5]": {"val', "line 1 column"),
+        ("[1, 2]", "must be an object"),
+        ('{"entries": {"C[0.5]": {"value": "2.5", "provenance": "estimated"}}}',
+         "constant C[0.5] must be a positive number"),
+        ('{"safety": "x", "entries": {}}', "safety must be a positive number"),
+    ], ids=["truncated", "not_an_object", "string_value", "string_safety"])
+    def test_corrupt_table_is_a_usage_error(self, tmp_path, capsys, text, message):
+        # a truncated table used to end in a JSONDecodeError traceback, a
+        # non-object one in an AttributeError, a string value or safety
+        # factor in a TypeError once a constant is read or estimated
+        bad = tmp_path / "broken.json"
+        bad.write_text(text)
+        cfg = write_config(tmp_path)
+        assert main(["run", cfg, "--out", str(tmp_path / "x"),
+                     "--table", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s: " % bad)
+        assert message in err[0]
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blow_up_exit_code(self, tmp_path, table_json, capsys):
         cfg = write_config(

@@ -145,6 +145,18 @@ class TestConstantsTable:
         t2 = ConstantsTable.from_json(path)
         assert t2.snapshot() == table.snapshot()
 
+    def test_failed_write_leaves_no_file(self, table, tmp_path, monkeypatch):
+        import mhdgevrey.constants as constants
+
+        def dump_then_fail(obj, f, **kwargs):
+            f.write('{"entries": {')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(constants.json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            table.to_json(tmp_path / "table.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_reestimate_doubles_trials_and_keeps_max(self):
         t = build_table(s_values=(0.5,), trials=8)
         key = t.skey_C(0.5)
