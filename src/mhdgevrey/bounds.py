@@ -222,7 +222,7 @@ def d3_constant(Q, nu, eta, s, table):
     """Uniform-in-time RHS for derivative norms at s < -5/2 (E0~ <= 4Q)."""
     if s >= -2.5:
         raise DomainError("d3 requires s < -5/2")
-    cp = table.cp(-s - 1.0)
+    cp = table.ensure_cp(-s - 1.0)
     e0max = 4.0 * Q
     return 2.0 * (max(nu**2, eta**2) * e0max + cp**2 * e0max**2)
 
@@ -676,11 +676,11 @@ def _p52(d, s):
              + 2.0 * state.eta * sobolev_inner(dB, d2B, s + 1.0))
     lhs = sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
     names = _ensure_C(table, 0.5, 1.0)
-    table.ensure_cp(-s - 2.0)
+    cp = table.ensure_cp(-s - 2.0)
     e1 = _energy_s(state, 1.0)
     return names, lambda: _Eval(lhs, (
         20.0
-        * table.cp(-s - 2.0) ** 2
+        * cp**2
         * c_second_tilde(state.nu, state.eta, d.e_init, table)
         * (e1**2 + e1**2.5)
     ))

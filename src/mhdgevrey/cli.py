@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    table = build_table(s_values=(), safety=args.safety)
+    table = ConstantsTable(safety=args.safety)
     for s in args.s or []:
         table.ensure_C(s, resolution=args.resolution, trials=args.trials,
                        seed=args.seed)

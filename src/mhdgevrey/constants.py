@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfft, irfft, rfftn
@@ -102,66 +103,35 @@ def certified_cp(p: float, radius: int = 1000) -> float:
 # -- empirical embedding constants C_s ---------------------------------------
 
 
-def _random_scalar_spectrum(rng, K0: int, decay: float) -> np.ndarray:
-    """Random zero-mean hermitian spectrum cube for modes |n|_inf <= K0."""
-    size = 2 * K0 + 1
-    c = rng.standard_normal((size, size, size)) + 1j * rng.standard_normal((size, size, size))
+class _Lattice(NamedTuple):
+    nsq: np.ndarray       # |n|^2 per row
+    box: np.ndarray       # flat rfft-box position of n, or of -n where n3 < 0
+    mirrored: np.ndarray  # the rows with n3 < 0, read from -n by conjugation
+
+
+@lru_cache(maxsize=8)
+def _trial_lattice(K0: int, M: int) -> _Lattice:
+    """The cube |n|_inf <= K0 as flat rows in lexicographic order, so row
+    L-1-i holds -n as in ``spectral.geometry``, placed in the rfftn box
+    (M, M, M//2+1) of an M^3 grid."""
     r = np.arange(-K0, K0 + 1)
-    n1, n2, n3 = np.meshgrid(r, r, r, indexing="ij")
-    absn = np.sqrt((n1 * n1 + n2 * n2 + n3 * n3).astype(float))
-    with np.errstate(divide="ignore"):
-        prof = np.exp(-decay * absn)
-    c *= prof
-    c[K0, K0, K0] = 0.0
-    c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
-    return c
+    n = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    mirrored = n[:, 2] < 0
+    h = np.where(mirrored[:, None], -n, n) % M
+    box = (h[:, 0] * M + h[:, 1]) * (M // 2 + 1) + h[:, 2]
+    lat = _Lattice(np.einsum("ki,ki->k", n, n).astype(float), box, mirrored)
+    for a in lat:  # shared by every caller through the cache
+        a.flags.writeable = False
+    return lat
 
 
-def _scalar_ratio(spec: np.ndarray, K0: int, s: float, M: int) -> tuple[float, np.ndarray]:
-    """Ratio |f|_q / ||f||_s for the scalar field with spectrum cube `spec`.
-
-    Also returns the physical samples so the caller can run ascent steps.
-    """
-    q = 6.0 / (3.0 - 2.0 * s)
-    r = np.arange(-K0, K0 + 1)
-    n1, n2, n3 = np.meshgrid(r, r, r, indexing="ij")
-    nsq = (n1 * n1 + n2 * n2 + n3 * n3).astype(float)
-    half = np.zeros((M, M, M // 2 + 1), dtype=np.complex128)
-    keep = n3 >= 0
-    half[n1[keep] % M, n2[keep] % M, n3[keep]] = spec[keep]
-    phys = irfftn(half, s=(M, M, M)) * (M**3)
-    lq = float(np.mean(np.abs(phys) ** q) ** (1.0 / q))
-    with np.errstate(divide="ignore"):
-        wsq = nsq**s
-    wsq[K0, K0, K0] = 0.0
-    hs = math.sqrt(float(np.sum(np.abs(spec) ** 2 * wsq)))
-    return (lq / hs if hs > 0 else 0.0), phys
-
-
-def _ascent_step(phys: np.ndarray, K0: int, s: float, M: int) -> np.ndarray:
-    """One fixed-point step for the L^q/H_s Rayleigh quotient.
-
-    The maximiser satisfies |f|^{q-2} f proportional to (-lap)^s f, so we
-    push the current iterate through |f|^{q-2} f, divide the spectrum by
-    |n|^{2s}, and truncate back to the trial ball.
-    """
-    q = 6.0 / (3.0 - 2.0 * s)
-    g = np.abs(phys) ** (q - 2.0) * phys
-    spec_half = rfftn(g) / (M**3)
-    r = np.arange(-K0, K0 + 1)
-    n1, n2, n3 = np.meshgrid(r, r, r, indexing="ij")
-    nsq = (n1 * n1 + n2 * n2 + n3 * n3).astype(float)
-    keep = n3 >= 0
-    vals = np.zeros((2 * K0 + 1,) * 3, dtype=np.complex128)
-    vals[keep] = spec_half[n1[keep] % M, n2[keep] % M, n3[keep]]
-    vals = np.where(n3 < 0, np.conj(vals[::-1, ::-1, ::-1]), vals)
-    with np.errstate(divide="ignore"):
-        w = nsq ** (-s)
-    w[K0, K0, K0] = 0.0
-    vals = vals * w
-    vals[K0, K0, K0] = 0.0
-    nrm = float(np.max(np.abs(vals)))
-    return vals / nrm if nrm > 0 else vals
+def _random_scalar_spectrum(rng, lat: _Lattice, decay: float) -> np.ndarray:
+    """Random zero-mean hermitian spectrum on the rows of a trial lattice."""
+    L = len(lat.nsq)
+    c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    c *= np.exp(-decay * np.sqrt(lat.nsq))
+    c[L // 2] = 0.0
+    return 0.5 * (c + np.conj(c[::-1]))
 
 
 # Fixed-point ascent steps per trial field of estimate_Cs.
@@ -180,33 +150,51 @@ def estimate_Cs(
     Maximises |f|_q / ||f||_s over seeded random scalar trial fields followed
     by fixed-point ascent, then multiplies by the safety factor.  Deterministic
     for a fixed seed; a running maximum, so more trials never decrease it.
+    The maximiser satisfies |f|^{q-2} f proportional to (-lap)^s f, so each
+    ascent step maps f to the trial-lattice part of |f|^{q-2} f divided by
+    |n|^{2s}, normalised to maximum modulus 1.
     """
     if not (0.0 < s < 1.5):
         raise DomainError("estimate_Cs requires 0 < s < 3/2")
+    if resolution < 2 or trials < 0:
+        raise DomainError("estimate_Cs requires resolution >= 2 and trials >= 0")
     K0 = max(2, resolution // 2)
     M = next_fast_len(2 * resolution + 1, real=True)
-    best = 0.0
+    lat = _trial_lattice(K0, M)
+    q = 6.0 / (3.0 - 2.0 * s)
+    up = lat.nsq**s  # |n|^{2s}; down is |n|^{-2s}; both are 0 at n = 0
+    down = np.zeros_like(up)
+    np.power(lat.nsq, -s, out=down, where=lat.nsq > 0)
+    own = ~lat.mirrored
+    put = lat.box[own]
+    half = np.zeros((M, M, M // 2 + 1), dtype=np.complex128)
     # The single-mode field cos(x3) is always admissible and anchors the max.
-    single = np.zeros((2 * K0 + 1,) * 3, dtype=np.complex128)
-    single[K0, K0, K0 + 1] = 0.5
-    single[K0, K0, K0 - 1] = 0.5
+    single = np.zeros(len(lat.nsq), dtype=np.complex128)
+    single[len(single) // 2 + np.array([-1, 1])] = 0.5
     candidates = [single]
     # One child stream per trial keeps the candidate list prefix-stable, so
     # raising `trials` only appends candidates and the max never decreases.
     for i in range(trials):
         tr = np.random.default_rng((seed, i))
-        d = tr.uniform(0.2, 1.5)
-        candidates.append(_random_scalar_spectrum(tr, K0, float(d)))
+        candidates.append(_random_scalar_spectrum(tr, lat, float(tr.uniform(0.2, 1.5))))
+    best = 0.0
     for spec in candidates:
-        cur = spec
-        for _ in range(ASCENT_STEPS):
-            ratio, phys = _scalar_ratio(cur, K0, s, M)
-            if ratio > best:
-                best = ratio
-            cur = _ascent_step(phys, K0, s, M)
-        ratio, _ = _scalar_ratio(cur, K0, s, M)
-        if ratio > best:
-            best = ratio
+        for step in range(ASCENT_STEPS + 1):
+            half.reshape(-1)[put] = spec[own]
+            f = irfftn(half, s=(M, M, M), norm="forward")
+            # with a = |f| / max|f| <= 1 the one power a^{q-2} cannot overflow
+            a = np.abs(f)
+            amax = float(a.max())
+            a /= amax
+            g = a ** (q - 2.0)
+            lq = amax * float(np.mean(g * a * a)) ** (1.0 / q)
+            best = max(best, lq / math.sqrt(float(np.sum(np.abs(spec) ** 2 * up))))
+            if step == ASCENT_STEPS:
+                break
+            vals = rfftn(g * f, norm="forward").reshape(-1)[lat.box]
+            vals[lat.mirrored] = np.conj(vals[lat.mirrored])
+            vals *= down
+            spec = vals / np.max(np.abs(vals))
     return best * safety
 
 
@@ -248,17 +236,19 @@ class ConstantsTable:
         if self.provenance(name) != "estimated":
             return self.entries.get(name, {}).get("value")
         params = self.meta.get("estimation", {}).get(name, {})
-        res = params.get("resolution", 16)
-        trials = 2 * params.get("trials", 24)
-        seed = params.get("seed", 0)
-        s = float(name[2:-1])
-        val = max(
-            self.entries[name]["value"],
-            estimate_Cs(s, resolution=res, trials=trials, seed=seed, safety=self.safety),
-        )
-        self._put(name, val, "estimated")
-        self.meta.setdefault("estimation", {})[name] = {
-            "resolution": res,
+        return self._estimate_C(float(name[2:-1]), params.get("resolution", 16),
+                                2 * params.get("trials", 24), params.get("seed", 0))
+
+    def _estimate_C(self, s: float, resolution: int, trials: int, seed: int) -> float:
+        """Estimate C_s, keep the larger of it and any earlier estimate, and
+        record the estimation parameters."""
+        key = self.skey_C(s)
+        val = max(self.entries.get(key, {}).get("value", 0.0),
+                  estimate_Cs(s, resolution=resolution, trials=trials, seed=seed,
+                              safety=self.safety))
+        self._put(key, val, "estimated")
+        self.meta.setdefault("estimation", {})[key] = {
+            "resolution": resolution,
             "trials": trials,
             "seed": seed,
             "safety": self.safety,
@@ -294,26 +284,18 @@ class ConstantsTable:
     def ensure_C(self, s: float, resolution: int = 16, trials: int = 24, seed: int = 0):
         """Estimate (or recall) the embedding constant C_s."""
         s = float(s)
-        key = "C[%s]" % _skey(s)
+        key = self.skey_C(s)
         if key in self.entries:
             return self.entries[key]["value"]
         if s == 0.0:
             # |f|_2 = ||f||_0 with the (2pi)^-3 normalised measure (Parseval).
             self._put(key, 1.0, "exact")
             return 1.0
-        val = estimate_Cs(s, resolution=resolution, trials=trials, seed=seed, safety=self.safety)
-        self._put(key, val, "estimated")
-        self.meta.setdefault("estimation", {})[key] = {
-            "resolution": resolution,
-            "trials": trials,
-            "seed": seed,
-            "safety": self.safety,
-        }
-        return val
+        return self._estimate_C(s, resolution, trials, seed)
 
     def C(self, s: float) -> float:
         s = float(s)
-        key = "C[%s]" % _skey(s)
+        key = self.skey_C(s)
         if key not in self.entries:
             if s == 0.0:
                 return self.ensure_C(0.0)
@@ -321,16 +303,13 @@ class ConstantsTable:
         return self.entries[key]["value"]
 
     def ensure_cp(self, p: float, radius: int = 1000):
-        p = float(p)
-        key = "c[%s]" % _skey(p)
+        """Certify (or recall) the sup-norm embedding constant c_p."""
+        key = self.skey_cp(p)
         if key in self.entries:
             return self.entries[key]["value"]
         val = certified_cp(p, radius=radius)
         self._put(key, val, "certified-upper")
         return val
-
-    def cp(self, p: float) -> float:
-        return self.ensure_cp(p)
 
     # -- derived products ----------------------------------------------------
 
@@ -379,8 +358,8 @@ class ConstantsTable:
                 and isinstance(snap.get("meta", {}), dict)):
             raise ConfigError("a constants table must be an object whose entries "
                               "and meta are objects")
-        # the rule of _put: an estimate that overflowed to inf is kept (its
-        # bounds report as informational), a nan or nonpositive value is not
+        # the rule of _put: an infinite value is kept (its bounds report as
+        # informational), a nan or nonpositive one is not
         values = {"safety": snap.get("safety", 2.0)}
         for name, e in snap.get("entries", {}).items():
             values["constant " + name] = e.get("value") if isinstance(e, dict) else None
@@ -401,15 +380,9 @@ class ConstantsTable:
             raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
-def build_table(
-    s_values=(0.5, 0.75, 1.0),
-    resolution: int = 16,
-    trials: int = 24,
-    seed: int = 0,
-    safety: float = 2.0,
-) -> ConstantsTable:
+def build_table(s_values=(0.5, 0.75, 1.0), trials: int = 24) -> ConstantsTable:
     """Build a table with the embedding constants the verifiers need."""
-    t = ConstantsTable(safety=safety)
+    t = ConstantsTable()
     for s in s_values:
-        t.ensure_C(s, resolution=resolution, trials=trials, seed=seed)
+        t.ensure_C(s, trials=trials)
     return t

@@ -16,6 +16,10 @@ class GevreyOverflowError(OverflowError):
 class MissingConstantError(KeyError):
     """A required constants-table entry is absent."""
 
+    def __str__(self):
+        # the message itself, not the repr that KeyError prints
+        return Exception.__str__(self)
+
 
 class ConfigError(ValueError):
     """Invalid run configuration."""

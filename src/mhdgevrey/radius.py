@@ -45,15 +45,6 @@ def default_fit_shells(N: int) -> tuple:
     return max(3, N // 4), (3 * N) // 4
 
 
-def _fit_loglinear(ms, amps):
-    """Least-squares slope/intercept of log(amp) vs shell index."""
-    ms = np.asarray(ms, dtype=float)
-    logs = np.log(np.asarray(amps, dtype=float))
-    slope, intercept = np.polyfit(ms, logs, 1)
-    resid = logs - (slope * ms + intercept)
-    return float(slope), float(np.sqrt(np.mean(resid**2)))
-
-
 def _shell_amplitudes(fields, m_lo, m_hi):
     """Combined rms shell amplitudes of one or more fields on [m_lo, m_hi]."""
     total = {}
@@ -65,23 +56,33 @@ def _shell_amplitudes(fields, m_lo, m_hi):
     return ms, [math.sqrt(total[m]) for m in ms]
 
 
+def _fit(fields, N, m_lo, m_hi):
+    """Least-squares fit of log(combined shell amplitude) vs shell index over
+    the window (default ``default_fit_shells(N)``); None when fewer than 3
+    shells of the window are populated."""
+    lo, hi = default_fit_shells(N)
+    m_lo = lo if m_lo is None else int(m_lo)
+    m_hi = hi if m_hi is None else int(m_hi)
+    if not (m_lo < m_hi <= N):
+        raise DomainError("fit shells must satisfy m_lo < m_hi <= N")
+    ms, amps = _shell_amplitudes(fields, m_lo, m_hi)
+    if len(ms) < 3:
+        return None
+    ms = np.asarray(ms, dtype=float)
+    logs = np.log(np.asarray(amps, dtype=float))
+    slope, intercept = np.polyfit(ms, logs, 1)
+    resid = logs - (slope * ms + intercept)
+    return RadiusEstimate(sigma_fit=max(0.0, -float(slope)), fit_range=(m_lo, m_hi),
+                          residual=float(np.sqrt(np.mean(resid**2))))
+
+
 def decay_fit(w: SpectralField, m_lo: int | None = None,
               m_hi: int | None = None) -> RadiusEstimate:
     """Fit log(shell amplitude) vs shell index; sigma_fit = -slope, floored at 0."""
-    lo, hi = default_fit_shells(w.N)
-    m_lo = lo if m_lo is None else int(m_lo)
-    m_hi = hi if m_hi is None else int(m_hi)
-    if not (m_lo < m_hi <= w.N):
-        raise DomainError("fit shells must satisfy m_lo < m_hi <= N")
-    ms, amps = _shell_amplitudes([w], m_lo, m_hi)
-    if len(ms) < 3:
+    est = _fit([w], w.N, m_lo, m_hi)
+    if est is None:
         raise DomainError("insufficient spectral range")
-    slope, resid = _fit_loglinear(ms, amps)
-    return RadiusEstimate(
-        sigma_fit=max(0.0, -slope),
-        fit_range=(m_lo, m_hi),
-        residual=resid,
-    )
+    return est
 
 
 def radius_check(trace, delta: float, m_lo: int | None = None,
@@ -91,7 +92,8 @@ def radius_check(trace, delta: float, m_lo: int | None = None,
     The fitted decay rate of the combined V/B shell spectrum is compared to
     the guaranteed lower bound delta * Phi(t).  Samples where the fit is
     impossible (fewer than 3 populated shells in the window) are skipped and
-    flagged instead of raising.
+    flagged instead of raising; a window that breaks m_lo < m_hi <= N raises
+    DomainError, as in ``decay_fit``.
     """
     states = trace.checkpoints()
     if not states:
@@ -100,21 +102,15 @@ def radius_check(trace, delta: float, m_lo: int | None = None,
     phis = trace.col("phi")
     rows = []
     for st in states:
-        phi = float(np.interp(st.t, ts, phis))
-        lower = delta * phi
-        lo, hi = default_fit_shells(st.N)
-        lo = lo if m_lo is None else int(m_lo)
-        hi = hi if m_hi is None else int(m_hi)
-        ms, amps = _shell_amplitudes([st.V, st.B], lo, hi)
-        if len(ms) < 3:
+        lower = delta * float(np.interp(st.t, ts, phis))
+        est = _fit([st.V, st.B], st.N, m_lo, m_hi)
+        if est is None:
             rows.append({"t": st.t, "sigma_fit": float("nan"),
                          "lower_bound": lower, "margin": float("nan"),
                          "flagged": True})
-            continue
-        slope, _ = _fit_loglinear(ms, amps)
-        sig = max(0.0, -slope)
-        rows.append({"t": st.t, "sigma_fit": sig, "lower_bound": lower,
-                     "margin": sig - lower, "flagged": False})
+        else:
+            rows.append({"t": st.t, "sigma_fit": est.sigma_fit, "lower_bound": lower,
+                         "margin": est.sigma_fit - lower, "flagged": False})
     return rows
 
 

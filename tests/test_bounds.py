@@ -174,11 +174,14 @@ class TestPointwise:
         assert rep.verdict == "pass"
 
     def test_p42_non_finite_rhs_never_passes(self, singlemode_state, table, delta_std):
-        # Near s = -5/2 the chain needs C_s at s -> 3/2, whose estimate
-        # overflows to inf; an infinite rhs must not make P42 hold.
-        fresh = m.ConstantsTable.from_snapshot(copy.deepcopy(table.snapshot()))
-        rep = verify_pointwise("P42", singlemode_state, fresh,
-                               delta=delta_std, s=-2.5 + 1e-9)
+        # Near s = -5/2 the chain needs C_s at s -> 3/2; a table may hold an
+        # infinite value there, and an infinite rhs must not make P42 hold.
+        s = -2.5 + 1e-9
+        snap = copy.deepcopy(table.snapshot())
+        snap["entries"][m.ConstantsTable.skey_C(-1.0 - s)] = {
+            "value": math.inf, "provenance": "estimated"}
+        fresh = m.ConstantsTable.from_snapshot(snap)
+        rep = verify_pointwise("P42", singlemode_state, fresh, delta=delta_std, s=s)
         assert not math.isfinite(rep.rhs)
         assert rep.verdict == "informational"
         assert "rhs not finite (C[1.49999999" in rep.note

@@ -157,6 +157,14 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: %s: " % bad)
         assert message in err[0]
 
+    def test_missing_constant_printed_plain(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"entries": {}}')
+        cfg = write_config(tmp_path)
+        assert main(["run", cfg, "--out", str(tmp_path / "x"),
+                     "--table", str(empty)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: constant C_s missing for s=0.5\n"
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blow_up_exit_code(self, tmp_path, table_json, capsys):
         cfg = write_config(
@@ -452,6 +460,27 @@ class TestConstantsCommand:
 
     def test_out_of_domain_s(self, capsys):
         assert main(["constants", "--s", "1.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("--resolution", "1"), ("--trials", "-1")])
+    def test_bad_estimator_arguments(self, tmp_path, capsys, flag, value):
+        # rejected before any estimate runs, so no table is written
+        out = tmp_path / "t.json"
+        assert main(["constants", "--s", "0.5", flag, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_table_near_three_halves_is_strict_json(self, tmp_path, capsys):
+        # the estimate near s = 3/2 is finite, so the table has no Infinity token
+        def reject(token):
+            raise ValueError("not JSON: %s" % token)
+
+        out = tmp_path / "t.json"
+        assert main(["constants", "--s", "1.499999999", "--trials", "0",
+                     "--out", str(out)]) == EXIT_OK
+        snap = json.loads(out.read_text(), parse_constant=reject)
+        assert math.isfinite(snap["entries"]["C[1.499999999]"]["value"])
 
 
 class TestSpectrumCommand:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ class TestEstimateCs:
             estimate_Cs(1.5)
         with pytest.raises(DomainError):
             estimate_Cs(0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"resolution": 1}, {"trials": -1}],
+                             ids=["resolution", "trials"])
+    def test_bad_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            estimate_Cs(0.5, **kwargs)
+
+    def test_finite_near_three_halves(self):
+        # q = 3e9 here; a power of |f| / max|f| <= 1 cannot overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = estimate_Cs(1.499999999, trials=0)
+        assert math.isfinite(c) and c > 0
 
 
 class TestConstantsTable:

@@ -88,6 +88,10 @@ class TestRadiusCheck:
             assert r["margin"] >= 0.0
             assert r["lower_bound"] > 0.0
 
+    def test_bad_window_rejected(self, random_trace, delta_std):
+        with pytest.raises(DomainError, match="m_lo < m_hi <= N"):
+            radius_check(random_trace, delta_std, m_lo=5, m_hi=3)
+
     def test_empty_spectrum_flagged_not_raised(self, tmp_path, delta_std):
         z = m.SpectralField.zeros(8)
         st = m.MhdState(V=z, B=z, nu=0.1, eta=0.1)
