@@ -40,6 +40,7 @@ from .errors import DomainError, TraceError
 from .solver import full_rhs, second_time_derivative
 from .spectral import (
     SpectralField,
+    _energy,
     fmt_s,
     geometry,
     gevrey_scale,
@@ -331,11 +332,7 @@ def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
 
 def derivative_norm_sq_via_xi(xi: XiFields, s: float) -> float:
     """||dU/dt||_s^2 from the xi route: sum |n|^{2s} e^{-2 delta Phi |n|}|xi|^2."""
-    w = -xi.delta * xi.phi
-    return (
-        sobolev_norm(gevrey_scale(xi.xi_v, w), s) ** 2
-        + sobolev_norm(gevrey_scale(xi.xi_b, w), s) ** 2
-    )
+    return _energy((xi.xi_v, xi.xi_b), s, -xi.delta * xi.phi)
 
 
 # -- the bound registry ------------------------------------------------------------
@@ -675,8 +672,8 @@ def _p52(d, s):
     drift = (2.0 * state.nu * sobolev_inner(dV, d2V, s + 1.0)
              + 2.0 * state.eta * sobolev_inner(dB, d2B, s + 1.0))
     lhs = sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
-    names = _ensure_C(table, 0.5, 1.0)
     cp = table.ensure_cp(-s - 2.0)
+    names = _ensure_C(table, 0.5, 1.0) + [table.skey_cp(-s - 2.0)]
     e1 = _energy_s(state, 1.0)
     return names, lambda: _Eval(lhs, (
         20.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import DomainError, TraceError
-from .spectral import SpectralField, fmt_s, geometry, shell_spectrum, sobolev_norm
+from .spectral import SpectralField, _energy, _mean_squares, fmt_s, geometry
 from .transform import _energy_s, _growth_envelope
 
 DEFAULT_FIT_FLOOR = 1e-300
@@ -45,17 +45,6 @@ def default_fit_shells(N: int) -> tuple:
     return max(3, N // 4), (3 * N) // 4
 
 
-def _shell_amplitudes(fields, m_lo, m_hi):
-    """Combined rms shell amplitudes of one or more fields on [m_lo, m_hi]."""
-    total = {}
-    for w in fields:
-        for m, amp in shell_spectrum(w):
-            if m_lo <= m <= m_hi:
-                total[m] = total.get(m, 0.0) + amp**2
-    ms = sorted(m for m, a in total.items() if a > DEFAULT_FIT_FLOOR)
-    return ms, [math.sqrt(total[m]) for m in ms]
-
-
 def _fit(fields, N, m_lo, m_hi):
     """Least-squares fit of log(combined shell amplitude) vs shell index over
     the window (default ``default_fit_shells(N)``); None when fewer than 3
@@ -65,11 +54,14 @@ def _fit(fields, N, m_lo, m_hi):
     m_hi = hi if m_hi is None else int(m_hi)
     if not (m_lo < m_hi <= N):
         raise DomainError("fit shells must satisfy m_lo < m_hi <= N")
-    ms, amps = _shell_amplitudes(fields, m_lo, m_hi)
-    if len(ms) < 3:
+    # squared combined rms amplitude of the fields on each shell of the window
+    ms = np.arange(m_lo, m_hi + 1)
+    amp2 = _mean_squares(fields)[ms - 1]
+    kept = amp2 > DEFAULT_FIT_FLOOR
+    if np.count_nonzero(kept) < 3:
         return None
-    ms = np.asarray(ms, dtype=float)
-    logs = np.log(np.asarray(amps, dtype=float))
+    ms = ms[kept].astype(float)
+    logs = 0.5 * np.log(amp2[kept])
     slope, intercept = np.polyfit(ms, logs, 1)
     resid = logs - (slope * ms + intercept)
     return RadiusEstimate(sigma_fit=max(0.0, -float(slope)), fit_range=(m_lo, m_hi),
@@ -255,8 +247,7 @@ def two_resolution_psi(trace_lo, trace_hi):
         N = sl.N
         du = SpectralField(N, _restrict(sh.V, N) - sl.V.coeffs)
         da = SpectralField(N, _restrict(sh.B, N) - sl.B.coeffs)
-        psi = sobolev_norm(du, 1.0) ** 2 + sobolev_norm(da, 1.0) ** 2
-        rows.append((float(sl.t), float(psi)))
+        rows.append((float(sl.t), _energy((du, da), 1.0)))
     return rows
 
 

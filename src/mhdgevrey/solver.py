@@ -26,6 +26,7 @@ from .spectral import (
     gevrey_norm,
     lq_norm,
     project_solenoidal,
+    shell_spectrum,
     sobolev_norm,
     wiener_norm,
 )
@@ -446,7 +447,7 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     nl=None):
     """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
     has it; otherwise it is evaluated here when a column needs it."""
-    from .transform import _energy_s, _sigma_pairing, transform
+    from .transform import _balance_terms, _energy_s, _sigma_pairing, solve_phi, transform
 
     if nl is None and _row_uses_nl(spec):
         nl = nonlinear_rhs_fast(state)
@@ -478,28 +479,26 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                 gevrey_norm(state.V, w, s) ** 2 + gevrey_norm(state.B, w, s) ** 2
             )
     if spec.delta is not None:
-        ps = transform(state, spec.delta)
-        row["phi"] = ps.phi
+        # A Phi-weighted norm is the Gevrey norm of the state at index
+        # delta*Phi; the weighted fields are built only for the Sigma_3 pairing.
+        ps = transform(state, spec.delta) if spec.sigma3 else None
+        phi = ps.phi if ps else solve_phi(state.V, state.B, spec.delta)
+        dp = spec.delta * phi
+        row["phi"] = phi
         for s in spec.tilde_s:
-            row["tv_s%s" % fmt_s(s)] = sobolev_norm(ps.V, s)
-            row["tb_s%s" % fmt_s(s)] = sobolev_norm(ps.B, s)
-        tv1 = sobolev_norm(ps.V, 1.0)
-        tb1 = sobolev_norm(ps.B, 1.0)
-        tv2 = sobolev_norm(ps.V, 2.0)
-        tb2 = sobolev_norm(ps.B, 2.0)
-        dp2 = (spec.delta * ps.phi) ** 2
-        row["lhs29_integrand"] = state.nu * (tv1**2 + 4 * dp2 * tv2**2) + state.eta * (
-            tb1**2 + 4 * dp2 * tb2**2
+            row["tv_s%s" % fmt_s(s)] = gevrey_norm(state.V, dp, s)
+            row["tb_s%s" % fmt_s(s)] = gevrey_norm(state.B, dp, s)
+        tv1 = gevrey_norm(state.V, dp, 1.0)
+        tb1 = gevrey_norm(state.B, dp, 1.0)
+        tv2 = gevrey_norm(state.V, dp, 2.0)
+        tb2 = gevrey_norm(state.B, dp, 2.0)
+        row["lhs29_integrand"] = state.nu * (tv1**2 + 4 * dp**2 * tv2**2) + state.eta * (
+            tb1**2 + 4 * dp**2 * tb2**2
         )
         if spec.sigma3:
             row["sigma3"] = _sigma_pairing(ps, nl, 3.0)
-            row["tE2"] = tv2**2 + tb2**2
-            row["tdiss52"] = state.nu * sobolev_norm(ps.V, 2.5) ** 2 + state.eta * sobolev_norm(
-                ps.B, 2.5
-            ) ** 2
+            row["tE2"], row["tdiss52"] = _balance_terms(ps)
     if spec.shells:
-        from .spectral import shell_spectrum
-
         for m, amp in shell_spectrum(state.V):
             row["shv_%02d" % m] = amp
         for m, amp in shell_spectrum(state.B):

@@ -11,8 +11,9 @@ wavevector; the mean (n = 0) is not stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,11 +38,10 @@ class _Geometry:
         self.modes = lattice[ball]
         self.nsq = nsq[ball]
         self.absn = np.sqrt(self.nsq.astype(float))
-        # Stable descending sort makes every norm reduction run in one fixed order.
-        self.order = np.argsort(-self.absn, kind="stable")
-        neg_nsq, shell = np.unique(-self.nsq, return_inverse=True)
+        neg_nsq, shell, count = np.unique(-self.nsq, return_inverse=True, return_counts=True)
         self.shell = shell.ravel()
         self.shell_r = np.sqrt(-neg_nsq.astype(float))
+        self.shell_count = count
         k1, k2, k3 = self.modes.T
         self.canonical = (k3 > 0) | ((k3 == 0) & ((k2 > 0) | ((k2 == 0) & (k1 > 0))))
         self._keys = self._key(self.modes)
@@ -67,21 +67,16 @@ def geometry(N: int) -> _Geometry:
     ``modes`` lists the K wavevectors of the ball 0 < |n| <= N in
     lexicographic (n1, n2, n3) order; the ball is symmetric under n -> -n,
     so row K-1-i holds -modes[i].  ``nsq`` and ``absn`` give |n|^2 and |n|
-    per row, ``order`` a deterministic descending-|n| summation order and
-    ``rows(n)`` the row of each wavevector.  The shells of the ball
-    (distinct |n|) are listed largest first in ``shell_r``; ``shell`` gives
-    the shell index of each row.  ``canonical`` marks one mode of each
+    per row and ``rows(n)`` the row of each wavevector.  The shells of the
+    ball (distinct |n|) are listed largest first in ``shell_r``, with their
+    mode counts in ``shell_count``; ``shell`` gives the shell index of each
+    row.  ``canonical`` marks one mode of each
     conjugate pair: n3 > 0, or n3 = 0 and (n2, n1) lexicographically
     positive.
     """
     if N < 1:
         raise DomainError("truncation radius must be >= 1")
     return _Geometry(N)
-
-
-def _accumulate(contrib: np.ndarray, order: np.ndarray) -> float:
-    """Deterministic extended-precision sum of nonnegative contributions."""
-    return float(np.sum(contrib[order].astype(np.longdouble)))
 
 
 def leray_project(f, n):
@@ -109,6 +104,11 @@ class SpectralField:
             )
         if self.coeffs.dtype != np.complex128:
             raise FieldInvariantError("coefficients must be complex128")
+
+    @cached_property
+    def _shells(self):
+        # formed on first use; no code writes to coeffs after construction
+        return _shell_sums(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,44 +176,65 @@ def project_solenoidal(w: SpectralField) -> SpectralField:
 
 
 # -- norms -----------------------------------------------------------------
+# A norm weights |c_n| by a function of |n| alone, so it reads a field only
+# through its per-shell sums (``SpectralField._shells``, formed once per
+# field) and costs one sum over the at most N^2 shells.
 
 
-def _sq_magnitudes(w: SpectralField) -> np.ndarray:
-    vals = w.coeffs
-    return np.einsum("kc,kc->k", vals.real, vals.real) + np.einsum(
-        "kc,kc->k", vals.imag, vals.imag
-    )
+def _per_shell(N: int, values: np.ndarray) -> np.ndarray:
+    """Sums of per-mode values over each shell, largest shell first."""
+    g = geometry(N)
+    return np.bincount(g.shell, weights=values, minlength=len(g.shell_r))
+
+
+def _shell_sums(w: SpectralField):
+    """Per-shell sums of |c_n|^2 and of |c_n| over the ball of w."""
+    c = w.coeffs.view(np.float64)
+    sq = np.einsum("kc,kc->k", c, c)
+    return _per_shell(w.N, sq), _per_shell(w.N, np.sqrt(sq))
+
+
+def _shell_total(N: int, vals: np.ndarray, p: float, a: float = 0.0) -> float:
+    """Extended-precision sum over the shells, largest first, of
+    vals * |n|^p * e^{a|n|}."""
+    if a * N > _SAFE_EXP:
+        raise GevreyOverflowError("gevrey weight overflow")
+    r = geometry(N).shell_r
+    return float(np.sum(vals.astype(np.longdouble) * (r**p * np.exp(a * r))))
+
+
+def _radial_sum(N: int, values: np.ndarray, p: float, a: float = 0.0) -> float:
+    """Sum over the ball of per-mode values times |n|^p e^{a|n|}."""
+    return _shell_total(N, _per_shell(N, values), p, a)
+
+
+def _energy(fields, s: float, sigma: float = 0.0) -> float:
+    """Sum over the fields of ||w||^2 with the weight |n|^{2s} e^{2 sigma |n|}
+    (sigma of either sign)."""
+    return _shell_total(fields[0].N, sum(w._shells[0] for w in fields), 2.0 * s,
+                        2.0 * sigma)
 
 
 def sobolev_norm(w: SpectralField, s: float) -> float:
-    g = geometry(w.N)
-    contrib = _sq_magnitudes(w) * g.absn ** (2.0 * s)
-    return float(np.sqrt(_accumulate(contrib, g.order)))
+    return math.sqrt(_energy([w], s))
 
 
 def gevrey_norm(w: SpectralField, sigma: float, s: float) -> float:
     if sigma < 0:
         raise DomainError("gevrey index sigma must be >= 0")
-    if 2.0 * sigma * w.N > _SAFE_EXP:
-        raise GevreyOverflowError("gevrey weight overflow")
-    g = geometry(w.N)
-    contrib = _sq_magnitudes(w) * np.exp(2.0 * sigma * g.absn) * g.absn ** (2.0 * s)
-    return float(np.sqrt(_accumulate(contrib, g.order)))
+    return math.sqrt(_energy([w], s, sigma))
 
 
 def wiener_norm(w: SpectralField, s: float) -> float:
-    g = geometry(w.N)
-    contrib = np.sqrt(_sq_magnitudes(w)) * g.absn**s
-    return float(_accumulate(contrib, g.order))
+    return _shell_total(w.N, w._shells[1], s)
 
 
 def sobolev_inner(u: SpectralField, w: SpectralField, s: float) -> float:
     """Real part of the H_s pairing sum |n|^{2s} u_n . conj(w_n)."""
     if u.N != w.N:
         raise DomainError("mismatched truncation radii")
-    g = geometry(u.N)
-    contrib = np.einsum("kc,kc->k", u.coeffs, np.conj(w.coeffs)).real * g.absn ** (2.0 * s)
-    return float(np.sum(contrib[g.order].astype(np.longdouble)))
+    dots = np.einsum("kc,kc->k", u.coeffs.view(np.float64), w.coeffs.view(np.float64))
+    return _radial_sum(u.N, dots, 2.0 * s)
 
 
 def fmt_s(s: float) -> str:
@@ -221,18 +242,19 @@ def fmt_s(s: float) -> str:
     return ("%.12g" % float(s)).replace("-", "m")
 
 
+def _mean_squares(fields) -> np.ndarray:
+    """Mean over the modes of each integer shell m = round(|n|), m in [1, N],
+    of |c_n|^2 summed over the fields."""
+    N = fields[0].N
+    g = geometry(N)
+    m = np.rint(g.shell_r).astype(int)
+    return (np.bincount(m, weights=sum(w._shells[0] for w in fields), minlength=N + 1)[1:]
+            / np.bincount(m, weights=g.shell_count, minlength=N + 1)[1:])
+
+
 def shell_spectrum(w: SpectralField):
     """Root-mean-square amplitude per integer shell m = round(|n|), m in [1, N]."""
-    g = geometry(w.N)
-    m = np.rint(g.absn).astype(int)
-    acc = np.zeros(w.N + 2)
-    cnt = np.zeros(w.N + 2)
-    np.add.at(acc, m, _sq_magnitudes(w))
-    np.add.at(cnt, m, 1.0)
-    return [
-        (mm, float(np.sqrt(acc[mm] / cnt[mm])) if cnt[mm] else 0.0)
-        for mm in range(1, w.N + 1)
-    ]
+    return [(m, float(v)) for m, v in enumerate(np.sqrt(_mean_squares([w])), start=1)]
 
 
 def gevrey_scale(w: SpectralField, sigma: float) -> SpectralField:

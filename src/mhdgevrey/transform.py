@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GevreyOverflowError, TraceError
+from .errors import ConvergenceError, DomainError, TraceError
 from .spectral import (
-    _SAFE_EXP,
     SpectralField,
-    _sq_magnitudes,
+    _energy,
+    _radial_sum,
     geometry,
     gevrey_norm,
     gevrey_scale,
@@ -43,7 +43,8 @@ _MAX_BISECTIONS = 200
 
 
 def _energy_s(state, s: float) -> float:
-    return sobolev_norm(state.V, s) ** 2 + sobolev_norm(state.B, s) ** 2
+    """E_s = ||V||_s^2 + ||B||_s^2 of a state (or of a PhiState's weighted fields)."""
+    return _energy((state.V, state.B), s)
 
 
 class FoiasTemamResult(NamedTuple):
@@ -59,8 +60,9 @@ def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau,
 
     gamma is pinned to its largest admissible value (mn - sigma)/(C'_s (5/2 - s))
     unless given; with C'' = C_second(s, gamma), t_star = e0^{-2/(2s-1)}/C''
-    and q_s(tau) = (e0^{-2/(2s-1)} - C'' tau)^{-(s-1/2)}, nan from t_star on.
-    Zero data give t_star = inf and q_s = 0.
+    and q_s(tau) = e0 (1 - C'' tau e0^{2/(2s-1)})^{-(s-1/2)}
+    = e0 (1 - tau/t_star)^{-(s-1/2)}, which is e0 exactly at tau = 0 and nan
+    from t_star on.  Zero data give t_star = inf and q_s = 0.
     """
     cps = table.Cprime(s)
     if gamma is None:
@@ -70,9 +72,11 @@ def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau,
     c2 = table.C_second(s, gamma)
     if e0 == 0.0:
         return math.inf, np.zeros_like(tau, dtype=float)
-    a = e0 ** (-2.0 / (2.0 * s - 1.0))
-    base = a - c2 * tau
-    return a / c2, np.where(base > 0, base, np.nan) ** (-(s - 0.5))
+    t_star = e0 ** (-2.0 / (2.0 * s - 1.0)) / c2
+    if t_star == 0.0:  # e0^{2/(2s-1)} beyond the float range: no window
+        return 0.0, np.full(np.shape(tau), np.nan)
+    base = 1.0 - np.asarray(tau, dtype=float) / t_star
+    return t_star, e0 * np.where(base > 0, base, np.nan) ** (-(s - 0.5))
 
 
 def foias_temam_norms(state, t0: float, sigma: float, s: float, table,
@@ -116,33 +120,12 @@ def delta_max(table, nu: float, eta: float) -> float:
     return min(nu, eta) / (18.0 * math.sqrt(2.0) * table.Cprime_half())
 
 
-def _theta_of(V: SpectralField, B: SpectralField, delta: float):
-    """Theta as a function of Phi, for fixed fields and delta.
-
-    Theta depends on the fields only through the shell weights
-    w_m = r_m^3 sum_{|n| = r_m} (|V_n|^2 + |B_n|^2): one pass over the ball
-    forms them, and each evaluation sums w_m e^{2 delta Phi r_m} over the
-    shells, largest first, in extended precision.
-    """
+def _theta(V: SpectralField, B: SpectralField, delta: float, phi: float) -> float:
+    """Theta at Phi: one sum over the at most N^2 shells of the fields'
+    per-shell energies, weighted by |n|^3 e^{2 delta Phi |n|}."""
     if V.N != B.N:
         raise DomainError("mismatched truncation radii")
-    g = geometry(V.N)
-    energy = np.bincount(g.shell, weights=_sq_magnitudes(V) + _sq_magnitudes(B),
-                         minlength=len(g.shell_r))
-    weights = g.shell_r**3 * energy
-
-    def theta(phi):
-        sigma = delta * phi
-        if 2.0 * sigma * V.N > _SAFE_EXP:
-            raise GevreyOverflowError("gevrey weight overflow")
-        contrib = weights * np.exp(2.0 * sigma * g.shell_r)
-        return float(np.sum(contrib.astype(np.longdouble))) + 1.0 - phi ** (-2.0)
-
-    return theta
-
-
-def _theta(V, B, delta, phi):
-    return _theta_of(V, B, delta)(phi)
+    return _energy((V, B), 1.5, delta * phi) + 1.0 - phi ** (-2.0)
 
 
 def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
@@ -152,13 +135,13 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
     root the norm terms of Theta cancel against Phi^{-2}, so for large fields
     that residual lies below the roundoff of Theta; once the bracket is one
     ulp wide, the best point is accepted if its residual is within 1e-9
-    relative to Phi^{-2}.  Cost: one pass over the ball per call, then one
-    sum over the at most N^2 shells per Theta evaluation.
+    relative to Phi^{-2}.  Cost: the per-shell sums of each field, formed
+    once per field, then one sum over the at most N^2 shells per Theta
+    evaluation.
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    theta = _theta_of(V, B, delta)
-    theta1 = theta(1.0)
+    theta1 = _theta(V, B, delta, 1.0)
     if theta1 <= PHI_RESIDUAL_TOL:
         # Zero fields: Theta(1) = 0 exactly.
         return 1.0
@@ -168,7 +151,7 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        r = theta(mid)
+        r = _theta(V, B, delta, mid)
         if abs(r) < abs(best_res):
             best_phi, best_res = mid, r
         if abs(r) <= PHI_RESIDUAL_TOL:
@@ -257,8 +240,7 @@ def _sigma_pairing(phi_state: PhiState, nl, p: float) -> float:
         np.einsum("kc,kc->k", np.conj(phi_state.V.coeffs), nl_v.coeffs)
         + np.einsum("kc,kc->k", np.conj(phi_state.B.coeffs), nl_b.coeffs)
     )
-    g = geometry(phi_state.V.N)
-    return float(np.sum(g.absn**p * np.exp(dp * g.absn) * pairing.real))
+    return _radial_sum(phi_state.V.N, pairing.real, p, dp)
 
 
 def _sigma_p_direct(phi_state: PhiState, p: float) -> float:

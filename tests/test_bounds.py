@@ -209,6 +209,11 @@ class TestPointwise:
         rep = verify_pointwise("P52", singlemode_state, table, s=-4.0)
         assert rep.verdict == "pass"
 
+    def test_p52_names_its_sup_norm_constant(self, singlemode_state, table):
+        # the rhs multiplies by c_{-s-2}; the report used to list only C
+        rep = verify_pointwise("P52", singlemode_state, table, s=-4.0).as_dict()
+        assert "c[2.0]" in [c["name"] for c in rep["constants_used"]]
+
     def test_p52_domain(self, singlemode_state, table):
         with pytest.raises(DomainError):
             verify_pointwise("P52", singlemode_state, table, s=-3.0)
@@ -348,6 +353,24 @@ class TestIntegral:
         # safety-factored constants keep the guaranteed window short here
         assert rep.verdict == "pass"
         assert "guaranteed window" in rep.note
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_b19_exact_at_t0_on_large_data(self, tmp_path, table_json, seed):
+        # E_s > 1 at t0: q_s(0) used to round below the data norm, so the
+        # t0 sample failed at ratio 1 + 2^-52 and re-estimated constants
+        st = m.make_initial("random-spectrum", {"norm_v": 1.5, "norm_b": 1.0},
+                            N=4, seed=seed, nu=0.1, eta=0.1)
+        cfg = m.SolverConfig(N=4, nu=0.1, eta=0.1, dt=1e-3, t_end=0.01,
+                             output_stride=2, scheme="integrating-factor-RK2")
+        trace = m.simulate(cfg, st, tmp_path, diagnostics=m.DiagnosticsSpec(
+            s_grid=(0.0,), ft_sigma=0.05, ft_s=(0.95,)))
+        table = m.ConstantsTable.from_json(table_json)
+        rep = verify_integral("B19", trace, 0.95, float(trace.times[-1]), table,
+                              sigma=0.05)
+        assert rep.verdict == "pass"
+        assert rep.ratio <= 1.0
+        assert "re-estimated" not in rep.note
 
 
 class TestHarnessInternals:

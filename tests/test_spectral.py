@@ -140,6 +140,64 @@ class TestNorms:
             assert fmt_s(s) == text
 
 
+ORACLE_S = (-4.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0)
+
+
+def _per_mode_sum(values):
+    return math.fsum(np.asarray(values, dtype=float))
+
+
+class TestShellSumNorms:
+    """Every norm against the per-mode formula it is summed from."""
+
+    @pytest.mark.parametrize("N", [3, 5, 8, 16])
+    def test_norms_match_per_mode_sums(self, N):
+        g = geometry(N)
+        st = m.make_initial("random-spectrum", {"a": 1.0, "b": 0.2}, N=N, seed=N)
+        u, w = st.V, st.B
+        sq = np.sum(np.abs(w.coeffs) ** 2, axis=1)
+        dots = np.einsum("kc,kc->k", u.coeffs, np.conj(w.coeffs)).real
+        for s in ORACLE_S:
+            weight = g.absn ** (2.0 * s)
+            assert m.sobolev_norm(w, s) == pytest.approx(
+                math.sqrt(_per_mode_sum(sq * weight)), rel=1e-13)
+            assert m.gevrey_norm(w, 0.3, s) == pytest.approx(
+                math.sqrt(_per_mode_sum(sq * weight * np.exp(0.6 * g.absn))), rel=1e-13)
+            assert m.wiener_norm(w, s) == pytest.approx(
+                _per_mode_sum(np.sqrt(sq) * g.absn**s), rel=1e-13)
+            assert sobolev_inner(u, w, s) == pytest.approx(
+                _per_mode_sum(dots * weight), rel=1e-13)
+        rounded = np.rint(g.absn)
+        for mm, amp in m.shell_spectrum(w):
+            on = rounded == mm
+            assert amp == pytest.approx(
+                math.sqrt(_per_mode_sum(sq[on]) / np.count_nonzero(on)), rel=1e-13)
+
+    def test_one_aggregation_per_field_in_a_sample_row(self, monkeypatch, delta_std):
+        import mhdgevrey.spectral as spectral
+        from mhdgevrey.solver import MhdState, _diagnostic_row
+        from sweep_runs import sweep_diagnostics
+
+        st = m.make_initial("random-spectrum", {"norm_v": 0.3, "norm_b": 0.15},
+                            N=16, seed=11, nu=0.1, eta=0.1)
+        st = MhdState(V=SpectralField(16, st.V.coeffs), B=SpectralField(16, st.B.coeffs),
+                      nu=0.1, eta=0.1)
+        seen = []
+        real = spectral._shell_sums
+
+        def counted(w):
+            seen.append(w)  # held, so no two fields share an id
+            return real(w)
+
+        monkeypatch.setattr(spectral, "_shell_sums", counted)
+        _diagnostic_row(st, sweep_diagnostics(delta_std), 0.0)
+        ids = [id(w) for w in seen]
+        assert len(set(ids)) == len(ids)
+        # V, B and their time derivatives; the Phi-weighted norms are read
+        # from the shell sums of V and B
+        assert len(ids) == 4 and {id(st.V), id(st.B)} <= set(ids)
+
+
 class TestGevreyScale:
     def test_scale_then_unscale(self):
         w = random_field(5, seed=3)

@@ -10,6 +10,7 @@ from mhdgevrey.errors import DomainError, GevreyOverflowError, TraceError
 from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, step
 from mhdgevrey.transform import (
     PhiState,
+    _growth_envelope,
     _sigma_p_direct,
     _theta,
     balance_residual,
@@ -379,6 +380,23 @@ class TestFoiasTemam:
         assert r_small.t_star < r_pinned.t_star
         with pytest.raises(DomainError):
             foias_temam_norms(st, 0.0, sigma, 0.75, table, gamma=2.0 * g_max)
+
+    @pytest.mark.parametrize("s", [0.6, 0.75, 0.95, 1.0])
+    def test_envelope_is_the_data_at_t0(self, s):
+        # q_s(0) = e0 bitwise; the round trip through e0^{-2/(2s-1)} and back
+        # used to round below e0 for about half of all e0 > 1
+        class Table:
+            def Cprime(self, s):
+                return 1.7
+
+            def C_second(self, s, gamma):
+                return 0.3
+
+        for e0 in np.geomspace(1e-3, 1e3, 401):
+            t_star, qs = _growth_envelope(Table(), s, 0.05, 0.1, e0, np.zeros(1))
+            assert qs[0] == e0 and t_star > 0
+            # the window still closes at t_star
+            assert np.isnan(_growth_envelope(Table(), s, 0.05, 0.1, e0, t_star)[1])
 
     def test_zero_data(self, table):
         z = m.SpectralField.zeros(3)
