@@ -27,11 +27,8 @@ from .errors import (
     TraceError,
 )
 from .radius import (
-    IntervalCover,
     RadiusEstimate,
     decay_fit,
-    guaranteed_intervals,
-    lipschitz_check,
     radius_check,
     two_resolution_psi,
 )
@@ -63,7 +60,6 @@ from .transform import (
     sigma_p,
     solve_phi,
     transform,
-    verify_theorem2,
 )
 
 __version__ = "0.1.0"

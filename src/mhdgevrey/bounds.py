@@ -4,6 +4,8 @@ Bound identifiers
 -----------------
 Integral (time-quadrature) bounds over an archived trace:
   B19    weighted-energy envelope of the growing-weight transform
+  FGT    derivatives of order p = s >= 1 against the growing-weight envelope
+         opened at each earlier sample (Foias-Guillope-Temam type estimate)
   B29    weighted-energy inequality of the Phi transform (LHS <= 9Q)
   B32_1  integral of E_s^{alpha_s/2}, s > 1, against Qtilde_s
   B32_2  integral of E_s^{1/s}, 0 < s <= 1, against the energy route
@@ -19,6 +21,8 @@ Pointwise (per-state) inequalities:
   P44    plain derivative norms for s >= -1
   P51    the s = -1 corollary of P44 with data-dependent constant
   P52    second-derivative norms plus the derivative-energy drift, s < -7/2
+  LIP47  coefficient time derivatives against nu|n|^2 sqrt(2E) + 2E|n|
+         (velocity) and eta|n|^2 sqrt(2E) + E|n| (magnetic field)
 
 Here E_s denotes ||V||_s^2 + ||B||_s^2 and tilde quantities refer to the
 Phi-weighted fields.  Each bound is one entry of the registry ``BOUNDS``
@@ -53,12 +57,11 @@ from .transform import (
     _growth_envelope,
     _trace_q,
     _trapz,
-    _verdict,
     _window,
+    delta_max,
     sigma_p,
     solve_phi,
     transform,
-    verify_theorem2,
 )
 
 
@@ -376,8 +379,9 @@ class Bound:
 
         Returns the DomainError or TraceError that checking would raise, or
         None.  ``values`` maps delta, sigma and p to their values (None if
-        absent).  Given a trace, its columns or checkpoints and the window
-        [t0, T] are checked too.
+        absent).  Given a trace, sigma is checked against min(nu, eta) of
+        its run, and its columns or checkpoints and the window [t0, T] are
+        checked too.
         """
         if s is None and self.fixed_s is None:
             return DomainError("%s needs a norm index s" % self.id)
@@ -390,6 +394,10 @@ class Bound:
             return DomainError(self.domain_msg)
         if trace is None:
             return None
+        if "sigma" in self.needs:
+            cfg = trace.manifest["config"]
+            if not 0.0 < values["sigma"] < min(float(cfg["nu"]), float(cfg["eta"])):
+                return DomainError("sigma must lie in (0, min(nu, eta))")
         if self.pointwise:
             return None if trace.checkpoint_paths() else TraceError(
                 "archive holds no checkpoints")
@@ -413,6 +421,12 @@ class _Eval(NamedTuple):
 
 def _join(*notes):
     return "; ".join(n for n in notes if n)
+
+
+def _verdict(lhs: float, rhs: float) -> str:
+    if lhs == 0.0 and rhs == 0.0:
+        return "vacuous"
+    return "pass" if lhs <= rhs else "fail"
 
 
 def _retry_with_better_constants(table, names, compute_rhs, lhs, rhs):
@@ -489,6 +503,14 @@ class _Window:
         return lambda: _Eval(lhs, rhs_fn(), _join(q_note, note))
 
 
+def _worst_pair(lhs, rhs):
+    """(lhs, rhs) at the largest ratio lhs/rhs, the first of equals; x/0
+    counts as inf for x > 0 and as 0 for x = 0."""
+    ratios = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
+    k = int(np.argmax(ratios))
+    return float(lhs[k]), float(rhs[k])
+
+
 def _quadrature_note(y, x):
     """Richardson-style check: the half-sampled quadrature must agree to 1%."""
     if len(x) < 5:
@@ -517,19 +539,51 @@ def _b19(w, s, lhs_series):
         inwin = tau < t_star
         if not np.any(inwin):
             return _Eval(0.0, 0.0, "outside guaranteed window", "informational")
-        ratios = lhs_series[inwin] / np.where(qs[inwin] > 0, qs[inwin], np.nan)
-        k = int(np.nanargmax(ratios))
-        return _Eval(float(lhs_series[inwin][k]), float(qs[inwin][k]),
+        return _Eval(*_worst_pair(lhs_series[inwin], qs[inwin]),
                      "" if np.all(inwin) else "verified inside guaranteed window only")
 
     return _ensure_C(w.table, s, 1.5 - s), compute
 
 
+def _fgt(w, p, v1, b1, vp, bp):
+    # Every sample t_k opens the window (t_k, t_k + t_star) of the envelope
+    # q_1 of its H_1 energy, inside which the derivatives of order p obey
+    # E_p(t_j) <= q_1(tau) ((p-1)/(e sigma tau))^{2(p-1)}, tau = t_j - t_k.
+    e1, ep = v1**2 + b1**2, vp**2 + bp**2
+
+    def compute():
+        lhs, rhs = [], []
+        for tk, ek in zip(w.ts, e1):
+            tau = w.ts - tk
+            t_star, q1 = _growth_envelope(w.table, 1.0, w.sigma, w.mn, ek, tau)
+            inside = (tau > 0.0) & (tau < t_star)
+            lhs.append(ep[inside])
+            rhs.append(q1[inside] * ((p - 1.0) / (math.e * w.sigma * tau[inside]))
+                       ** (2.0 * (p - 1.0)))
+        lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
+        if not len(lhs):
+            return _Eval(0.0, 0.0, "no sample pair inside a guaranteed window",
+                         "informational")
+        return _Eval(*_worst_pair(lhs, rhs), "max over %d sample pairs" % len(lhs))
+
+    return _ensure_C(w.table, 1.0, 0.5), compute
+
+
 def _b29(w, s, integrand):
-    rep = verify_theorem2(w.trace, w.delta, w.T, table=w.table)
-    ev = _Eval(rep.lhs_terminal + rep.lhs_integral, rep.rhs,
-               "Q <= 0" if rep.q_nonpositive else "", rep.verdict)
-    return ["C[0.5]", "C[1.0]"], lambda: ev
+    # (9/4) E~_0(T) plus the integral of the archived integrand, against 9Q;
+    # the inequality is claimed for delta <= delta_max only.
+    e0 = w.col("tv_s0") ** 2 + w.col("tb_s0") ** 2
+    lhs = float(2.25 * e0[-1]) + _trapz(integrand, w.ts)
+    rhs = float(9.0 * w.Q)
+    names = _ensure_C(w.table, 0.5, 1.0)
+    dmax = delta_max(w.table, w.nu, w.eta)
+    q_note = "Q <= 0" if w.Q <= 0.0 else ""
+    if w.delta > dmax * (1 + 1e-12):
+        ev = _Eval(lhs, rhs, _join(q_note, "delta = %.6g exceeds delta_max = %.6g; "
+                                   "informational" % (w.delta, dmax)), "informational")
+    else:
+        ev = _Eval(lhs, rhs, q_note, _verdict(lhs, rhs))
+    return names, lambda: ev
 
 
 def _b32_1(w, s, v, b):
@@ -683,6 +737,19 @@ def _p52(d, s):
     ))
 
 
+def _lip47(d, s):
+    # The coefficient increments between two times are integrals of these
+    # derivatives, so the bound makes the coefficients equicontinuous in time.
+    state, e = d.state, d.e_init
+    absn = geometry(state.N).absn
+    root = math.sqrt(2.0 * e)
+    lhs = np.concatenate([np.linalg.norm(f.coeffs, axis=-1) for f in d.rhs])
+    rhs = np.concatenate([state.nu * absn**2 * root + 2.0 * e * absn,
+                          state.eta * absn**2 * root + e * absn])
+    worst = _worst_pair(lhs, rhs)
+    return [], lambda: _Eval(*worst)
+
+
 def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
     """Data-dependent constant of the s = -1 derivative bound.
 
@@ -702,6 +769,8 @@ def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
 BOUNDS = {b.id: b for b in (
     Bound("B19", False, _b19, lambda s, p: 0.5 < s <= 1.0, "B19 requires 1/2 < s < 1 or s = 1",
           needs=("sigma",), columns=lambda s, p: ("ft_s%s" % fmt_s(s),)),
+    Bound("FGT", False, _fgt, lambda s, p: s >= 1.0, "FGT requires s >= 1",
+          needs=("sigma",), columns=lambda s, p: ("v_s1", "b_s1") + _pair("v", "b")(s, p)),
     Bound("B29", False, _b29, fixed_s=0.0, needs=("delta",),
           columns=lambda s, p: ("lhs29_integrand",), uniform=True),
     Bound("B32_1", False, _b32_1, lambda s, p: s > 1.0, "B32_1 requires s > 1",
@@ -729,6 +798,7 @@ BOUNDS = {b.id: b for b in (
     Bound("P44", True, _p44, lambda s, p: s >= -1.0, "P44 requires s >= -1"),
     Bound("P51", True, _p51, fixed_s=-1.0),
     Bound("P52", True, _p52, lambda s, p: s < -3.5, "P52 requires s < -7/2"),
+    Bound("LIP47", True, _lip47, fixed_s=0.0),
 )}
 INTEGRAL_IDS = tuple(id for id, b in BOUNDS.items() if not b.pointwise)
 POINTWISE_IDS = tuple(id for id, b in BOUNDS.items() if b.pointwise)
@@ -861,14 +931,3 @@ def standard_sweep(trace, table, delta: float | None = None,
         T = float(trace.times[-1])
     return _verify_pairs(SWEEP_INTEGRAL_CASES + SWEEP_POINTWISE_CASES, trace, table, T,
                          {"delta": delta, "sigma": sigma, "p": 4.0})
-
-
-def d2_report(trace, s: float, table, delta: float | None = None) -> BoundReport:
-    """Second-derivative inequality along the stored checkpoints, s < -7/2."""
-    error = BOUNDS["P52"].inapplicable(s, {"delta": delta}, trace)
-    if error:
-        raise error
-    states = trace.checkpoints()
-    worst = _worst_over_checkpoints([("P52", s)], states, table, delta)[("P52", s)]
-    worst.note = _join(worst.note, "max over %d checkpoints" % len(states))
-    return worst

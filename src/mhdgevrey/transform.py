@@ -11,8 +11,8 @@ the root of
 
 so that Phi = (1 + ||v~||_{3/2}^2 + ||b~||_{3/2}^2)^{-1/2} holds as a fixed
 point.  The weighted fields obey an energy inequality with a computable
-right-hand side Q built from the initial data; ``verify_theorem2`` checks it
-along an archived trajectory.
+right-hand side Q built from the initial data; the registry entry B29 of
+``bounds.BOUNDS`` checks it along an archived trajectory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, TraceError
+from .errors import ConvergenceError, DomainError
 from .spectral import (
     SpectralField,
     _energy,
@@ -335,30 +335,7 @@ def balance_residual(samples) -> float:
     return worst
 
 
-# -- weighted-energy a priori verification --------------------------------------
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    Q: float
-    lhs_terminal: float
-    lhs_integral: float
-    rhs: float
-    ratio: float
-    delta_admissible: bool
-    q_nonpositive: bool
-
-    @property
-    def verdict(self) -> str:
-        if not self.delta_admissible:
-            return "informational"
-        return _verdict(self.lhs_terminal + self.lhs_integral, self.rhs)
-
-
-def _verdict(lhs: float, rhs: float) -> str:
-    if lhs == 0.0 and rhs == 0.0:
-        return "vacuous"
-    return "pass" if lhs <= rhs else "fail"
+# -- the initial-data functional and the time window ----------------------------
 
 
 def _q(delta, phi, e0, eh, e1):
@@ -407,32 +384,3 @@ def _window(trace, T, uniform=False):
 
 def _trapz(y, x):
     return float(np.trapezoid(y, x)) if len(x) > 1 else 0.0
-
-
-def verify_theorem2(trace, delta: float, T: float, table=None) -> Theorem2Report:
-    """Check the weighted-energy inequality LHS <= 9Q over [t0, T]."""
-    ts, sel, t0, error = _window(trace, T, uniform=True)
-    if error:
-        raise TraceError(error)
-    e0 = trace.col("tv_s0")[sel] ** 2 + trace.col("tb_s0")[sel] ** 2
-    Q = _trace_q(trace, delta, sel)
-    lhs_term = 2.25 * e0[-1]
-    lhs_int = _trapz(trace.col("lhs29_integrand")[sel], ts)
-    rhs = 9.0 * Q
-    lhs = lhs_term + lhs_int
-    ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    admissible = True
-    if table is not None:
-        man = trace.manifest
-        nu = float(man["config"]["nu"])
-        eta = float(man["config"]["eta"])
-        admissible = delta <= delta_max(table, nu, eta) * (1 + 1e-12)
-    return Theorem2Report(
-        Q=float(Q),
-        lhs_terminal=float(lhs_term),
-        lhs_integral=float(lhs_int),
-        rhs=float(rhs),
-        ratio=float(ratio),
-        delta_admissible=bool(admissible),
-        q_nonpositive=bool(Q <= 0.0),
-    )

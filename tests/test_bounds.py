@@ -16,7 +16,6 @@ from mhdgevrey.bounds import (
     constants_chain,
     d1_constant,
     d2_constant,
-    d2_report,
     d3_constant,
     d4_constant,
     derivative_norm_sq_via_xi,
@@ -32,10 +31,12 @@ from mhdgevrey.bounds import (
     xi_fields_chain,
     _quadrature_note,
     _retry_with_better_constants,
+    _verify_pairs,
 )
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.solver import MhdState, full_rhs, step
 from mhdgevrey.spectral import sobolev_norm
+from mhdgevrey.transform import _energy_s
 
 from conftest import random_field
 
@@ -260,7 +261,7 @@ class TestCheckpointScan:
         reports = standard_sweep(random_trace, table, delta=delta_std, sigma=0.05)
         times = [st.t for st in random_trace.checkpoints()]
         assert calls == times
-        assert [r.id for r in reports[-5:]] == list(POINTWISE_IDS)
+        assert [r.id for r in reports[-5:]] == [id for id, _ in SWEEP_POINTWISE_CASES]
 
     def test_worst_matches_single_state_checks(self, random_trace, table,
                                                delta_std):
@@ -274,6 +275,8 @@ class TestCheckpointScan:
             worst = max(singles, key=lambda r: r.ratio)  # earliest of equals
             assert rep.as_dict() == worst.as_dict()
 
+
+_NO_VALUES = {"delta": None, "sigma": None, "p": None}
 
 INTEGRAL_CASES = [
     ("B19", 0.75, {}),
@@ -405,13 +408,21 @@ class TestHarnessInternals:
         assert rhs == 1.0 and not retried
 
     def test_d2_report_checkpoints(self, singlemode_trace, table):
-        rep = d2_report(singlemode_trace, -4.0, table)
+        # P52 over the stored checkpoints: the worst single-state report
+        [rep] = _verify_pairs([("P52", -4.0)], singlemode_trace, table,
+                              float(singlemode_trace.times[-1]), _NO_VALUES)
         assert rep.verdict == "pass"
-        assert "max over" in rep.note
+        states = singlemode_trace.checkpoints()
+        e_init = 0.5 * _energy_s(states[0], 0.0)
+        singles = [verify_pointwise("P52", st, table, s=-4.0, e_init=e_init)
+                   for st in states]
+        assert len(singles) > 1
+        assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()
 
     def test_d2_report_domain(self, singlemode_trace, table):
         with pytest.raises(DomainError):
-            d2_report(singlemode_trace, -3.0, table)
+            _verify_pairs([("P52", -3.0)], singlemode_trace, table,
+                          float(singlemode_trace.times[-1]), _NO_VALUES)
 
     def test_id_lists_disjoint(self):
         assert not set(INTEGRAL_IDS) & set(POINTWISE_IDS)

@@ -278,8 +278,9 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         pairs = [(r["id"], r["s"]) for r in json.loads(out.read_text())]
         assert len(pairs) == len(set(pairs))
-        for id in ("B29", "P40", "P51"):
+        for id in ("B29", "P40", "P51", "LIP47"):
             assert [p[0] for p in pairs].count(id) == 1
+        assert sorted(s for id, s in pairs if id == "FGT") == [1.0, 2.0]
 
     def test_one_nonlinear_evaluation_per_checkpoint(self, cli_run, tmp_path,
                                                      table_json, monkeypatch):
@@ -336,6 +337,7 @@ class TestVerifyCommand:
         ("B32_3", (-0.5,)), ("COR51", (0.25,)), ("B36_1", (-0.5,)),
         ("B36_2", (-2.5, -0.5)), ("B36_3", (-2.5,)), ("B36_4", (-2.0,)),
         ("P42", (-2.5, -0.5)), ("P44", (-1.0,)), ("P52", (-3.5,)),
+        ("FGT", (1.0,)),
     ])
     def test_domain_boundaries(self, cli_run, tmp_path, table_json, capsys,
                                id, ends):
@@ -435,6 +437,26 @@ class TestVerifyCommand:
         with pytest.raises(DomainError, match="delta"):
             verify_integral("B29", trace, None, float(trace.times[-1]),
                             m.ConstantsTable.from_json(table_json))
+
+    @pytest.mark.parametrize("sigma", [0.5, -0.05])
+    def test_sigma_outside_its_domain(self, cli_run, tmp_path, table_json, capsys,
+                                      sigma):
+        # sigma >= min(nu, eta) = 0.1 used to abort the whole verify with
+        # "gamma must be positive" and no rows; sigma < 0 gave B19 a pass.
+        import shutil
+
+        bad = tmp_path / "archive"
+        shutil.copytree(cli_run, bad)
+        man = json.loads((bad / "manifest.json").read_text())
+        man["sigma"] = sigma
+        (bad / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--table", table_json,
+                     "--bounds", "B19", "FGT", "B29", "--s", "1"]) == EXIT_OK
+        reason = "sigma must lie in (0, min(nu, eta))"
+        assert _skip_lines(capsys.readouterr().out) == [("B19", "1", reason),
+                                                        ("FGT", "1", reason)]
+        assert [r["id"] for r in json.loads((bad / "report.json").read_text())] == ["B29"]
 
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),

@@ -1,24 +1,25 @@
-"""Decay-rate fitting, regularity interval covers and resolution comparison."""
+"""Decay-rate fitting, resolution comparison, and the registry entries FGT
+(derivatives inside the guaranteed-regularity windows) and LIP47."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import mhdgevrey as m
+from mhdgevrey.bounds import _verify_pairs, verify_integral, verify_pointwise
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.radius import (
-    IntervalCover,
     RadiusEstimate,
     decay_fit,
     default_fit_shells,
-    guaranteed_intervals,
-    lipschitz_check,
     radius_check,
     two_resolution_psi,
 )
 from mhdgevrey.spectral import SpectralField, geometry
 from mhdgevrey.solver import SolverConfig, make_initial, simulate
+from mhdgevrey.transform import _energy_s
 
 from conftest import full_diagnostics, random_field
 
@@ -108,7 +109,7 @@ class TestGuaranteedIntervals:
     @pytest.fixture(scope="class")
     @staticmethod
     def tiny_trace(tmp_path_factory, delta_std):
-        # small data so t_star exceeds the run length and coverage is full
+        # small data, so that t_star is long and the windows hold sample pairs
         st = make_initial("random-spectrum",
                           {"norm_v": 0.01, "norm_b": 0.005}, N=6, seed=7,
                           nu=0.1, eta=0.1)
@@ -119,35 +120,22 @@ class TestGuaranteedIntervals:
         return simulate(cfg, st, out, diagnostics=full_diagnostics(delta_std),
                         manifest_extra={"sigma": 0.05})
 
-    def test_full_coverage_for_small_data(self, tiny_trace, table):
-        cover = guaranteed_intervals(tiny_trace, 1.0, table)
-        assert cover.coverage == pytest.approx(1.0)
-        assert all(star > 0 for star in cover.t_star)
-
     def test_envelope_checked_without_violations(self, tiny_trace, table):
-        cover = guaranteed_intervals(tiny_trace, 1.0, table, p=2.0)
-        assert cover.envelope_checked > 0
-        assert cover.envelope_violations == 0
+        rep = verify_integral("FGT", tiny_trace, 2.0, float(tiny_trace.times[-1]), table)
+        assert rep.verdict == "pass"
+        n = len(tiny_trace.times)
+        pairs = int(re.fullmatch(r"max over (\d+) sample pairs", rep.note).group(1))
+        assert 0 < pairs <= n * (n - 1) // 2
+        assert 0.0 < rep.ratio < 1.0
 
     def test_domain_checks(self, tiny_trace, table):
-        with pytest.raises(DomainError):
-            guaranteed_intervals(tiny_trace, 0.4, table)
-        with pytest.raises(DomainError):
-            guaranteed_intervals(tiny_trace, 1.0, table, sigma=0.5)
-        with pytest.raises(DomainError):
-            guaranteed_intervals(tiny_trace, 1.0, table, p=0.5)
-
-    def test_larger_data_shrinks_coverage(self, random_trace, tiny_trace,
-                                          table):
-        big = guaranteed_intervals(random_trace, 1.0, table, sigma=0.05)
-        small = guaranteed_intervals(tiny_trace, 1.0, table)
-        assert big.coverage <= small.coverage
-
-    def test_cover_validation(self):
-        with pytest.raises(DomainError):
-            IntervalCover(coverage=1.5)
-        with pytest.raises(DomainError):
-            IntervalCover(intervals=[(1.0, 0.5)], coverage=0.5)
+        T = float(tiny_trace.times[-1])
+        for s in (0.4, 0.5, 1.0 - 1e-9):
+            with pytest.raises(DomainError, match="FGT requires s >= 1"):
+                verify_integral("FGT", tiny_trace, s, T, table)
+        for sigma in (0.5, 0.1, 0.0, -0.05):
+            with pytest.raises(DomainError, match="sigma must lie in"):
+                verify_integral("FGT", tiny_trace, 1.0, T, table, sigma=sigma)
 
 
 class TestTwoResolutionPsi:
@@ -187,24 +175,36 @@ class TestTwoResolutionPsi:
 
 
 class TestLipschitz:
-    def test_passes_on_archived_run(self, random_trace):
-        rep = lipschitz_check(random_trace)
-        assert rep.id == "LIP47"
-        assert rep.verdict == "pass"
-        assert "checkpoint pairs" in rep.note
+    """Coefficient equicontinuity, registry entry LIP47."""
 
-    def test_vacuous_on_zero_run(self, tmp_path):
+    @staticmethod
+    def _report(trace, table):
+        [rep] = _verify_pairs([("LIP47", None)], trace, table, float(trace.times[-1]),
+                              {"delta": None, "sigma": None, "p": None})
+        return rep
+
+    def test_passes_on_archived_run(self, random_trace, table):
+        rep = self._report(random_trace, table)
+        assert (rep.id, rep.s, rep.verdict) == ("LIP47", 0.0, "pass")
+        # the worst checkpoint, each held to the energy of the first
+        states = random_trace.checkpoints()
+        e_init = 0.5 * _energy_s(states[0], 0.0)
+        singles = [verify_pointwise("LIP47", st, table, e_init=e_init) for st in states]
+        assert len(singles) > 1
+        assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()
+
+    def test_vacuous_on_zero_run(self, tmp_path, table):
         z = m.SpectralField.zeros(3)
         st = m.MhdState(V=z, B=z, nu=0.1, eta=0.1)
         cfg = SolverConfig(N=3, nu=0.1, eta=0.1, dt=1e-3, t_end=0.003)
         tr = simulate(cfg, st, tmp_path / "zero")
-        rep = lipschitz_check(tr)
-        assert rep.verdict == "vacuous"
+        assert self._report(tr, table).verdict == "vacuous"
 
-    def test_needs_two_checkpoints(self, tmp_path):
+    def test_one_checkpoint_suffices(self, tmp_path, table):
         st = make_initial("random-spectrum", {}, N=3, seed=0,
                           nu=0.1, eta=0.1)
         cfg = SolverConfig(N=3, nu=0.1, eta=0.1, dt=1e-3, t_end=0.0)
         tr = simulate(cfg, st, tmp_path / "one")
-        with pytest.raises(TraceError):
-            lipschitz_check(tr)
+        assert len(tr.checkpoint_paths()) == 1
+        rep = self._report(tr, table)
+        assert (rep.T, rep.verdict) == (0.0, "pass")

@@ -8,9 +8,11 @@ import pytest
 import mhdgevrey as m
 from mhdgevrey.errors import DomainError, GevreyOverflowError, TraceError
 from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, step
+from mhdgevrey.bounds import verify_integral
 from mhdgevrey.transform import (
     PhiState,
     _growth_envelope,
+    _trace_q,
     _sigma_p_direct,
     _theta,
     balance_residual,
@@ -21,7 +23,6 @@ from mhdgevrey.transform import (
     solve_phi,
     transform,
     untransform_field,
-    verify_theorem2,
 )
 
 from conftest import random_field
@@ -184,8 +185,7 @@ class TestQFunctional:
         # Q of the first checkpoint's weighted fields against the Q that the
         # integral bounds read from the archived columns of that sample.
         first = random_trace.checkpoints()[0]
-        from_trace = verify_theorem2(random_trace, delta_std,
-                                     float(random_trace.times[-1])).Q
+        from_trace = _trace_q(random_trace, delta_std, slice(0, 1))
         assert q_functional(transform(first, delta_std)) == pytest.approx(
             from_trace, rel=1e-12)
 
@@ -280,47 +280,51 @@ class TestBalanceResidual:
 
 
 class TestVerifyTheorem2:
+    """The weighted-energy inequality LHS <= 9Q, registry entry B29."""
+
     def test_passes_on_singlemode_run(self, singlemode_trace, delta_std, table):
-        rep = verify_theorem2(singlemode_trace, delta_std,
-                              float(singlemode_trace.times[-1]), table=table)
+        rep = verify_integral("B29", singlemode_trace, None,
+                              float(singlemode_trace.times[-1]), table, delta=delta_std)
         assert rep.verdict == "pass"
-        assert rep.delta_admissible
-        assert not rep.q_nonpositive
+        assert "delta_max" not in rep.note
+        assert "Q <= 0" not in rep.note
         assert 0.0 < rep.ratio < 1.0
 
     def test_passes_on_random_run(self, random_trace, delta_std, table):
-        rep = verify_theorem2(random_trace, delta_std,
-                              float(random_trace.times[-1]), table=table)
+        rep = verify_integral("B29", random_trace, None,
+                              float(random_trace.times[-1]), table, delta=delta_std)
         assert rep.verdict == "pass"
 
     def test_inadmissible_delta_is_informational(self, singlemode_trace, table):
-        rep = verify_theorem2(singlemode_trace, 10.0,
-                              float(singlemode_trace.times[-1]), table=table)
-        assert not rep.delta_admissible
+        rep = verify_integral("B29", singlemode_trace, None,
+                              float(singlemode_trace.times[-1]), table, delta=10.0)
         assert rep.verdict == "informational"
+        assert "delta = 10 exceeds delta_max = %.6g" % delta_max(table, 0.1, 0.1) in rep.note
 
-    def test_sparse_trace_rejected(self, singlemode_trace, delta_std):
+    def test_sparse_trace_rejected(self, singlemode_trace, delta_std, table):
         class Sparse:
             manifest = singlemode_trace.manifest
             times = singlemode_trace.times[[0, 1, -1]]
+            has_col = singlemode_trace.has_col
 
             def col(self, name):
                 return singlemode_trace.col(name)[[0, 1, -1]]
 
         with pytest.raises(TraceError, match="trace too sparse"):
-            verify_theorem2(Sparse(), delta_std,
-                            float(singlemode_trace.times[-1]))
+            verify_integral("B29", Sparse(), None,
+                            float(singlemode_trace.times[-1]), table, delta=delta_std)
 
-    def test_window_not_covered(self, singlemode_trace, delta_std):
+    def test_window_not_covered(self, singlemode_trace, delta_std, table):
         class Tail:
             manifest = {"t0": 1.0, "config": singlemode_trace.manifest["config"]}
             times = singlemode_trace.times
+            has_col = singlemode_trace.has_col
 
             def col(self, name):
                 return singlemode_trace.col(name)
 
         with pytest.raises(TraceError, match="cover"):
-            verify_theorem2(Tail(), delta_std, 2.0)
+            verify_integral("B29", Tail(), None, 2.0, table, delta=delta_std)
 
 
 class TestFoiasTemam:
