@@ -8,9 +8,10 @@ constants  estimate/certify embedding and lattice constants, emit JSON
 spectrum   fit the spectral decay rate of a stored checkpoint
 compare    rerun one initial state at several truncation levels, report psi(t)
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical blow-up,
-3 at least one verified inequality failed, 4 an iterative solver (the Phi
-root) did not converge.
+Exit codes: 0 success, 1 usage or configuration error, 2 numerical blow-up
+(or, as argparse does, an argument the parser rejects: a malformed number,
+a bad --safety), 3 at least one verified inequality failed, 4 an iterative
+solver (the Phi root) did not converge.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from .archive import TraceArchive, atomic_open, checkpoint_load
 from .bounds import BOUNDS, _verify_pairs
 from .config import load_run_config
-from .constants import ConstantsTable, build_table
+from .constants import ConstantsTable, build_table, check_safety
 from .errors import (
     BlowUpError,
     CheckpointError,
@@ -184,6 +185,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _safety(text: str) -> float:
+    """--safety: checked by the table's rule while the arguments are parsed,
+    so a bad factor stops the command before any work."""
+    try:
+        return check_safety(float(text))
+    except (ValueError, DomainError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mhdgevrey",
                                 description=__doc__.splitlines()[0])
@@ -212,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--resolution", type=int, default=16)
     c.add_argument("--trials", type=int, default=24)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--safety", type=float, default=2.0)
+    c.add_argument("--safety", type=_safety, default=2.0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_constants)
 

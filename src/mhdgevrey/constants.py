@@ -9,7 +9,14 @@ Three provenance classes are tracked:
                          tail overestimate).
 * ``estimated``       -- Monte-Carlo + fixed-point ascent estimates of the
                          L^{6/(3-2s)} embedding constants C_s, multiplied by a
-                         safety factor (default 2).
+                         safety factor (default 2; finite and > 0).
+
+The estimator's trial fields live on the cube |n|_inf <= K0 and are taken to
+an M^3 grid and back by pruned dense DFTs: three small matrix products each
+way, one per axis (n2, n1, then the real half axis n3 >= 0 going to the grid;
+the reverse coming back), with the DFT matrices cached alongside the trial
+lattice.  Only the 2K0+1 nonzero rows and K0+1 nonzero half planes are
+transformed, where a zero-padded 3-d FFT would transform all M.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfft, irfft, rfftn
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as _gamma
 
 from .archive import atomic_open, read_json
@@ -50,20 +57,22 @@ def lattice_constant(p: float, a: float) -> float:
 def _shell_counts(radius: int) -> np.ndarray:
     """counts[m] = number of integer lattice points with |n|^2 = m <= radius^2.
 
-    Computed exactly by convolving the 1-d histogram of squares with itself
-    three times via FFT; FFT roundoff is far below 0.5 so rounding recovers
-    the integer counts.
+    The 1-d histogram h of squares convolved with itself three times, as two
+    FFT convolutions of length >= 2 radius^2 + 1: h*h truncated to m <=
+    radius^2, then that times h.  Neither wraps around, and the truncation
+    touches no output m <= radius^2; FFT roundoff is far below 0.5, so
+    rounding recovers the integer counts after each.
     """
     msq = radius * radius
     h = np.zeros(msq + 1)
     a = np.arange(0, radius + 1)
     h[a * a] = 2.0
     h[0] = 1.0
-    n = next_fast_len(3 * msq + 1, real=True)
+    n = next_fast_len(2 * msq + 1, real=True)
     fh = rfft(h, n=n)
-    conv = irfft(fh * fh * fh, n=n)
-    counts = np.rint(conv[: msq + 1]).astype(np.int64)
-    return counts
+    pairs = rfft(np.rint(irfft(fh * fh, n=n)[: msq + 1]), n=n)
+    pairs *= fh
+    return np.rint(irfft(pairs, n=n)[: msq + 1]).astype(np.int64)
 
 
 def lattice_sum(weight, radius: int = 200) -> float:
@@ -105,24 +114,65 @@ def certified_cp(p: float, radius: int = 1000) -> float:
 
 class _Lattice(NamedTuple):
     nsq: np.ndarray       # |n|^2 per row
-    box: np.ndarray       # flat rfft-box position of n, or of -n where n3 < 0
+    cube: np.ndarray      # flat (n3, n1, n2) position of n, or of -n where n3 < 0
     mirrored: np.ndarray  # the rows with n3 < 0, read from -n by conjugation
+    E: np.ndarray         # (2K0+1, M): e^{2 pi i k x / M}
+    G: np.ndarray         # (M, 2K0+1): conj(E).T / M
+    R: np.ndarray         # (M, 2(K0+1)): the c2r rows [w cos, -w sin], w = 1 at n3 = 0, else 2
+    F: np.ndarray         # (2(K0+1), M): the r2c rows [cos; -sin] / M
 
 
 @lru_cache(maxsize=8)
 def _trial_lattice(K0: int, M: int) -> _Lattice:
     """The cube |n|_inf <= K0 as flat rows in lexicographic order, so row
-    L-1-i holds -n as in ``spectral.geometry``, placed in the rfftn box
-    (M, M, M//2+1) of an M^3 grid."""
+    L-1-i holds -n as in ``spectral.geometry``, with the dense DFT matrices
+    between its half cube n3 >= 0, axes (n3, n1, n2), and an M^3 grid."""
     r = np.arange(-K0, K0 + 1)
     n = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     mirrored = n[:, 2] < 0
-    h = np.where(mirrored[:, None], -n, n) % M
-    box = (h[:, 0] * M + h[:, 1]) * (M // 2 + 1) + h[:, 2]
-    lat = _Lattice(np.einsum("ki,ki->k", n, n).astype(float), box, mirrored)
+    h = np.where(mirrored[:, None], -n, n) + [K0, K0, 0]
+    L = 2 * K0 + 1
+    cube = (h[:, 2] * L + h[:, 0]) * L + h[:, 1]
+    x = np.arange(M)
+    # phases from k x mod M, so every entry is exact to rounding
+    E = np.exp(2j * np.pi * (np.outer(r, x) % M) / M)
+    c = E[K0:]  # n3 = 0 .. K0
+    w = np.where(np.arange(K0 + 1) == 0, 1.0, 2.0)[:, None]
+    lat = _Lattice(np.einsum("ki,ki->k", n, n).astype(float), cube, mirrored, E,
+                   np.ascontiguousarray(E.conj().T) / M,
+                   np.concatenate([w * c.real, -w * c.imag]).T.copy(),
+                   np.concatenate([c.real, -c.imag]) / M)
     for a in lat:  # shared by every caller through the cache
         a.flags.writeable = False
     return lat
+
+
+def _to_grid(spec: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """Real values, axes (x3, x1, x2), of a hermitian lattice spectrum on
+    the M^3 grid: sum_n c_n e^{2 pi i n.x / M} as three matrix products."""
+    L, M = lat.E.shape
+    K3 = L // 2 + 1
+    own = ~lat.mirrored
+    X = np.zeros(K3 * L * L, dtype=np.complex128)
+    X[lat.cube[own]] = spec[own]
+    Y = X.reshape(K3 * L, L) @ lat.E       # n2 -> x2
+    Y = (lat.E.T @ Y.reshape(K3, L, M)).reshape(K3, M * M)  # n1 -> x1
+    return (lat.R @ np.concatenate([Y.real, Y.imag])).reshape(M, M, M)  # n3 -> x3
+
+
+def _from_grid(f: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """Lattice spectrum of real grid values with axes (x3, x1, x2):
+    M^-3 sum_x f(x) e^{-2 pi i n.x / M} on every row, as three products."""
+    L, M = lat.E.shape
+    K3 = L // 2 + 1
+    P = lat.F @ f.reshape(M, M * M)        # x3 -> n3 >= 0, as [Re; Im]
+    Z = np.empty((K3, M * M), dtype=np.complex128)
+    Z.real, Z.imag = P[:K3], P[K3:]
+    Z = Z.reshape(K3 * M, M) @ lat.G           # x2 -> n2
+    Z = lat.G.T @ Z.reshape(K3, M, L)          # x1 -> n1
+    vals = Z.reshape(-1)[lat.cube]
+    vals[lat.mirrored] = np.conj(vals[lat.mirrored])
+    return vals
 
 
 def _random_scalar_spectrum(rng, lat: _Lattice, decay: float) -> np.ndarray:
@@ -136,6 +186,14 @@ def _random_scalar_spectrum(rng, lat: _Lattice, decay: float) -> np.ndarray:
 
 # Fixed-point ascent steps per trial field of estimate_Cs.
 ASCENT_STEPS = 12
+
+
+def check_safety(safety) -> float:
+    """The one rule for a safety factor: a finite number > 0.  Returns it;
+    DomainError otherwise."""
+    if not (isinstance(safety, (int, float)) and math.isfinite(safety) and safety > 0):
+        raise DomainError("safety must be a positive number and finite, not %r" % (safety,))
+    return safety
 
 
 def estimate_Cs(
@@ -158,6 +216,7 @@ def estimate_Cs(
         raise DomainError("estimate_Cs requires 0 < s < 3/2")
     if resolution < 2 or trials < 0:
         raise DomainError("estimate_Cs requires resolution >= 2 and trials >= 0")
+    check_safety(safety)
     K0 = max(2, resolution // 2)
     M = next_fast_len(2 * resolution + 1, real=True)
     lat = _trial_lattice(K0, M)
@@ -165,9 +224,6 @@ def estimate_Cs(
     up = lat.nsq**s  # |n|^{2s}; down is |n|^{-2s}; both are 0 at n = 0
     down = np.zeros_like(up)
     np.power(lat.nsq, -s, out=down, where=lat.nsq > 0)
-    own = ~lat.mirrored
-    put = lat.box[own]
-    half = np.zeros((M, M, M // 2 + 1), dtype=np.complex128)
     # The single-mode field cos(x3) is always admissible and anchors the max.
     single = np.zeros(len(lat.nsq), dtype=np.complex128)
     single[len(single) // 2 + np.array([-1, 1])] = 0.5
@@ -178,21 +234,23 @@ def estimate_Cs(
         tr = np.random.default_rng((seed, i))
         candidates.append(_random_scalar_spectrum(tr, lat, float(tr.uniform(0.2, 1.5))))
     best = 0.0
+    a = np.empty((M, M, M))
+    t = np.empty_like(a)
     for spec in candidates:
         for step in range(ASCENT_STEPS + 1):
-            half.reshape(-1)[put] = spec[own]
-            f = irfftn(half, s=(M, M, M), norm="forward")
+            f = _to_grid(spec, lat)
             # with a = |f| / max|f| <= 1 the one power a^{q-2} cannot overflow
-            a = np.abs(f)
+            np.abs(f, out=a)
             amax = float(a.max())
             a /= amax
             g = a ** (q - 2.0)
-            lq = amax * float(np.mean(g * a * a)) ** (1.0 / q)
+            np.multiply(g, a, out=t)
+            t *= a
+            lq = amax * float(np.mean(t)) ** (1.0 / q)
             best = max(best, lq / math.sqrt(float(np.sum(np.abs(spec) ** 2 * up))))
             if step == ASCENT_STEPS:
                 break
-            vals = rfftn(g * f, norm="forward").reshape(-1)[lat.box]
-            vals[lat.mirrored] = np.conj(vals[lat.mirrored])
+            vals = _from_grid(np.multiply(g, f, out=t), lat)
             vals *= down
             spec = vals / np.max(np.abs(vals))
     return best * safety
@@ -212,6 +270,9 @@ class ConstantsTable:
     safety: float = 2.0
     entries: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_safety(self.safety)
 
     def _put(self, name: str, value: float, provenance: str):
         if not value > 0:
@@ -358,15 +419,16 @@ class ConstantsTable:
                 and isinstance(snap.get("meta", {}), dict)):
             raise ConfigError("a constants table must be an object whose entries "
                               "and meta are objects")
+        try:
+            t = cls(safety=snap.get("safety", 2.0))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         # the rule of _put: an infinite value is kept (its bounds report as
         # informational), a nan or nonpositive one is not
-        values = {"safety": snap.get("safety", 2.0)}
         for name, e in snap.get("entries", {}).items():
-            values["constant " + name] = e.get("value") if isinstance(e, dict) else None
-        for name, v in values.items():
+            v = e.get("value") if isinstance(e, dict) else None
             if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError("%s must be a positive number" % name)
-        t = cls(safety=snap.get("safety", 2.0))
+                raise ConfigError("constant %s must be a positive number" % name)
         t.entries = dict(snap.get("entries", {}))
         t.meta = dict(snap.get("meta", {}))
         return t

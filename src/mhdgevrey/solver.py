@@ -148,12 +148,25 @@ def _to_spec(prods, plan):
     return np.stack(out)
 
 
-def _ball(vals, plan):
-    """Conjugate-symmetric ball field from canonical half-ball values."""
-    c = np.empty((2 * len(vals), 3), dtype=np.complex128)  # dst and mirror cover it
-    c[plan.dst] = vals
-    c[plan.mirror] = vals.conj()
-    return SpectralField(plan.N, c)
+def _ball(adv, ind, plan):
+    """The conjugate-symmetric ball fields (dV, dB) from canonical half-ball
+    values, as the two halves of one (2, K, 3) array."""
+    c = np.empty((2, 2 * len(adv), 3), dtype=np.complex128)  # dst and mirror cover it
+    for half, vals in zip(c, (adv, ind)):
+        half[plan.dst] = vals
+        half[plan.mirror] = vals.conj()
+    return SpectralField(plan.N, c[0]), SpectralField(plan.N, c[1])
+
+
+def _pair(V: SpectralField, B: SpectralField) -> np.ndarray:
+    """V and B as one (2, K, 3) array: without a copy when they already are
+    its two halves, as the nonlinear term and a stepped state are."""
+    u = V.coeffs.base
+    if (u is not None and u is B.coeffs.base and len(u) == 2
+            and V.coeffs.__array_interface__ == u[0].__array_interface__
+            and B.coeffs.__array_interface__ == u[1].__array_interface__):
+        return u
+    return np.stack([V.coeffs, B.coeffs])
 
 
 def _project_half(vals, plan):
@@ -250,7 +263,7 @@ def _rhs_from_products(prods, plan):
     )
     adv = _project_half(adv, plan)
     ind = 1j * np.cross(n, spec[6:].T)
-    return _ball(adv, plan), _ball(ind, plan)
+    return _ball(adv, ind, plan)
 
 
 def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
@@ -323,18 +336,15 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
     N = state.N
     e, e2 = _decay_factors(N, state.nu, state.eta, dt)
 
-    def stacked(pair):
-        return np.stack([w.coeffs for w in pair])
-
     def nl(u):
         # looked up per call, so a patched or traced module function is used
         rhs = nonlinear_rhs_fast if fast else nonlinear_rhs_direct
-        return stacked(rhs(MhdState(SpectralField(N, u[0]), SpectralField(N, u[1]))))
+        return _pair(*rhs(MhdState(SpectralField(N, u[0]), SpectralField(N, u[1]))))
 
-    u0 = stacked((state.V, state.B))
+    u0 = _pair(state.V, state.B)
     # Overflow is how blow-up manifests; detect it below instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = nl(u0) if _nl is None else stacked(_nl)
+        k1 = nl(u0) if _nl is None else _pair(*_nl)
         if scheme == "integrating-factor-RK2":
             k2 = nl(e * (u0 + dt * k1))
             un = e * u0 + 0.5 * dt * (e * k1 + k2)
@@ -346,8 +356,9 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
         t_new = state.t + dt
         if not np.all(np.isfinite(un.view(np.float64))):
             raise BlowUpError(t_new, state)
-        Vn = project_solenoidal(SpectralField(N, un[0]))
-    return replace(state, V=Vn, B=SpectralField(N, un[1]), t=t_new)
+        # the new state's V and B stay the two halves of un for the next step
+        un[0] = project_solenoidal(SpectralField(N, un[0])).coeffs
+    return replace(state, V=SpectralField(N, un[0]), B=SpectralField(N, un[1]), t=t_new)
 
 
 # -- initial conditions ------------------------------------------------------

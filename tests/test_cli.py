@@ -493,6 +493,17 @@ class TestConstantsCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    def test_bad_safety(self, tmp_path, capsys, value):
+        # rejected as the arguments are parsed (argparse's exit 2), before
+        # any estimate, so no table with a bad factor or value is written
+        out = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--s", "0.5", "--safety", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --safety: safety must be a positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table_near_three_halves_is_strict_json(self, tmp_path, capsys):
         # the estimate near s = 3/2 is finite, so the table has no Infinity token
         def reject(token):

@@ -7,16 +7,24 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import irfftn, rfftn
 
 from mhdgevrey.constants import (
     ConstantsTable,
+    _from_grid,
+    _random_scalar_spectrum,
+    _shell_counts,
+    _to_grid,
+    _trial_lattice,
     build_table,
     certified_cp,
     estimate_Cs,
     lattice_constant,
     lattice_sum,
 )
-from mhdgevrey.errors import DomainError, MissingConstantError
+from mhdgevrey.errors import ConfigError, DomainError, MissingConstantError
+
+BAD_SAFETY = [-1.0, 0.0, math.inf, math.nan]
 
 
 class TestLatticeConstant:
@@ -43,6 +51,18 @@ class TestLatticeConstant:
         """sum_{n!=0} e^{-a phi |n|} |n|^p <= C_{p,a}^2 phi^{-(p+3)}."""
         direct = lattice_sum(lambda r: np.exp(-a * phi * r) * r**p, radius=300)
         assert direct <= lattice_constant(p, a) ** 2 * phi ** (-(p + 3.0))
+
+
+class TestShellCounts:
+    @pytest.mark.parametrize("radius", [1, 2, 5, 17, 40])
+    def test_equal_to_brute_force_count(self, radius):
+        r = np.arange(-radius, radius + 1)
+        n = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        m = np.einsum("ki,ki->k", n, n)
+        brute = np.bincount(m[m <= radius * radius], minlength=radius * radius + 1)
+        counts = _shell_counts(radius)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, brute)
 
 
 class TestCertifiedCp:
@@ -74,10 +94,69 @@ class TestCertifiedCp:
             assert mx <= cp * sobolev_norm(w, 2.0) * (1 + 1e-9)
 
 
+def _box_reference(K0, M):
+    """Reference transforms by scipy: the spectrum placed in a zero-padded
+    rfftn box (M, M, M//2+1) over (n1, n2, n3) mod M."""
+    lat = _trial_lattice(K0, M)
+    r = np.arange(-K0, K0 + 1)
+    n = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    up = n[:, 2] >= 0
+    at = tuple((np.where(up[:, None], n, -n) % M).T)
+
+    def to_grid(spec):
+        half = np.zeros((M, M, M // 2 + 1), dtype=np.complex128)
+        half[tuple(a[up] for a in at)] = spec[up]
+        return irfftn(half, s=(M, M, M), norm="forward")
+
+    def from_grid(f):
+        vals = rfftn(f, norm="forward")[at]
+        return np.where(up, vals, np.conj(vals))
+
+    return lat, to_grid, from_grid
+
+
+class TestTrialTransforms:
+    """The dense-DFT transforms of the C_s estimator; their grids have axes
+    (x3, x1, x2), the reference grids (x1, x2, x3)."""
+
+    @pytest.mark.parametrize("K0,M", [(2, 5), (4, 9), (8, 36)])
+    def test_match_scipy_on_the_padded_box(self, K0, M):
+        lat, to_grid, from_grid = _box_reference(K0, M)
+        for seed in range(3):
+            spec = _random_scalar_spectrum(np.random.default_rng(seed), lat, 0.3)
+            ref = to_grid(spec)
+            f = _to_grid(spec, lat)
+            assert f.shape == (M, M, M) and f.dtype == np.float64
+            f = f.transpose(1, 2, 0)
+            assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+            g = np.random.default_rng(seed + 10).standard_normal((M, M, M))
+            want = from_grid(g)
+            got = _from_grid(np.ascontiguousarray(g.transpose(2, 0, 1)), lat)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("K0,M", [(2, 5), (4, 9), (8, 36)])
+    def test_round_trip(self, K0, M):
+        lat = _trial_lattice(K0, M)
+        for seed in range(3):
+            spec = _random_scalar_spectrum(np.random.default_rng(seed), lat, 0.3)
+            back = _from_grid(_to_grid(spec, lat), lat)
+            assert np.max(np.abs(back - spec)) <= 1e-13 * np.max(np.abs(spec))
+
+
 class TestEstimateCs:
     def test_deterministic(self):
         assert estimate_Cs(0.5) == estimate_Cs(0.5)
         assert estimate_Cs(0.5) == pytest.approx(2.968848183931069, rel=1e-9)
+
+    @pytest.mark.parametrize("s,value", [(0.75, 3.734304236339718), (1.0, 4.887033912208424)])
+    def test_pinned_values(self, s, value):
+        # pinned from the zero-padded 3-d FFT form of the estimator
+        assert estimate_Cs(s) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("safety", BAD_SAFETY)
+    def test_bad_safety(self, safety):
+        with pytest.raises(DomainError, match="safety"):
+            estimate_Cs(0.5, safety=safety)
 
     def test_more_trials_never_decrease(self):
         lo = estimate_Cs(0.75, trials=8)
@@ -124,6 +203,16 @@ class TestConstantsTable:
     def test_c0_exact(self, table):
         assert table.C(0.0) == 1.0
         assert table.provenance(table.skey_C(0.0)) == "exact"
+
+    @pytest.mark.parametrize("safety", BAD_SAFETY)
+    def test_bad_safety_rejected_on_construction(self, safety):
+        with pytest.raises(DomainError, match="safety"):
+            ConstantsTable(safety=safety)
+
+    @pytest.mark.parametrize("safety", BAD_SAFETY)
+    def test_bad_safety_rejected_on_load(self, safety):
+        with pytest.raises(ConfigError, match="safety"):
+            ConstantsTable.from_snapshot({"safety": safety, "entries": {}})
 
     def test_missing_constant_raises(self):
         t = ConstantsTable()
