@@ -7,7 +7,6 @@ from .bounds import (
     INTEGRAL_IDS,
     POINTWISE_IDS,
     BoundReport,
-    constants_chain,
     standard_sweep,
     verify_integral,
     verify_pointwise,
@@ -55,7 +54,6 @@ from .spectral import (
 from .transform import (
     PhiState,
     delta_max,
-    foias_temam_norms,
     q_functional,
     sigma_p,
     solve_phi,

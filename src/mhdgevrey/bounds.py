@@ -246,34 +246,6 @@ def d4_constant(Q, delta, nu, eta, dT, s, table):
     )
 
 
-def constants_chain(Q, delta, nu, eta, T, t0, s, table) -> dict:
-    """Evaluate the chained constants for one norm index s."""
-    if Q < 0:
-        raise DomainError("Q must be nonnegative")
-    if not delta > 0:
-        raise DomainError("delta must be positive")
-    if not T > t0:
-        raise DomainError("T must exceed t0")
-    mn = min(nu, eta)
-    dT = T - t0
-    out = {"Qprime": q_prime(Q, delta, mn, dT)}
-    if s >= 1.0:
-        out["Qdouble_s"] = q_double(Q, delta, mn, dT, s)
-    if s > 1.0:
-        out["Qtilde_s"] = q_tilde(Q, delta, mn, dT, s)
-    if s > -0.5:
-        out["QtildeW_s"] = q_tilde_wiener(Q, delta, mn, dT, s)
-    if s >= -0.5:
-        out["D1_s"] = d1_constant(Q, delta, nu, eta, dT, s, table)
-    if -2.5 < s <= -0.5:
-        out["D2_s"] = d2_constant(Q, delta, nu, eta, dT, s, table)
-    if s < -2.5:
-        out["D3_s"] = d3_constant(Q, nu, eta, s, table)
-    if s > -2.0:
-        out["D4_s"] = d4_constant(Q, delta, nu, eta, dT, s, table)
-    return out
-
-
 # -- xi fields -----------------------------------------------------------------
 
 
@@ -388,8 +360,8 @@ class Bound:
         for name in self.needs:
             if values.get(name) is None:
                 return DomainError("%s needs %s" % (self.id, _VALUE_NAMES[name]))
-        if "delta" in self.needs and values["delta"] < 0:
-            return DomainError("delta must be nonnegative")
+        if "delta" in self.needs and not values["delta"] > 0:
+            return DomainError("delta must be positive")
         if self.fixed_s is None and not self.domain(s, values.get("p")):
             return DomainError(self.domain_msg)
         if trace is None:
@@ -524,23 +496,26 @@ def _quadrature_note(y, x):
     return ""
 
 
+def _in_window(tau, t_star):
+    """The samples inside a guaranteed window: 0 < tau < t_star."""
+    return (tau > 0.0) & (tau < t_star)
+
+
 def _b19(w, s, lhs_series):
-    # At t = t0 the exponential weight is 1, so the first stored value of
-    # the weighted column is the plain squared H_s norm of the data.
-    e0 = lhs_series[0]
+    # The window opens at t0, where the weight is 1: the first stored value
+    # of the weighted column is the plain squared H_s norm of the data, and
+    # the envelope equals it there by construction.
     tau = w.ts - w.t0
 
     def compute():
-        if e0 == 0.0:
-            # zero data: the envelope is 0, so any weighted energy fails it
-            lhs = float(np.max(lhs_series))
-            return _Eval(lhs, 0.0, "zero initial data", _verdict(lhs, 0.0))
-        t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, e0, tau)
-        inwin = tau < t_star
-        if not np.any(inwin):
-            return _Eval(0.0, 0.0, "outside guaranteed window", "informational")
-        return _Eval(*_worst_pair(lhs_series[inwin], qs[inwin]),
-                     "" if np.all(inwin) else "verified inside guaranteed window only")
+        t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, lhs_series[0], tau)
+        inside = _in_window(tau, t_star)
+        if not np.any(inside):
+            return _Eval(0.0, 0.0, "no sample after t0 inside the guaranteed window "
+                         "(t_star = %.6g)" % t_star, "informational")
+        return _Eval(*_worst_pair(lhs_series[inside], qs[inside]),
+                     "max over %d of %d samples after t0 (t_star = %.6g)"
+                     % (np.sum(inside), len(tau) - 1, t_star))
 
     return _ensure_C(w.table, s, 1.5 - s), compute
 
@@ -556,7 +531,7 @@ def _fgt(w, p, v1, b1, vp, bp):
         for tk, ek in zip(w.ts, e1):
             tau = w.ts - tk
             t_star, q1 = _growth_envelope(w.table, 1.0, w.sigma, w.mn, ek, tau)
-            inside = (tau > 0.0) & (tau < t_star)
+            inside = _in_window(tau, t_star)
             lhs.append(ep[inside])
             rhs.append(q1[inside] * ((p - 1.0) / (math.e * w.sigma * tau[inside]))
                        ** (2.0 * (p - 1.0)))
@@ -812,17 +787,20 @@ def _bound(id, pointwise: bool) -> Bound:
     return bound
 
 
-def verify_integral(id: str, trace, s: float, T: float, table,
-                    delta: float | None = None, p: float | None = None,
-                    sigma: float | None = None) -> BoundReport:
-    """Verify one integral inequality over the archived trace up to time T.
-
-    delta and sigma default to the values in the trace's manifest.
-    """
-    bound = _bound(id, pointwise=False)
+def _run_values(trace, p: float | None = None) -> dict:
+    """The run values the checks read: delta and sigma from the trace's
+    manifest, which records those its weighted columns were computed with,
+    and the integrability order p."""
     man = trace.manifest
-    values = {"delta": man.get("delta") if delta is None else delta,
-              "sigma": man.get("sigma") if sigma is None else sigma, "p": p}
+    return {"delta": man.get("delta"), "sigma": man.get("sigma"), "p": p}
+
+
+def verify_integral(id: str, trace, s: float, T: float, table,
+                    p: float | None = None) -> BoundReport:
+    """Verify one integral inequality over the archived trace up to time T,
+    with the delta and sigma its manifest records."""
+    bound = _bound(id, pointwise=False)
+    values = _run_values(trace, p)
     error = bound.inapplicable(s, values, trace, T)
     if error:
         raise error
@@ -867,21 +845,22 @@ def verify_pointwise(id: str, state, table, delta: float | None = None,
     return _worst_over_checkpoints([(id, s)], [state], table, delta, e_init)[(id, s)]
 
 
-def _verify_pairs(pairs, trace, table, T, values) -> list:
+def _verify_pairs(pairs, trace, table, T, p=None) -> list:
     """Reports of the (id, s) pairs, in order.
 
-    Integral pairs read the trace up to T with the run values (delta,
-    sigma, p); one scan of the stored checkpoints serves all pointwise
-    pairs.
+    Integral pairs read the trace up to T with the run values of
+    ``_run_values``; one scan of the stored checkpoints serves all
+    pointwise pairs.
     """
-    reports = {(id, s): verify_integral(id, trace, s, T, table, **values)
+    reports = {(id, s): verify_integral(id, trace, s, T, table, p)
                for id, s in pairs if not BOUNDS[id].pointwise}
     pointwise = [pair for pair in pairs if pair not in reports]
     if pointwise:
         states = trace.checkpoints()
         if not states:
             raise TraceError("archive holds no checkpoints")
-        reports.update(_worst_over_checkpoints(pointwise, states, table, values["delta"]))
+        reports.update(_worst_over_checkpoints(pointwise, states, table,
+                                               _run_values(trace)["delta"]))
     return [reports[pair] for pair in pairs]
 
 
@@ -913,21 +892,12 @@ SWEEP_POINTWISE_CASES = (
 )
 
 
-def standard_sweep(trace, table, delta: float | None = None,
-                   sigma: float | None = None, T: float | None = None) -> list:
+def standard_sweep(trace, table) -> list:
     """Run the canonical battery of integral and pointwise checks on a trace.
 
     Integral bounds use the full stored series; pointwise inequalities are
     evaluated on every stored checkpoint and the worst ratio is reported per
     bound.  Returns a list of BoundReport.
     """
-    man = trace.manifest
-    if delta is None:
-        delta = float(man["delta"])
-    if sigma is None:
-        sigma = float(man.get("sigma", 0.5 * min(
-            float(man["config"]["nu"]), float(man["config"]["eta"]))))
-    if T is None:
-        T = float(trace.times[-1])
-    return _verify_pairs(SWEEP_INTEGRAL_CASES + SWEEP_POINTWISE_CASES, trace, table, T,
-                         {"delta": delta, "sigma": sigma, "p": 4.0})
+    return _verify_pairs(SWEEP_INTEGRAL_CASES + SWEEP_POINTWISE_CASES, trace, table,
+                         float(trace.times[-1]), 4.0)

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .archive import TraceArchive, atomic_open, checkpoint_load
-from .bounds import BOUNDS, _verify_pairs
+from .bounds import BOUNDS, _run_values, _verify_pairs
 from .config import load_run_config
 from .constants import ConstantsTable, build_table, check_safety
 from .errors import (
@@ -62,12 +62,7 @@ def cmd_run(args) -> int:
     table = _load_table(args.table)
     delta, sigma, notes = cfg.resolve(table)
     extra = {"seed": cfg.seed, "initial": {"kind": cfg.initial_kind,
-                                           "params": cfg.initial_params}}
-    if delta is not None:
-        extra["delta"] = delta
-    if sigma is not None:
-        extra["sigma"] = sigma
-    extra.update(notes)
+                                           "params": cfg.initial_params}, **notes}
     initial = cfg.initial_state()
     diagnostics = cfg.diagnostics(delta, sigma)
     try:
@@ -88,8 +83,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     trace = TraceArchive.load(args.trace)
     table = _load_table(args.table)
-    man = trace.manifest
-    values = {"delta": man.get("delta"), "sigma": man.get("sigma"), "p": args.p}
+    values = _run_values(trace, args.p)
     T = args.T if args.T is not None else float(trace.times[-1])
     ids = args.bounds or list(BOUNDS)
     bad = [b for b in ids if b not in BOUNDS]
@@ -108,7 +102,7 @@ def cmd_verify(args) -> int:
                 print("skip %s s=%s: %s" % (id, "-" if s is None else "%.12g" % s, reason))
             else:
                 pairs.append((id, s))
-    reports = _verify_pairs(pairs, trace, table, T, values)
+    reports = _verify_pairs(pairs, trace, table, T, args.p)
     if not reports:
         print("no applicable (bound, s) pairs", file=sys.stderr)
         return EXIT_USAGE

@@ -120,7 +120,7 @@ class RunConfig:
             derivative_s=self.derivative_s,
             wiener_s=self.wiener_s,
             lq_grid=self.lq_grid,
-            ft_sigma=sigma if self.ft_s else None,
+            ft_sigma=sigma,
             ft_s=self.ft_s,
             tilde_s=self.tilde_s,
             sigma3=self.sigma3,

@@ -263,6 +263,15 @@ def _skey(s: float) -> str:
     return repr(float(s))
 
 
+def _c_tilde_prime_indices(s: float):
+    """(a, b, k) with C~'_s = C_a C_b^k, for -5/2 < s <= -1/2."""
+    if -1.0 < s <= -0.5:
+        return (1.0 - 2.0 * s) / 4.0, (2.0 * s + 5.0) / 4.0, 1
+    if -2.5 < s <= -1.0:
+        return -1.0 - s, (2.0 * s + 5.0) / 4.0, 2
+    raise DomainError("C_tilde_prime defined for -5/2 < s <= -1/2")
+
+
 @dataclass
 class ConstantsTable:
     """Named constants with provenance flags and the estimation safety factor."""
@@ -318,17 +327,10 @@ class ConstantsTable:
 
     def ensure_for_C_tilde_prime(self, s: float):
         """Estimate the base constants the derivative nonlinearity bound needs."""
-        if -1.0 < s <= -0.5:
-            needed = [(1.0 - 2.0 * s) / 4.0, (2.0 * s + 5.0) / 4.0]
-        elif -2.5 < s <= -1.0:
-            needed = [-1.0 - s, (2.0 * s + 5.0) / 4.0]
-        else:
-            raise DomainError("C_tilde_prime defined for -5/2 < s <= -1/2")
-        names = []
-        for ss in needed:
-            self.ensure_C(ss)
-            names.append(self.skey_C(ss))
-        return names
+        a, b, _ = _c_tilde_prime_indices(s)
+        for x in (a, b):
+            self.ensure_C(x)
+        return [self.skey_C(a), self.skey_C(b)]
 
     def describe(self, names):
         out = []
@@ -391,11 +393,8 @@ class ConstantsTable:
 
     def C_tilde_prime(self, s: float) -> float:
         """Constant of the transformed-derivative nonlinearity bound."""
-        if -1.0 < s <= -0.5:
-            return self.C((1.0 - 2.0 * s) / 4.0) * self.C((2.0 * s + 5.0) / 4.0)
-        if -2.5 < s <= -1.0:
-            return self.C(-1.0 - s) * self.C((2.0 * s + 5.0) / 4.0) ** 2
-        raise DomainError("C_tilde_prime defined for -5/2 < s <= -1/2")
+        a, b, k = _c_tilde_prime_indices(s)
+        return self.C(a) * self.C(b) ** k
 
     def C_second(self, s: float, gamma: float) -> float:
         """The weighted-norm decay constant from the admissibility choice."""

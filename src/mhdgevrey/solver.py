@@ -520,7 +520,12 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
 def simulate(config: SolverConfig, initial: MhdState, outdir,
              diagnostics: DiagnosticsSpec | None = None,
              manifest_extra: dict | None = None) -> TraceArchive:
-    """Integrate to t_end, writing samples every output_stride steps."""
+    """Integrate to t_end, writing samples every output_stride steps.
+
+    The manifest records the diagnostics' ``delta`` and ``ft_sigma`` as
+    ``delta`` and ``sigma``; a ``manifest_extra`` value for either that
+    differs is a ConfigError.
+    """
     initial.validate()
     if initial.N != config.N:
         raise ConfigError("initial state truncation differs from config")
@@ -538,9 +543,17 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
         },
         "t0": initial.t,
         "version": 1,
+        # The weight scales of the weighted columns: the integral checks
+        # read them from here and from nowhere else.
+        "delta": diagnostics.delta,
+        "sigma": diagnostics.ft_sigma,
     }
-    if manifest_extra:
-        manifest.update(manifest_extra)
+    extra = manifest_extra or {}
+    for key in ("delta", "sigma"):
+        if key in extra and extra[key] != manifest[key]:
+            raise ConfigError("manifest_extra %s = %r differs from the %r the columns use"
+                              % (key, extra[key], manifest[key]))
+    manifest.update(extra)
     arch = TraceArchive.create(outdir, manifest)
     ck_stride = config.checkpoint_stride or config.output_stride
     t0 = initial.t

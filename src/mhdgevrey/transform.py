@@ -1,9 +1,9 @@
 """Analyticity transforms: exponential weighting in time and the Phi weight.
 
 Two reweightings of the coefficient fields are provided.  The first applies
-the weight e^{sigma (t-t0)|n|} and compares the weighted energy against the
-closed-form envelope q_s(t) valid up to a guaranteed time t_star.  The
-second multiplies coefficients by e^{delta Phi |n|} where Phi in (0, 1] is
+the weight e^{sigma (t-t0)|n|}; the weighted energy stays below the
+closed-form envelope q_s(t) up to a guaranteed time t_star, which the
+registry entries B19 and FGT of ``bounds.BOUNDS`` check.  The second multiplies coefficients by e^{delta Phi |n|} where Phi in (0, 1] is
 the root of
 
     Theta(Phi) = ||v~||_{delta Phi, 3/2}^2 + ||b~||_{delta Phi, 3/2}^2
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .spectral import (
     _energy,
     _radial_sum,
     geometry,
-    gevrey_norm,
     gevrey_scale,
     sobolev_norm,
 )
@@ -47,29 +45,16 @@ def _energy_s(state, s: float) -> float:
     return _energy((state.V, state.B), s)
 
 
-class FoiasTemamResult(NamedTuple):
-    lhs: float
-    qs: float
-    t_star: float
-    note: str
-
-
-def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau,
-                     gamma: float | None = None):
+def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau):
     """(t_star, q_s(tau)) of the growing-weight envelope of data with E_s = e0.
 
-    gamma is pinned to its largest admissible value (mn - sigma)/(C'_s (5/2 - s))
-    unless given; with C'' = C_second(s, gamma), t_star = e0^{-2/(2s-1)}/C''
-    and q_s(tau) = e0 (1 - C'' tau e0^{2/(2s-1)})^{-(s-1/2)}
+    gamma is pinned to its largest admissible value (mn - sigma)/(C'_s (5/2 - s));
+    with C'' = C_second(s, gamma), t_star = e0^{-2/(2s-1)}/C'' and
+    q_s(tau) = e0 (1 - C'' tau e0^{2/(2s-1)})^{-(s-1/2)}
     = e0 (1 - tau/t_star)^{-(s-1/2)}, which is e0 exactly at tau = 0 and nan
     from t_star on.  Zero data give t_star = inf and q_s = 0.
     """
-    cps = table.Cprime(s)
-    if gamma is None:
-        gamma = (mn - sigma) / (cps * (2.5 - s))
-    elif cps * (2.5 - s) * gamma > (mn - sigma) * (1 + 1e-12):
-        raise DomainError("gamma violates the admissibility inequality")
-    c2 = table.C_second(s, gamma)
+    c2 = table.C_second(s, (mn - sigma) / (table.Cprime(s) * (2.5 - s)))
     if e0 == 0.0:
         return math.inf, np.zeros_like(tau, dtype=float)
     t_star = e0 ** (-2.0 / (2.0 * s - 1.0)) / c2
@@ -77,39 +62,6 @@ def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau,
         return 0.0, np.full(np.shape(tau), np.nan)
     base = 1.0 - np.asarray(tau, dtype=float) / t_star
     return t_star, e0 * np.where(base > 0, base, np.nan) ** (-(s - 0.5))
-
-
-def foias_temam_norms(state, t0: float, sigma: float, s: float, table,
-                      initial=None, gamma: float | None = None) -> FoiasTemamResult:
-    """Weighted energy at time t against its closed-form envelope.
-
-    Returns (lhs, qs, t_star): lhs is the e^{sigma(t-t0)|n|}-weighted squared
-    energy of the state, qs the envelope value at t, and t_star the length of
-    the window on which the envelope is finite.  The envelope constant uses
-    gamma pinned to the largest admissible value unless overridden.
-    """
-    mn = min(state.nu, state.eta)
-    if not (0.0 < sigma < mn):
-        raise DomainError("sigma must lie in (0, min(nu, eta))")
-    if not (0.5 < s <= 1.0):
-        raise DomainError("s must lie in (1/2, 1]")
-    t = state.t
-    if t < t0:
-        raise DomainError("state sampled before t0")
-    lhs = (
-        gevrey_norm(state.V, sigma * (t - t0), s) ** 2
-        + gevrey_norm(state.B, sigma * (t - t0), s) ** 2
-    )
-    if initial is None:
-        if abs(t - t0) > 1e-12:
-            raise DomainError("initial sample required when state.t != t0")
-        e0 = lhs
-    else:
-        e0 = _energy_s(initial, s)
-    t_star, qs = _growth_envelope(table, s, sigma, mn, e0, t - t0, gamma)
-    if t - t0 >= t_star:
-        return FoiasTemamResult(lhs, math.inf, t_star, "outside guaranteed window")
-    return FoiasTemamResult(lhs, float(qs), t_star, "")
 
 
 # -- the Phi weight ------------------------------------------------------------
@@ -199,11 +151,6 @@ def transform(state, delta: float) -> PhiState:
         nu=state.nu,
         eta=state.eta,
     )
-
-
-def untransform_field(w: SpectralField, delta: float, phi: float) -> SpectralField:
-    """Inverse weighting e^{-delta Phi |n|}."""
-    return gevrey_scale(w, -delta * phi)
 
 
 # -- triple-interaction sums ---------------------------------------------------

@@ -32,7 +32,7 @@ from mhdgevrey.solver import (
     step,
 )
 from mhdgevrey.spectral import SpectralField, geometry, gevrey_norm, sobolev_norm
-from mhdgevrey.transform import _theta, balance_residual, foias_temam_norms, solve_phi
+from mhdgevrey.transform import _growth_envelope, _theta, balance_residual, solve_phi
 
 from sweep_runs import SWEEP_SIGMA, make_sweep_trace
 
@@ -148,31 +148,33 @@ class TestSingleModeSuite:
         assert err_v <= 1e-10
         assert err_b <= 1e-10
 
-    def test_growing_weight_envelope_on_closed_form(self, table):
-        """Weighted energy stays strictly below its envelope along the exact
-        exponential trajectory, sampled inside the guaranteed window."""
+    def test_growing_weight_envelope_on_closed_form(self, table, tmp_path):
+        """Weighted energy stays strictly below its envelope along the
+        single-mode exponential decay, sampled inside the guaranteed window:
+        B19 on a run whose step is a tenth of t_star."""
         st0 = m.make_initial("single-mode", SM_PARAMS, N=8,
                              nu=SM_NU, eta=SM_ETA)
         for s in (0.75, 1.0):
-            t_star = foias_temam_norms(st0, 0.0, 0.05, s, table).t_star
+            e0 = sobolev_norm(st0.V, s) ** 2 + sobolev_norm(st0.B, s) ** 2
+            t_star = _growth_envelope(table, s, 0.05, min(SM_NU, SM_ETA), e0, 0.0)[0]
             assert t_star > 0
-            for k in range(1, 10):
-                t = k * t_star / 10.0
-                st = m.MhdState(
-                    V=SpectralField(8, st0.V.coeffs * math.exp(-SM_NU * t)),
-                    B=SpectralField(8, st0.B.coeffs * math.exp(-SM_ETA * t)),
-                    nu=SM_NU, eta=SM_ETA, t=t)
-                res = foias_temam_norms(st, 0.0, 0.05, s, table, initial=st0)
-                assert math.isfinite(res.qs)
-                assert res.lhs / res.qs < 1.0
+            cfg = m.SolverConfig(N=8, nu=SM_NU, eta=SM_ETA, dt=t_star / 10.0,
+                                 t_end=9 * t_star / 10.0, output_stride=1,
+                                 scheme="integrating-factor-RK2")
+            tr = m.simulate(cfg, st0, tmp_path / ("s%g" % s), diagnostics=m.DiagnosticsSpec(
+                s_grid=(), ft_sigma=0.05, ft_s=(s,)))
+            rep = verify_integral("B19", tr, s, tr.times[-1], table)
+            assert rep.verdict == "pass"
+            assert rep.note.startswith("max over 9 of 9 samples after t0")
+            assert math.isfinite(rep.rhs)
+            assert rep.ratio < 1.0
 
     @pytest.mark.parametrize("bid,s", [("B29", None), ("B32_1", 2.0),
                                        ("B32_2", 1.0), ("B36_1", 0.0)])
     def test_integral_bounds_strict(self, singlemode_acceptance_trace, table,
-                                    delta_std, bid, s):
+                                    bid, s):
         tr = singlemode_acceptance_trace
-        rep = verify_integral(bid, tr, s, tr.times[-1], table,
-                              delta=delta_std, sigma=0.05)
+        rep = verify_integral(bid, tr, s, tr.times[-1], table)
         assert rep.verdict == "pass"
         assert rep.ratio < 1.0
 
@@ -311,19 +313,21 @@ class TestStandardSweep:
         assert {pin_key(r) for r in reports} == set(pins)
         for r in reports:
             pin = pins[pin_key(r)]
-            assert r.verdict == pin["verdict"] == "pass", pin_key(r)
+            assert r.verdict == pin["verdict"], pin_key(r)
             assert r.ratio == pytest.approx(pin["ratio"], rel=1e-6), pin_key(r)
+        # only B19 is not a pass: no sample after t0 lies inside its window
+        assert {pin_key(r) for r in reports if r.verdict != "pass"} == {"B19:0.75", "B19:1"}
 
     @pytest.mark.slow
     def test_ratios_stable_under_refinement(self, tmp_path_factory, table):
         """The same configuration rerun at N=32 reproduces every pinned ratio
-        to within 20 percent and still passes every bound."""
+        to within 20 percent and every pinned verdict."""
         pins = json.loads(DATA.read_text())
         out = tmp_path_factory.mktemp("sweep32")
         trace = make_sweep_trace(32, out / "trace", table)
         for r in m.standard_sweep(trace, table):
             pin = pins[pin_key(r)]["ratio"]
-            assert r.verdict == "pass", pin_key(r)
+            assert r.verdict == pins[pin_key(r)]["verdict"], pin_key(r)
             assert abs(r.ratio - pin) <= 0.2 * pin, \
                 "%s: %g vs pinned %g" % (pin_key(r), r.ratio, pin)
 

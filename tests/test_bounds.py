@@ -2,18 +2,19 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 import mhdgevrey as m
 from mhdgevrey.bounds import (
+    BOUNDS,
     INTEGRAL_IDS,
     POINTWISE_IDS,
     SWEEP_POINTWISE_CASES,
     alpha_exponent,
     c_second_tilde,
-    constants_chain,
     d1_constant,
     d2_constant,
     d3_constant,
@@ -85,6 +86,28 @@ class TestConstantChains:
         with pytest.raises(DomainError):
             d4_constant(1.0, 0.1, 0.1, 0.1, 1.0, -2.0, table)
 
+    @staticmethod
+    def _chain(s, table, Q=0.3, delta=0.05, nu=0.1, eta=0.1, dT=1.0):
+        """The rhs constants defined at s, by name."""
+        mn = min(nu, eta)
+        chain = {
+            "Qprime": lambda: q_prime(Q, delta, mn, dT),
+            "Qdouble_s": lambda: q_double(Q, delta, mn, dT, s),
+            "Qtilde_s": lambda: q_tilde(Q, delta, mn, dT, s),
+            "QtildeW_s": lambda: q_tilde_wiener(Q, delta, mn, dT, s),
+            "D1_s": lambda: d1_constant(Q, delta, nu, eta, dT, s, table),
+            "D2_s": lambda: d2_constant(Q, delta, nu, eta, dT, s, table),
+            "D3_s": lambda: d3_constant(Q, nu, eta, s, table),
+            "D4_s": lambda: d4_constant(Q, delta, nu, eta, dT, s, table),
+        }
+        out = {}
+        for name, value in chain.items():
+            try:
+                out[name] = value()
+            except DomainError:
+                pass
+        return out
+
     @pytest.mark.parametrize("s,keys", [
         (2.0, {"Qprime", "Qdouble_s", "Qtilde_s", "QtildeW_s", "D1_s", "D4_s"}),
         (0.0, {"Qprime", "QtildeW_s", "D1_s", "D4_s"}),
@@ -94,21 +117,14 @@ class TestConstantChains:
     def test_chain_branches(self, table, s, keys):
         table.ensure_for_C_tilde_prime(-1.0)
         table.ensure_cp(2.0)
-        out = constants_chain(0.3, 0.05, 0.1, 0.1, 1.0, 0.0, s, table)
+        out = self._chain(s, table)
         assert set(out) == keys
         assert all(v >= 0 for v in out.values())
 
-    def test_chain_domains(self, table):
-        with pytest.raises(DomainError):
-            constants_chain(-1.0, 0.05, 0.1, 0.1, 1.0, 0.0, 2.0, table)
-        with pytest.raises(DomainError):
-            constants_chain(1.0, 0.0, 0.1, 0.1, 1.0, 0.0, 2.0, table)
-        with pytest.raises(DomainError):
-            constants_chain(1.0, 0.05, 0.1, 0.1, 0.0, 0.0, 2.0, table)
-
     def test_chain_monotone_in_q(self, table):
-        lo = constants_chain(0.1, 0.05, 0.1, 0.1, 1.0, 0.0, 2.0, table)
-        hi = constants_chain(0.2, 0.05, 0.1, 0.1, 1.0, 0.0, 2.0, table)
+        lo = self._chain(2.0, table, Q=0.1)
+        hi = self._chain(2.0, table, Q=0.2)
+        assert len(lo) == 6
         for k in lo:
             assert hi[k] >= lo[k]
 
@@ -258,7 +274,7 @@ class TestCheckpointScan:
             return real(state, *args, **kwargs)
 
         monkeypatch.setattr(solver, "nonlinear_rhs_fast", counting)
-        reports = standard_sweep(random_trace, table, delta=delta_std, sigma=0.05)
+        reports = standard_sweep(random_trace, table)
         times = [st.t for st in random_trace.checkpoints()]
         assert calls == times
         assert [r.id for r in reports[-5:]] == [id for id, _ in SWEEP_POINTWISE_CASES]
@@ -268,7 +284,7 @@ class TestCheckpointScan:
         states = random_trace.checkpoints()
         e_init = 0.5 * (sobolev_norm(states[0].V, 0.0) ** 2
                         + sobolev_norm(states[0].B, 0.0) ** 2)
-        reports = standard_sweep(random_trace, table, delta=delta_std, sigma=0.05)
+        reports = standard_sweep(random_trace, table)
         for rep, (id, s) in zip(reports[-5:], SWEEP_POINTWISE_CASES):
             singles = [verify_pointwise(id, st, table, delta=delta_std, s=s,
                                         e_init=e_init) for st in states]
@@ -298,29 +314,31 @@ INTEGRAL_CASES = [
 ]
 
 
+# Verdicts other than pass/vacuous a bound may give on the N=6 and N=8
+# fixtures: B19's window t_star (below 1e-7 on both) ends before the first
+# sample after t0, so B19 is informational there.
+_FIXTURE_VERDICTS = {"B19": ("informational",)}
+
+
 class TestIntegral:
     @pytest.mark.parametrize("id,s,kw", INTEGRAL_CASES)
-    def test_passes_on_singlemode_run(self, singlemode_trace, table,
-                                      delta_std, id, s, kw):
+    def test_passes_on_singlemode_run(self, singlemode_trace, table, id, s, kw):
         T = float(singlemode_trace.times[-1])
-        rep = verify_integral(id, singlemode_trace, s, T, table,
-                              delta=delta_std, sigma=0.05, **kw)
-        assert rep.verdict in ("pass", "vacuous"), rep
+        rep = verify_integral(id, singlemode_trace, s, T, table, **kw)
+        assert rep.verdict in _FIXTURE_VERDICTS.get(id, ("pass", "vacuous")), rep
         assert rep.ratio <= 1.0 or rep.rhs == 0.0
 
     @pytest.mark.parametrize("id,s,kw", INTEGRAL_CASES)
-    def test_passes_on_random_run(self, random_trace, table, delta_std,
-                                  id, s, kw):
+    def test_passes_on_random_run(self, random_trace, table, id, s, kw):
         T = float(random_trace.times[-1])
-        rep = verify_integral(id, random_trace, s, T, table,
-                              delta=delta_std, sigma=0.05, **kw)
-        assert rep.verdict in ("pass", "vacuous"), rep
+        rep = verify_integral(id, random_trace, s, T, table, **kw)
+        assert rep.verdict in _FIXTURE_VERDICTS.get(id, ("pass", "vacuous")), rep
 
     def test_unknown_id(self, singlemode_trace, table):
         with pytest.raises(DomainError):
             verify_integral("B99", singlemode_trace, 1.0, 0.05, table)
 
-    def test_domain_checks(self, singlemode_trace, table, delta_std):
+    def test_domain_checks(self, singlemode_trace, table):
         T = float(singlemode_trace.times[-1])
         for id, s, kw in [("B19", 0.4, {}), ("B32_1", 1.0, {}),
                           ("B32_2", 1.5, {}), ("B32_3", -1.0, {}),
@@ -328,34 +346,43 @@ class TestIntegral:
                           ("B36_2", 0.0, {}), ("B36_3", -1.0, {}),
                           ("B36_4", -3.0, {})]:
             with pytest.raises(DomainError):
-                verify_integral(id, singlemode_trace, s, T, table,
-                                delta=delta_std, sigma=0.05, **kw)
+                verify_integral(id, singlemode_trace, s, T, table, **kw)
 
-    def test_missing_columns_raise_trace_error(self, singlemode_trace, table,
-                                               delta_std):
+    def test_missing_columns_raise_trace_error(self, singlemode_trace, table):
         T = float(singlemode_trace.times[-1])
         # s = 1.5 has no stored Wiener column in the fixture diagnostics
         with pytest.raises(TraceError):
-            verify_integral("B32_3", singlemode_trace, 1.5, T, table,
-                            delta=delta_std)
+            verify_integral("B32_3", singlemode_trace, 1.5, T, table)
 
-    def test_window_outside_trace(self, singlemode_trace, table, delta_std):
+    def test_window_outside_trace(self, singlemode_trace, table):
         with pytest.raises(TraceError):
-            verify_integral("B32_1", singlemode_trace, 2.0, -1.0, table,
-                            delta=delta_std)
+            verify_integral("B32_1", singlemode_trace, 2.0, -1.0, table)
 
-    def test_b36_2_notes_derivation(self, singlemode_trace, table, delta_std):
+    def test_b36_2_notes_derivation(self, singlemode_trace, table):
         T = float(singlemode_trace.times[-1])
-        rep = verify_integral("B36_2", singlemode_trace, -1.0, T, table,
-                              delta=delta_std)
+        rep = verify_integral("B36_2", singlemode_trace, -1.0, T, table)
         assert "derivation-dependent RHS" in rep.note
 
     def test_b19_window_note(self, random_trace, table):
         T = float(random_trace.times[-1])
-        rep = verify_integral("B19", random_trace, 0.75, T, table, sigma=0.05)
-        # safety-factored constants keep the guaranteed window short here
-        assert rep.verdict == "pass"
+        rep = verify_integral("B19", random_trace, 0.75, T, table)
+        # safety-factored constants keep the guaranteed window far shorter
+        # than one output stride here; the note gives its length
+        assert rep.verdict == "informational"
         assert "guaranteed window" in rep.note
+        t_star = float(re.search(r"t_star = (\S+)\)", rep.note).group(1))
+        assert 0.0 < t_star < random_trace.times[1] - random_trace.times[0]
+
+    @pytest.mark.parametrize("id,s,p", [("B32_1", 2.0, None), ("B32_3", 0.0, None),
+                                        ("COR51", 1.0, 4.0), ("B36_1", 0.0, None),
+                                        ("B36_4", 0.0, None), ("B29", None, None),
+                                        ("P40", None, None)])
+    def test_zero_delta_is_outside_the_domain(self, id, s, p):
+        # a delta = 0 archive used to reach the rhs chains: ZeroDivisionError
+        # (B32_1, B36_1, COR51) or a DomainError from lattice_constant
+        # (B32_3, B36_4) partway through verify
+        error = BOUNDS[id].inapplicable(s, {"delta": 0.0, "sigma": None, "p": p})
+        assert isinstance(error, DomainError) and str(error) == "delta must be positive"
 
 
     @pytest.mark.parametrize("seed", range(4))
@@ -369,9 +396,8 @@ class TestIntegral:
         trace = m.simulate(cfg, st, tmp_path, diagnostics=m.DiagnosticsSpec(
             s_grid=(0.0,), ft_sigma=0.05, ft_s=(0.95,)))
         table = m.ConstantsTable.from_json(table_json)
-        rep = verify_integral("B19", trace, 0.95, float(trace.times[-1]), table,
-                              sigma=0.05)
-        assert rep.verdict == "pass"
+        rep = verify_integral("B19", trace, 0.95, float(trace.times[-1]), table)
+        assert rep.verdict != "fail"
         assert rep.ratio <= 1.0
         assert "re-estimated" not in rep.note
 

@@ -24,6 +24,8 @@ from mhdgevrey.config import load_run_config, parse_run_config
 from mhdgevrey.errors import ConfigError, ConvergenceError, DomainError, TraceError
 from mhdgevrey.spectral import SpectralField, geometry
 
+from conftest import full_diagnostics
+
 
 BASE_CONFIG = {
     "N": 6,
@@ -103,6 +105,9 @@ class TestConfigParsing:
         assert delta == pytest.approx(0.9 * m.delta_max(table, 0.1, 0.1))
         assert sigma == pytest.approx(0.05)
         assert "delta_resolution" in notes and "sigma_resolution" in notes
+        # the manifest records sigma even for a run without ft_s columns
+        no_ft = parse_run_config(dict(BASE_CONFIG, ft_s=[]))
+        assert no_ft.diagnostics(delta, sigma).ft_sigma == sigma
 
     def test_explicit_sigma_validated(self, table):
         cfg = parse_run_config(dict(BASE_CONFIG, sigma=0.5))
@@ -417,6 +422,28 @@ class TestVerifyCommand:
         with pytest.raises(DomainError, match="sigma"):
             verify_integral("B19", trace, 1.0, float(trace.times[-1]),
                             m.ConstantsTable.from_json(table_json))
+
+    def test_zero_delta_archive_skips_delta_bounds(self, tmp_path, table_json, capsys):
+        # delta = 0 used to reach the rhs chains: B32_1, B36_1 and COR51 died
+        # with a ZeroDivisionError traceback, B32_3 and B36_4 with a
+        # DomainError from lattice_constant partway through the run
+        st = m.make_initial("random-spectrum", {"norm_v": 0.3, "norm_b": 0.15},
+                            N=4, seed=1, nu=0.1, eta=0.1)
+        cfg = m.SolverConfig(N=4, nu=0.1, eta=0.1, dt=1e-3, t_end=0.004,
+                             output_stride=2, scheme="integrating-factor-RK2")
+        out = tmp_path / "archive"
+        m.simulate(cfg, st, out, diagnostics=full_diagnostics(0.0),
+                   manifest_extra={"delta": 0.0})
+        capsys.readouterr()
+        ids = ["B32_1", "B36_1", "COR51", "B32_3", "B36_4", "B32_2"]
+        assert main(["verify", str(out), "--table", table_json,
+                     "--bounds"] + ids + ["--s", "2", "1", "0"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.err == ""
+        skips = _skip_lines(captured.out)
+        assert [(id, s) for id, s, reason in skips if reason == "delta must be positive"] \
+            == [(id, s) for id in ids[:-1] for s in ("2", "1", "0")]
+        assert [r["id"] for r in json.loads((out / "report.json").read_text())] == ["B32_2"]
 
     def test_archive_without_delta(self, tmp_path, table_json, capsys):
         # B29 and the Q-based bounds need the weight scale delta; verify used

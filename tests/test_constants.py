@@ -238,6 +238,20 @@ class TestConstantsTable:
         with pytest.raises(DomainError):
             table.C_tilde_prime(-3.0)
 
+    @pytest.mark.parametrize("s", [-0.5, -0.75, -1.0, -1.5, -2.25])
+    def test_c_tilde_prime_reads_one_index_table(self, table, s):
+        # the two branches written out: the estimated indices, and the value
+        # bit for bit
+        names = table.ensure_for_C_tilde_prime(s)
+        if -1.0 < s <= -0.5:
+            a, b = (1.0 - 2.0 * s) / 4.0, (2.0 * s + 5.0) / 4.0
+            value = table.C(a) * table.C(b)
+        else:
+            a, b = -1.0 - s, (2.0 * s + 5.0) / 4.0
+            value = table.C(a) * table.C(b) ** 2
+        assert names == [table.skey_C(a), table.skey_C(b)]
+        assert table.C_tilde_prime(s) == value
+
     def test_c_second_monotone_in_gamma(self, table):
         # Exponent -(5-2s)/(2s-1) < 0 for 1/2 < s <= 1: smaller gamma, larger C''.
         assert table.C_second(0.75, 0.01) > table.C_second(0.75, 0.02)

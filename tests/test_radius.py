@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mhdgevrey as m
-from mhdgevrey.bounds import _verify_pairs, verify_integral, verify_pointwise
+from mhdgevrey.bounds import BOUNDS, _verify_pairs, verify_integral, verify_pointwise
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.radius import (
     RadiusEstimate,
@@ -133,9 +133,20 @@ class TestGuaranteedIntervals:
         for s in (0.4, 0.5, 1.0 - 1e-9):
             with pytest.raises(DomainError, match="FGT requires s >= 1"):
                 verify_integral("FGT", tiny_trace, s, T, table)
+        # the registry's own check of a growth rate outside (0, min(nu, eta))
         for sigma in (0.5, 0.1, 0.0, -0.05):
-            with pytest.raises(DomainError, match="sigma must lie in"):
-                verify_integral("FGT", tiny_trace, 1.0, T, table, sigma=sigma)
+            error = BOUNDS["FGT"].inapplicable(1.0, {"sigma": sigma}, tiny_trace, T)
+            assert isinstance(error, DomainError)
+            assert str(error) == "sigma must lie in (0, min(nu, eta))"
+
+    def test_b19_checks_samples_after_t0(self, tiny_trace, table):
+        # t_star = 0.0153 at s = 1 holds 7 samples after t0; B19 used to
+        # report the t0 identity, ratio exactly 1.0, as its worst sample
+        rep = verify_integral("B19", tiny_trace, 1.0, float(tiny_trace.times[-1]), table)
+        assert rep.verdict == "pass"
+        assert 0.0 < rep.ratio < 1.0
+        inside = int(re.match(r"max over (\d+) of \d+ samples after t0", rep.note).group(1))
+        assert inside >= 2
 
 
 class TestTwoResolutionPsi:
@@ -179,8 +190,7 @@ class TestLipschitz:
 
     @staticmethod
     def _report(trace, table):
-        [rep] = _verify_pairs([("LIP47", None)], trace, table, float(trace.times[-1]),
-                              {"delta": None, "sigma": None, "p": None})
+        [rep] = _verify_pairs([("LIP47", None)], trace, table, float(trace.times[-1]))
         return rep
 
     def test_passes_on_archived_run(self, random_trace, table):

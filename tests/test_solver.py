@@ -350,6 +350,22 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             m.simulate(cfg, st, tmp_path / "mm")
 
+    def test_manifest_records_the_weight_scales(self, tmp_path):
+        # the integral checks read delta and sigma only from the manifest, so
+        # it holds the values the weighted columns were computed with
+        st = random_state(N=3, seed=1)
+        cfg = SolverConfig(N=3, nu=0.1, eta=0.1, dt=0.01, t_end=0.01)
+        spec = m.DiagnosticsSpec(s_grid=(), delta=0.02, ft_sigma=0.05, ft_s=(1.0,))
+        man = m.simulate(cfg, st, tmp_path / "a", diagnostics=spec,
+                         manifest_extra={"delta": 0.02, "sigma": 0.05, "seed": 1}).manifest
+        assert (man["delta"], man["sigma"], man["seed"]) == (0.02, 0.05, 1)
+        man = m.simulate(cfg, st, tmp_path / "b").manifest
+        assert man["delta"] is None and man["sigma"] is None
+        for extra in ({"delta": 0.03}, {"sigma": 0.04}, {"sigma": None}):
+            with pytest.raises(ConfigError, match="differs from"):
+                m.simulate(cfg, st, tmp_path / "c", diagnostics=spec, manifest_extra=extra)
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blow_up_keeps_partial_archive(self, tmp_path):
         st = random_state(N=3, seed=9, scale=1e160)

@@ -8,7 +8,8 @@ import pytest
 import mhdgevrey as m
 from mhdgevrey.errors import DomainError, GevreyOverflowError, TraceError
 from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, step
-from mhdgevrey.bounds import verify_integral
+from mhdgevrey.spectral import gevrey_scale
+from mhdgevrey.bounds import BOUNDS, verify_integral
 from mhdgevrey.transform import (
     PhiState,
     _growth_envelope,
@@ -17,12 +18,10 @@ from mhdgevrey.transform import (
     _theta,
     balance_residual,
     delta_max,
-    foias_temam_norms,
     q_functional,
     sigma_p,
     solve_phi,
     transform,
-    untransform_field,
 )
 
 from conftest import random_field
@@ -146,7 +145,7 @@ class TestPhiState:
         st = MhdState(V=random_field(4, 3), B=random_field(4, 4),
                       nu=0.1, eta=0.1)
         ps = transform(st, 0.2)
-        back = untransform_field(ps.V, ps.delta, ps.phi)
+        back = gevrey_scale(ps.V, -ps.delta * ps.phi)
         assert np.allclose(back.coeffs, st.V.coeffs, rtol=1e-12, atol=1e-16)
 
     def test_fixed_point_enforced_on_construction(self):
@@ -282,26 +281,30 @@ class TestBalanceResidual:
 class TestVerifyTheorem2:
     """The weighted-energy inequality LHS <= 9Q, registry entry B29."""
 
-    def test_passes_on_singlemode_run(self, singlemode_trace, delta_std, table):
+    def test_passes_on_singlemode_run(self, singlemode_trace, table):
         rep = verify_integral("B29", singlemode_trace, None,
-                              float(singlemode_trace.times[-1]), table, delta=delta_std)
+                              float(singlemode_trace.times[-1]), table)
         assert rep.verdict == "pass"
         assert "delta_max" not in rep.note
         assert "Q <= 0" not in rep.note
         assert 0.0 < rep.ratio < 1.0
 
-    def test_passes_on_random_run(self, random_trace, delta_std, table):
+    def test_passes_on_random_run(self, random_trace, table):
         rep = verify_integral("B29", random_trace, None,
-                              float(random_trace.times[-1]), table, delta=delta_std)
+                              float(random_trace.times[-1]), table)
         assert rep.verdict == "pass"
 
-    def test_inadmissible_delta_is_informational(self, singlemode_trace, table):
-        rep = verify_integral("B29", singlemode_trace, None,
-                              float(singlemode_trace.times[-1]), table, delta=10.0)
+    def test_inadmissible_delta_is_informational(self, singlemode_state, tmp_path, table):
+        # a run whose weighted columns use delta = 10
+        cfg = m.SolverConfig(N=8, nu=0.1, eta=0.1, dt=1e-3, t_end=0.01,
+                             output_stride=5, scheme="integrating-factor-RK2")
+        trace = m.simulate(cfg, singlemode_state, tmp_path, diagnostics=m.DiagnosticsSpec(
+            s_grid=(), delta=10.0, tilde_s=(0.0, 0.5, 1.0)))
+        rep = verify_integral("B29", trace, None, float(trace.times[-1]), table)
         assert rep.verdict == "informational"
         assert "delta = 10 exceeds delta_max = %.6g" % delta_max(table, 0.1, 0.1) in rep.note
 
-    def test_sparse_trace_rejected(self, singlemode_trace, delta_std, table):
+    def test_sparse_trace_rejected(self, singlemode_trace, table):
         class Sparse:
             manifest = singlemode_trace.manifest
             times = singlemode_trace.times[[0, 1, -1]]
@@ -312,11 +315,11 @@ class TestVerifyTheorem2:
 
         with pytest.raises(TraceError, match="trace too sparse"):
             verify_integral("B29", Sparse(), None,
-                            float(singlemode_trace.times[-1]), table, delta=delta_std)
+                            float(singlemode_trace.times[-1]), table)
 
-    def test_window_not_covered(self, singlemode_trace, delta_std, table):
+    def test_window_not_covered(self, singlemode_trace, table):
         class Tail:
-            manifest = {"t0": 1.0, "config": singlemode_trace.manifest["config"]}
+            manifest = dict(singlemode_trace.manifest, t0=1.0)
             times = singlemode_trace.times
             has_col = singlemode_trace.has_col
 
@@ -324,66 +327,66 @@ class TestVerifyTheorem2:
                 return singlemode_trace.col(name)
 
         with pytest.raises(TraceError, match="cover"):
-            verify_integral("B29", Tail(), None, 2.0, table, delta=delta_std)
+            verify_integral("B29", Tail(), None, 2.0, table)
 
 
 class TestFoiasTemam:
-    def _state(self, seed=0, scale=0.2, t=0.0):
+    """The growing-weight envelope, checked on archives by registry entry B19."""
+
+    @staticmethod
+    def _state(seed=0, scale=0.2):
         return MhdState(V=random_field(4, seed, scale),
-                        B=random_field(4, seed + 30, scale),
-                        t=t, nu=0.1, eta=0.1)
+                        B=random_field(4, seed + 30, scale), nu=0.1, eta=0.1)
 
-    def test_anchor_at_t0(self, table):
-        st = self._state()
-        r = foias_temam_norms(st, 0.0, 0.05, 0.75, table)
+    @staticmethod
+    def _run(st, outdir, sigma, s, dt, steps):
+        """A run sampled at every step with the weighted column at index s."""
+        cfg = m.SolverConfig(N=st.N, nu=0.1, eta=0.1, dt=dt, t_end=steps * dt,
+                             output_stride=1, scheme="integrating-factor-RK2")
+        return m.simulate(cfg, st, outdir, diagnostics=m.DiagnosticsSpec(
+            s_grid=(s,), ft_sigma=sigma, ft_s=(s,)))
+
+    @staticmethod
+    def _b19(trace, s, table):
+        return verify_integral("B19", trace, s, float(trace.times[-1]), table)
+
+    def test_anchor_at_t0(self, tmp_path, table):
+        tr = self._run(self._state(), tmp_path, 0.05, 0.75, 1e-3, 2)
         # at t = t0 the weight is 1 and the envelope equals the data norm
-        assert r.lhs == pytest.approx(
-            m.sobolev_norm(st.V, 0.75) ** 2 + m.sobolev_norm(st.B, 0.75) ** 2,
-            rel=1e-12)
-        assert r.qs == pytest.approx(r.lhs, rel=1e-10)
-        assert r.t_star > 0
+        e0 = tr.col("ft_s0.75")[0]
+        assert e0 == pytest.approx(
+            tr.col("v_s0.75")[0] ** 2 + tr.col("b_s0.75")[0] ** 2, rel=1e-12)
+        t_star, qs = _growth_envelope(table, 0.75, 0.05, 0.1, e0, np.zeros(1))
+        assert qs[0] == pytest.approx(e0, rel=1e-10)
+        assert t_star > 0
 
-    def test_envelope_holds_along_trajectory(self, table):
+    def test_envelope_holds_along_trajectory(self, tmp_path, table):
         st = self._state(seed=4, scale=0.05)
         sigma = 0.02
         # the guaranteed window is short (safety-factored constants), so
         # resolve it first and step well inside it
-        t_star = foias_temam_norms(st, 0.0, sigma, 1.0, table).t_star
-        cur = st
-        for _ in range(5):
-            cur = step(cur, t_star / 10.0)
-            r = foias_temam_norms(cur, 0.0, sigma, 1.0, table, initial=st)
-            assert r.note == ""
-            assert r.lhs <= r.qs
+        e0 = m.sobolev_norm(st.V, 1.0) ** 2 + m.sobolev_norm(st.B, 1.0) ** 2
+        t_star = _growth_envelope(table, 1.0, sigma, 0.1, e0, 0.0)[0]
+        rep = self._b19(self._run(st, tmp_path, sigma, 1.0, t_star / 10.0, 5), 1.0, table)
+        assert rep.verdict == "pass"
+        assert rep.note.startswith("max over 5 of 5 samples after t0")
+        assert 0.0 < rep.ratio < 1.0
 
-    def test_outside_window_flagged(self, table):
-        st = self._state(seed=6, scale=5.0)
-        later = MhdState(V=st.V, B=st.B, t=1e9, nu=0.1, eta=0.1)
-        r = foias_temam_norms(later, 0.0, 1e-12, 1.0, table, initial=st)
-        assert r.note == "outside guaranteed window"
-        assert math.isinf(r.qs)
+    def test_outside_window_flagged(self, tmp_path, table):
+        rep = self._b19(self._run(self._state(seed=6, scale=5.0), tmp_path, 1e-12, 1.0,
+                                  1e-3, 2), 1.0, table)
+        assert (rep.lhs, rep.rhs, rep.verdict) == (0.0, 0.0, "informational")
+        assert rep.note.startswith("no sample after t0 inside the guaranteed window")
 
-    def test_domain_checks(self, table):
-        st = self._state()
-        with pytest.raises(DomainError):
-            foias_temam_norms(st, 0.0, 0.2, 0.75, table)  # sigma >= min(nu,eta)
-        with pytest.raises(DomainError):
-            foias_temam_norms(st, 0.0, 0.05, 0.4, table)  # s out of range
-        with pytest.raises(DomainError):
-            foias_temam_norms(st, 0.5, 0.05, 0.75, table)  # sampled before t0
-
-    def test_gamma_override_admissibility(self, table):
-        st = self._state()
-        mn = 0.1
-        sigma = 0.05
-        g_max = (mn - sigma) / (table.Cprime(0.75) * (2.5 - 0.75))
-        r_pinned = foias_temam_norms(st, 0.0, sigma, 0.75, table)
-        r_small = foias_temam_norms(st, 0.0, sigma, 0.75, table,
-                                    gamma=0.5 * g_max)
-        # smaller gamma inflates the envelope constant, shrinking the window
-        assert r_small.t_star < r_pinned.t_star
-        with pytest.raises(DomainError):
-            foias_temam_norms(st, 0.0, sigma, 0.75, table, gamma=2.0 * g_max)
+    def test_domain_checks(self, tmp_path, table):
+        tr = self._run(self._state(), tmp_path, 0.05, 0.75, 1e-3, 2)
+        b19, T = BOUNDS["B19"], float(tr.times[-1])
+        assert b19.inapplicable(0.75, {"sigma": 0.05}, tr, T) is None
+        # sigma >= min(nu, eta), s out of range, a window ending before t0
+        for s, sigma, T_end, error in [(0.75, 0.2, T, DomainError),
+                                       (0.4, 0.05, T, DomainError),
+                                       (0.75, 0.05, -0.5, TraceError)]:
+            assert isinstance(b19.inapplicable(s, {"sigma": sigma}, tr, T_end), error)
 
     @pytest.mark.parametrize("s", [0.6, 0.75, 0.95, 1.0])
     def test_envelope_is_the_data_at_t0(self, s):
@@ -402,8 +405,9 @@ class TestFoiasTemam:
             # the window still closes at t_star
             assert np.isnan(_growth_envelope(Table(), s, 0.05, 0.1, e0, t_star)[1])
 
-    def test_zero_data(self, table):
+    def test_zero_data(self, tmp_path, table):
         z = m.SpectralField.zeros(3)
-        st = MhdState(V=z, B=z, nu=0.1, eta=0.1)
-        r = foias_temam_norms(st, 0.0, 0.05, 1.0, table)
-        assert r.lhs == 0.0 and r.qs == 0.0 and math.isinf(r.t_star)
+        rep = self._b19(self._run(MhdState(V=z, B=z, nu=0.1, eta=0.1), tmp_path, 0.05,
+                                  1.0, 1e-3, 2), 1.0, table)
+        assert (rep.lhs, rep.rhs, rep.verdict) == (0.0, 0.0, "vacuous")
+        assert "t_star = inf" in rep.note
