@@ -28,7 +28,6 @@ from .errors import (
 from .radius import (
     RadiusEstimate,
     decay_fit,
-    radius_check,
     two_resolution_psi,
 )
 from .solver import (
@@ -44,7 +43,6 @@ from .spectral import (
     SpectralField,
     geometry,
     gevrey_norm,
-    leray_project,
     lq_norm,
     project_solenoidal,
     shell_spectrum,

@@ -23,6 +23,8 @@ Pointwise (per-state) inequalities:
   P52    second-derivative norms plus the derivative-energy drift, s < -7/2
   LIP47  coefficient time derivatives against nu|n|^2 sqrt(2E) + 2E|n|
          (velocity) and eta|n|^2 sqrt(2E) + E|n| (magnetic field)
+  RAD    the guaranteed analyticity radius delta*Phi against the fitted
+         exponential decay rate of the (V, B) shell spectrum
 
 Here E_s denotes ||V||_s^2 + ||B||_s^2 and tilde quantities refer to the
 Phi-weighted fields.  Each bound is one entry of the registry ``BOUNDS``
@@ -41,10 +43,10 @@ import numpy as np
 
 from .constants import lattice_constant
 from .errors import DomainError, TraceError
+from .radius import _fit, default_fit_shells
 from .solver import full_rhs, second_time_derivative
 from .spectral import (
     SpectralField,
-    _energy,
     fmt_s,
     geometry,
     gevrey_scale,
@@ -52,14 +54,12 @@ from .spectral import (
     sobolev_norm,
 )
 from .transform import (
-    _balance_terms,
     _energy_s,
     _growth_envelope,
     _trace_q,
     _trapz,
     _window,
     delta_max,
-    sigma_p,
     solve_phi,
     transform,
 )
@@ -68,11 +68,6 @@ from .transform import (
 def alpha_exponent(s: float) -> float:
     """alpha_s = 2/(2s - 1)."""
     return 2.0 / (2.0 * s - 1.0)
-
-
-def gamma_exponent(s: float) -> float:
-    """gamma_s = 2/s."""
-    return 2.0 / s
 
 
 @dataclass
@@ -270,44 +265,6 @@ def _xi_from(rhs, phi: float, delta: float) -> XiFields:
 def xi_fields(state, delta: float) -> XiFields:
     """Weighted derivative coefficients xi_n = e^{delta Phi |n|} dU_n/dt."""
     return _xi_from(full_rhs(state), solve_phi(state.V, state.B, delta), delta)
-
-
-def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
-    """xi via the product rule: d(v~)/dt - delta |n| v~ dPhi/dt.
-
-    The tilde-field derivative is a central difference of the transformed
-    trajectory; dPhi/dt comes from the weighted-energy balance, so this is
-    an independent consistency route, accurate to O(h^2).
-    """
-    ps_prev = transform(state_prev, delta)
-    ps = transform(state, delta)
-    ps_next = transform(state_next, delta)
-    h1 = state.t - state_prev.t
-    h2 = state_next.t - state.t
-    if not (h1 > 0 and h2 > 0):
-        raise DomainError("states must be time-ordered")
-
-    # dPhi/dt = -(Phi^3/2) dE_{3/2}/dt with dE_{3/2}/dt from the balance.
-    e2, diss = _balance_terms(ps)
-    de32 = 2.0 * (sigma_p(ps, 3.0) - diss) / (1.0 + delta * ps.phi**3 * e2)
-    dphi = -(ps.phi**3 / 2.0) * de32
-
-    absn = geometry(state.N).absn[:, None]
-    dvt = (ps_next.V.coeffs - ps_prev.V.coeffs) / (h1 + h2)
-    dbt = (ps_next.B.coeffs - ps_prev.B.coeffs) / (h1 + h2)
-    xv = dvt - delta * dphi * absn * ps.V.coeffs
-    xb = dbt - delta * dphi * absn * ps.B.coeffs
-    return XiFields(
-        xi_v=SpectralField(state.N, xv),
-        xi_b=SpectralField(state.N, xb),
-        phi=ps.phi,
-        delta=delta,
-    )
-
-
-def derivative_norm_sq_via_xi(xi: XiFields, s: float) -> float:
-    """||dU/dt||_s^2 from the xi route: sum |n|^{2s} e^{-2 delta Phi |n|}|xi|^2."""
-    return _energy((xi.xi_v, xi.xi_b), s, -xi.delta * xi.phi)
 
 
 # -- the bound registry ------------------------------------------------------------
@@ -725,6 +682,19 @@ def _lip47(d, s):
     return [], lambda: _Eval(*worst)
 
 
+def _rad(d, s):
+    # The decay rate of the shell spectrum is the observed analyticity
+    # radius (Sulem, Sulem & Frisch 1983); delta*Phi bounds it from below.
+    N = d.state.N
+    lo, hi = default_fit_shells(N)
+    est = _fit([d.state.V, d.state.B], N, None, None) if hi - lo >= 2 else None
+    if est is None:
+        return [], lambda: _Eval(0.0, 0.0, "fewer than 3 populated shells in the fit "
+                                 "window [%d, %d]" % (lo, hi), "informational")
+    return [], lambda: _Eval(d.delta * d.ps.phi, est.sigma_fit,
+                             "decay fitted over shells [%d, %d]" % (lo, hi))
+
+
 def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
     """Data-dependent constant of the s = -1 derivative bound.
 
@@ -774,6 +744,7 @@ BOUNDS = {b.id: b for b in (
     Bound("P51", True, _p51, fixed_s=-1.0),
     Bound("P52", True, _p52, lambda s, p: s < -3.5, "P52 requires s < -7/2"),
     Bound("LIP47", True, _lip47, fixed_s=0.0),
+    Bound("RAD", True, _rad, fixed_s=0.0, needs=("delta",)),
 )}
 INTEGRAL_IDS = tuple(id for id, b in BOUNDS.items() if not b.pointwise)
 POINTWISE_IDS = tuple(id for id, b in BOUNDS.items() if b.pointwise)
@@ -815,9 +786,9 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
 
     Every pair is checked against its domain before any work.  The states
     are then scanned once: each state's derivatives are computed once and
-    shared by all pairs (one ``full_rhs``; one ``transform`` if P40 or P42 is
-    asked for; one ``second_time_derivative`` if P52 is), and dropped before
-    the next state.  Ties keep the earliest state.  ``e_init`` is the
+    shared by all pairs (one ``full_rhs``; one ``transform`` if P40, P42 or
+    RAD is asked for; one ``second_time_derivative`` if P52 is), and dropped
+    before the next state.  Ties keep the earliest state.  ``e_init`` is the
     energy in the P51/P52 constant; None uses the energy of the first state,
     so every checkpoint of a run is held to the same constant.
     Returns {(id, s): BoundReport} in the order of ``pairs``.
@@ -849,16 +820,16 @@ def _verify_pairs(pairs, trace, table, T, p=None) -> list:
     """Reports of the (id, s) pairs, in order.
 
     Integral pairs read the trace up to T with the run values of
-    ``_run_values``; one scan of the stored checkpoints serves all
+    ``_run_values``; one scan of the checkpoints stored up to T serves all
     pointwise pairs.
     """
     reports = {(id, s): verify_integral(id, trace, s, T, table, p)
                for id, s in pairs if not BOUNDS[id].pointwise}
     pointwise = [pair for pair in pairs if pair not in reports]
     if pointwise:
-        states = trace.checkpoints()
+        states = [st for st in trace.checkpoints() if st.t <= T + 1e-12]
         if not states:
-            raise TraceError("archive holds no checkpoints")
+            raise TraceError("archive holds no checkpoint at or before T = %.12g" % T)
         reports.update(_worst_over_checkpoints(pointwise, states, table,
                                                _run_values(trace)["delta"]))
     return [reports[pair] for pair in pairs]

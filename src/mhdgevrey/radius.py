@@ -2,12 +2,12 @@
 
 The fields resolved on a finite ball are entire, so the fitted exponential
 decay rate of the shell spectrum is a proxy for the analyticity radius.  The
-checks here are one-sided: the fitted rate is compared against the guaranteed
-lower bound delta * Phi(t), and runs at two resolutions are compared on their
-common modes.  No singular-set detection is attempted; truncated fields have
-no singular times, so only margins are reported.  The guaranteed-regularity
-windows and the derivative estimates inside them are the bound FGT of
-``bounds.BOUNDS``.
+registry entry RAD of ``bounds.BOUNDS`` compares that rate, fitted here,
+against the guaranteed lower bound delta * Phi(t); runs at two resolutions
+are compared here on their common modes.  No singular-set detection is
+attempted; truncated fields have no singular times, so only margins are
+reported.  The guaranteed-regularity windows and the derivative estimates
+inside them are the bound FGT of ``bounds.BOUNDS``.
 """
 
 from __future__ import annotations
@@ -73,35 +73,6 @@ def decay_fit(w: SpectralField, m_lo: int | None = None,
     if est is None:
         raise DomainError("insufficient spectral range")
     return est
-
-
-def radius_check(trace, delta: float, m_lo: int | None = None,
-                 m_hi: int | None = None):
-    """Per-checkpoint (t, sigma_fit, delta*phi, margin, flagged) series.
-
-    The fitted decay rate of the combined V/B shell spectrum is compared to
-    the guaranteed lower bound delta * Phi(t).  Samples where the fit is
-    impossible (fewer than 3 populated shells in the window) are skipped and
-    flagged instead of raising; a window that breaks m_lo < m_hi <= N raises
-    DomainError, as in ``decay_fit``.
-    """
-    states = trace.checkpoints()
-    if not states:
-        raise TraceError("no checkpoints stored")
-    ts = trace.times
-    phis = trace.col("phi")
-    rows = []
-    for st in states:
-        lower = delta * float(np.interp(st.t, ts, phis))
-        est = _fit([st.V, st.B], st.N, m_lo, m_hi)
-        if est is None:
-            rows.append({"t": st.t, "sigma_fit": float("nan"),
-                         "lower_bound": lower, "margin": float("nan"),
-                         "flagged": True})
-        else:
-            rows.append({"t": st.t, "sigma_fit": est.sigma_fit, "lower_bound": lower,
-                         "margin": est.sigma_fit - lower, "flagged": False})
-    return rows
 
 
 def _restrict(w: SpectralField, N: int) -> np.ndarray:

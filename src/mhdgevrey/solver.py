@@ -1,11 +1,11 @@
 """Fourier-Galerkin dynamics for incompressible diffusive MHD on the torus.
 
 The state is the pair of coefficient balls (V, B).  The right-hand side of
-the Galerkin ODE system is evaluated either by literal double summation
-(reference path, O(N^6)) or through padded FFT products on a grid large
-enough that the truncated convolution is exact, not merely alias-free.
-Time stepping uses integrating-factor Runge-Kutta: the diagonal diffusion
-is integrated exactly and only the nonlinearity is treated explicitly.
+the Galerkin ODE system is evaluated through padded FFT products on a grid
+large enough that the truncated convolution is exact, not merely
+alias-free.  Time stepping uses integrating-factor Runge-Kutta: the diagonal
+diffusion is integrated exactly and only the nonlinearity is treated
+explicitly.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .archive import TraceArchive
 from .errors import BlowUpError, ConfigError, DomainError
 from .spectral import (
     SpectralField,
+    _leray,
     fmt_s,
     geometry,
     gevrey_norm,
@@ -115,7 +116,7 @@ def _plan(N: int):
         src=up, box_in=box[up],
         box_out=box[half], dst=half,
         mirror=len(mo) - 1 - half,  # the row of -n
-        n=mo[half].astype(float), nsq=g.nsq[half].astype(float),
+        n=g.modes_f[half], nsq=g.nsq_f[half],
     )
 
 
@@ -169,52 +170,7 @@ def _pair(V: SpectralField, B: SpectralField) -> np.ndarray:
     return np.stack([V.coeffs, B.coeffs])
 
 
-def _project_half(vals, plan):
-    dots = np.einsum("kc,kc->k", vals, plan.n)
-    return vals - (dots / plan.nsq)[:, None] * plan.n
-
-
 # -- right-hand sides --------------------------------------------------------
-
-
-def nonlinear_rhs_direct(state: MhdState):
-    """Reference nonlinear terms by literal double summation over mode pairs.
-
-    Velocity part: -i sum_k P_n[(V_{n-k}.k) V_k - (B_{n-k}.k) B_k];
-    magnetic part: i n x sum_k (V_{n-k} x B_k).  O(N^6); keep N <= 10.
-    """
-    N = state.N
-    g = geometry(N)
-    size = 2 * N + 1
-    at = tuple((g.modes + N).T)  # the ball rows inside a local (2N+1)^3 cube
-    Vc = np.zeros((size, size, size, 3), dtype=np.complex128)
-    Bc = np.zeros_like(Vc)
-    Vc[at], Bc[at] = state.V.coeffs, state.B.coeffs
-    accV = np.zeros_like(Vc)
-    accW = np.zeros_like(Vc)  # sum over k of V_{n-k} x B_k
-
-    for k, Bk, Vk in zip(g.modes, state.B.coeffs, state.V.coeffs):
-        dst = tuple(
-            slice(max(0, kd), size + min(0, kd)) for kd in k
-        )
-        src = tuple(
-            slice(max(0, -kd), size + min(0, -kd)) for kd in k
-        )
-        VS = np.zeros_like(Vc)
-        BS = np.zeros_like(Bc)
-        VS[dst] = Vc[src]
-        BS[dst] = Bc[src]
-        kf = k.astype(float)
-        accV += -1j * (
-            np.einsum("...c,c->...", VS, kf)[..., None] * Vk
-            - np.einsum("...c,c->...", BS, kf)[..., None] * Bk
-        )
-        accW += np.cross(VS, Bk[None, None, None, :])
-
-    nf = g.modes.astype(float)
-    vvals = accV[at]
-    vvals = vvals - (np.einsum("kc,kc->k", vvals, nf) / g.absn**2)[:, None] * nf
-    return SpectralField(N, vvals), SpectralField(N, 1j * np.cross(nf, accW[at]))
 
 
 # Upper triangle (i <= j) of the symmetric momentum-flux tensor.
@@ -261,13 +217,13 @@ def _rhs_from_products(prods, plan):
     adv = np.stack(
         [-1j * sum(n[:, j] * T[(i, j)] for j in range(3)) for i in range(3)], axis=-1
     )
-    adv = _project_half(adv, plan)
+    adv = _leray(adv, n, plan.nsq)
     ind = 1j * np.cross(n, spec[6:].T)
     return _ball(adv, ind, plan)
 
 
 def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
-    nsq = geometry(state.N).nsq.astype(float)[:, None]
+    nsq = geometry(state.N).nsq_f[:, None]
     vc = dV.coeffs - state.nu * nsq * state.V.coeffs
     bc = dB.coeffs - state.eta * nsq * state.B.coeffs
     return SpectralField(state.N, vc), SpectralField(state.N, bc)
@@ -314,13 +270,13 @@ def second_time_derivative(state: MhdState, rhs=None):
 def _decay_factors(N: int, nu: float, eta: float, dt: float):
     """The integrating factors of the stacked pair (V, B) over dt and dt/2,
     each of shape (2, K, 1)."""
-    nsq = geometry(N).nsq.astype(float)[:, None]
+    nsq = geometry(N).nsq_f[:, None]
     return tuple(np.stack([np.exp(-nu * nsq * h), np.exp(-eta * nsq * h)])
                  for h in (dt, dt / 2))
 
 
 def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
-         fast: bool = True, *, _nl=None) -> MhdState:
+         *, _nl=None) -> MhdState:
     """One integrating-factor Runge-Kutta step of size dt.
 
     V and B advance together as one (2, K, 3) array u, with integrating
@@ -338,8 +294,8 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
 
     def nl(u):
         # looked up per call, so a patched or traced module function is used
-        rhs = nonlinear_rhs_fast if fast else nonlinear_rhs_direct
-        return _pair(*rhs(MhdState(SpectralField(N, u[0]), SpectralField(N, u[1]))))
+        return _pair(*nonlinear_rhs_fast(MhdState(SpectralField(N, u[0]),
+                                                  SpectralField(N, u[1]))))
 
     u0 = _pair(state.V, state.B)
     # Overflow is how blow-up manifests; detect it below instead of warning.

@@ -37,7 +37,9 @@ class _Geometry:
         self.N = N
         self.modes = lattice[ball]
         self.nsq = nsq[ball]
-        self.absn = np.sqrt(self.nsq.astype(float))
+        self.modes_f = self.modes.astype(float)
+        self.nsq_f = self.nsq.astype(float)
+        self.absn = np.sqrt(self.nsq_f)
         neg_nsq, shell, count = np.unique(-self.nsq, return_inverse=True, return_counts=True)
         self.shell = shell.ravel()
         self.shell_r = np.sqrt(-neg_nsq.astype(float))
@@ -66,8 +68,9 @@ def geometry(N: int) -> _Geometry:
 
     ``modes`` lists the K wavevectors of the ball 0 < |n| <= N in
     lexicographic (n1, n2, n3) order; the ball is symmetric under n -> -n,
-    so row K-1-i holds -modes[i].  ``nsq`` and ``absn`` give |n|^2 and |n|
-    per row and ``rows(n)`` the row of each wavevector.  The shells of the
+    so row K-1-i holds -modes[i]; ``modes_f`` holds them as floats.  ``nsq``
+    (``nsq_f`` as floats) and ``absn`` give |n|^2 and |n| per row and
+    ``rows(n)`` the row of each wavevector.  The shells of the
     ball (distinct |n|) are listed largest first in ``shell_r``, with their
     mode counts in ``shell_count``; ``shell`` gives the shell index of each
     row.  ``canonical`` marks one mode of each
@@ -77,16 +80,6 @@ def geometry(N: int) -> _Geometry:
     if N < 1:
         raise DomainError("truncation radius must be >= 1")
     return _Geometry(N)
-
-
-def leray_project(f, n):
-    """Project a coefficient onto the plane orthogonal to its wavevector."""
-    n = np.asarray(n, dtype=float)
-    nsq = float(n @ n)
-    if nsq == 0.0:
-        raise DomainError("projection undefined at n=0")
-    f = np.asarray(f)
-    return f - (f @ n) / nsq * n
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ class SpectralField:
         if np.max(err) > TOL_REALITY * scale:
             k = int(np.argmax(err)) // 3
             raise FieldInvariantError("reality violation at n=%r" % (tuple(g.modes[k]),))
-        dots = np.abs(np.einsum("kc,kc->k", c, g.modes.astype(float)))
+        dots = np.abs(np.einsum("kc,kc->k", c, g.modes_f))
         # floor at the field scale: a mode annihilated by projection carries
         # only roundoff and must not fail a purely relative check
         lim = TOL_DIV * np.maximum(np.linalg.norm(c, axis=1) * g.absn, scale)
@@ -167,12 +160,16 @@ class SpectralField:
         return self
 
 
+def _leray(c: np.ndarray, n: np.ndarray, nsq: np.ndarray) -> np.ndarray:
+    """Rows c minus their components along the wavevectors n (floats, with
+    the exact |n|^2 in nsq): the Leray projection, row by row."""
+    return c - (np.einsum("kc,kc->k", c, n) / nsq)[:, None] * n
+
+
 def project_solenoidal(w: SpectralField) -> SpectralField:
     """Apply the orthogonal-to-wavevector projection to every coefficient."""
     g = geometry(w.N)
-    nf = g.modes.astype(float)
-    c = w.coeffs
-    return SpectralField(w.N, c - (np.einsum("kc,kc->k", c, nf) / (g.absn**2))[:, None] * nf)
+    return SpectralField(w.N, _leray(w.coeffs, g.modes_f, g.nsq_f))
 
 
 # -- norms -----------------------------------------------------------------

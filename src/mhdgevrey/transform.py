@@ -27,7 +27,6 @@ from .spectral import (
     SpectralField,
     _energy,
     _radial_sum,
-    geometry,
     gevrey_scale,
     sobolev_norm,
 )
@@ -170,7 +169,6 @@ def sigma_p(phi_state: PhiState, p: float) -> float:
     The Leray projection in NL_v drops out because v~_n is orthogonal to n,
     and the padded grid of ``nonlinear_rhs_fast`` makes the truncated
     convolution exact, so one padded evaluation gives the sum for every p.
-    ``_sigma_p_direct`` is the literal double sum, kept as the test oracle.
     """
     from .solver import MhdState, nonlinear_rhs_fast
 
@@ -190,62 +188,7 @@ def _sigma_pairing(phi_state: PhiState, nl, p: float) -> float:
     return _radial_sum(phi_state.V.N, pairing.real, p, dp)
 
 
-def _sigma_p_direct(phi_state: PhiState, p: float) -> float:
-    """Reference i*Sigma_p by literal double summation over coefficient pairs.
-
-    O(N^6); keep N <= 8.  The p = 0 case uses the index-swapped symmetrized
-    kernel, which removes a cancellation between large exponentials.
-    """
-    N = phi_state.V.N
-    g = geometry(N)
-    size = 2 * N + 1
-    dp = phi_state.delta * phi_state.phi
-    at = tuple((g.modes + N).T)  # the ball rows inside a local (2N+1)^3 cube
-    vc = np.zeros((size, size, size, 3), dtype=np.complex128)
-    bc = np.zeros_like(vc)
-    vc[at], bc[at] = phi_state.V.coeffs, phi_state.B.coeffs
-
-    r = np.arange(-N, N + 1)
-    nsq = r[:, None, None] ** 2 + r[None, :, None] ** 2 + r[None, None, :] ** 2
-    absn_cube = np.sqrt(nsq.astype(float))
-    # v~_{-n} = conj(v~_n) by reality of the source field.
-    vmn = np.conj(vc)
-    bmn = np.conj(bc)
-    if p == 0.0:
-        wp = None
-    else:
-        safe = np.where(nsq == 0, 1.0, absn_cube)
-        wp = np.where(nsq == 0, 0.0, safe**p)
-
-    total = np.zeros((), dtype=np.complex128)
-    for k, vk, bk in zip(g.modes, phi_state.V.coeffs, phi_state.B.coeffs):
-        dst = tuple(slice(max(0, kd), size + min(0, kd)) for kd in k)
-        src = tuple(slice(max(0, -kd), size + min(0, -kd)) for kd in k)
-        VS = np.zeros_like(vc)
-        BS = np.zeros_like(bc)
-        ANS = np.zeros_like(absn_cube)
-        VS[dst] = vc[src]
-        BS[dst] = bc[src]
-        ANS[dst] = absn_cube[src]
-        kf = k.astype(float)
-        absk = float(np.sqrt(kf @ kf))
-        bracket = -np.einsum("...c,c->...", VS, kf) * (
-            np.einsum("...c,c->...", vmn, vk) + np.einsum("...c,c->...", bmn, bk)
-        ) + np.einsum("...c,c->...", BS, kf) * (
-            np.einsum("...c,c->...", vmn, bk) + np.einsum("...c,c->...", bmn, vk)
-        )
-        if p == 0.0:
-            w = 0.5 * (
-                np.exp(dp * (absn_cube - absk - ANS))
-                - np.exp(dp * (absk - absn_cube - ANS))
-            )
-        else:
-            w = wp * np.exp(dp * (absn_cube - absk - ANS))
-        total = total + np.sum((w * bracket)[at])
-    return float((1j * total).real)
-
-
-# -- balance residual of the weighted system -----------------------------------
+# -- the weighted-energy balance -----------------------------------------------
 
 
 def _balance_terms(ps):
@@ -253,33 +196,6 @@ def _balance_terms(ps):
     nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 of the weighted-energy balance."""
     return (_energy_s(ps, 2.0),
             ps.nu * sobolev_norm(ps.V, 2.5) ** 2 + ps.eta * sobolev_norm(ps.B, 2.5) ** 2)
-
-
-def balance_residual(samples) -> float:
-    """Midpoint residual of the weighted-energy balance along samples.
-
-    Each consecutive pair contributes |(1/2)(1 + delta Phi^3 E_2) dE_{3/2}/dt
-    + nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 - i Sigma_3| with every factor
-    evaluated as the midpoint average; returns the maximum over pairs.
-    """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise DomainError("need at least two consecutive samples")
-    vals = []
-    for ps in samples:
-        e32 = _energy_s(ps, 1.5)
-        e2, diss = _balance_terms(ps)
-        pref = 0.5 * (1.0 + ps.delta * ps.phi**3 * e2)
-        vals.append((ps.t, e32, pref, diss, sigma_p(ps, 3.0)))
-    worst = 0.0
-    for (t1, e1, p1, d1, s1), (t2, e2_, p2, d2, s2) in zip(vals, vals[1:]):
-        h = t2 - t1
-        if not h > 0:
-            raise DomainError("sample times must increase")
-        de = (e2_ - e1) / h
-        res = 0.5 * (p1 + p2) * de + 0.5 * (d1 + d2) - 0.5 * (s1 + s2)
-        worst = max(worst, abs(res))
-    return worst
 
 
 # -- the initial-data functional and the time window ----------------------------
@@ -313,8 +229,9 @@ def _window(trace, T, uniform=False):
     """(times, mask, t0, error) of the samples in [t0, T].
 
     ``error`` says why the window cannot be checked ("" if it can): it holds
-    no sample, or, with ``uniform``, fewer than two when T > t0 or a gap
-    wider than twice the smallest.
+    no sample, T lies past the last sample, or, with ``uniform``, it holds
+    fewer than two samples when T > t0 or a gap wider than twice the
+    smallest.
     """
     t = trace.times
     t0 = float(trace.manifest.get("t0", t[0]))
@@ -322,7 +239,7 @@ def _window(trace, T, uniform=False):
     ts = t[sel]
     gaps = np.diff(ts)
     error = ""
-    if len(ts) < 1 or (uniform and len(ts) < 2 and T > t0):
+    if len(ts) < 1 or T > t[-1] + 1e-12 or (uniform and len(ts) < 2 and T > t0):
         error = "trace does not cover [t0, T]"
     elif uniform and len(gaps) and np.max(gaps) > 2.0 * np.min(gaps) * (1 + 1e-9):
         error = "trace too sparse"

@@ -19,8 +19,6 @@ from mhdgevrey.bounds import (
     d2_constant,
     d3_constant,
     d4_constant,
-    derivative_norm_sq_via_xi,
-    gamma_exponent,
     q_double,
     q_prime,
     q_tilde,
@@ -29,27 +27,23 @@ from mhdgevrey.bounds import (
     verify_integral,
     verify_pointwise,
     xi_fields,
-    xi_fields_chain,
     _quadrature_note,
     _retry_with_better_constants,
     _verify_pairs,
 )
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.solver import MhdState, full_rhs, step
-from mhdgevrey.spectral import sobolev_norm
+from mhdgevrey.spectral import _energy, sobolev_norm
 from mhdgevrey.transform import _energy_s
 
 from conftest import random_field
+from oracles import xi_fields_chain
 
 
 class TestExponents:
     def test_alpha(self):
         assert alpha_exponent(1.5) == 1.0
         assert alpha_exponent(2.0) == pytest.approx(2.0 / 3.0)
-
-    def test_gamma(self):
-        assert gamma_exponent(2.0) == 1.0
-        assert gamma_exponent(0.5) == 4.0
 
     def test_d2_exponent_identity(self):
         # (sigma - 1) * 2A = 2 theta r / (1 - theta r) with theta = s+1,
@@ -165,8 +159,9 @@ class TestXiRoutes:
         dV, dB = full_rhs(st)
         for s in (-1.0, 0.0, 1.0):
             direct = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
-            assert derivative_norm_sq_via_xi(xi, s) == pytest.approx(
-                direct, rel=1e-11)
+            # sum |n|^{2s} e^{-2 delta Phi |n|} |xi_n|^2
+            via_xi = _energy((xi.xi_v, xi.xi_b), s, -xi.delta * xi.phi)
+            assert via_xi == pytest.approx(direct, rel=1e-11)
 
 
 class TestPointwise:
@@ -292,6 +287,23 @@ class TestCheckpointScan:
             assert rep.as_dict() == worst.as_dict()
 
 
+    def test_scan_stops_at_T(self, random_trace, table, delta_std):
+        # only the checkpoints with t <= T are read; the worst P44 state of
+        # the whole run lies after T here, and used to be reported
+        states = random_trace.checkpoints()
+        whole = max((verify_pointwise("P44", st, table, s=0.0) for st in states),
+                    key=lambda r: r.ratio)
+        T = states[len(states) // 2].t
+        assert whole.T > T
+        [rep] = _verify_pairs([("P44", 0.0)], random_trace, table, T)
+        singles = [verify_pointwise("P44", st, table, s=0.0, e_init=None)
+                   for st in states if st.t <= T]
+        assert rep.T <= T
+        assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()
+        with pytest.raises(TraceError, match="no checkpoint at or before T = -1"):
+            _verify_pairs([("P44", 0.0)], random_trace, table, -1.0)
+
+
 _NO_VALUES = {"delta": None, "sigma": None, "p": None}
 
 INTEGRAL_CASES = [
@@ -358,6 +370,15 @@ class TestIntegral:
         with pytest.raises(TraceError):
             verify_integral("B32_1", singlemode_trace, 2.0, -1.0, table)
 
+    @pytest.mark.parametrize("id,s", [("B32_1", 2.0), ("B36_1", 1.0), ("B29", None)])
+    def test_window_past_the_last_sample(self, singlemode_trace, table, id, s):
+        # the rhs used T - t0 while the lhs integral stopped at the last
+        # sample, so a T far past the archive made every bound easier
+        T = float(singlemode_trace.times[-1])
+        with pytest.raises(TraceError, match=r"trace does not cover \[t0, T\]"):
+            verify_integral(id, singlemode_trace, s, 1000.0, table)
+        assert verify_integral(id, singlemode_trace, s, T + 1e-13, table).verdict == "pass"
+
     def test_b36_2_notes_derivation(self, singlemode_trace, table):
         T = float(singlemode_trace.times[-1])
         rep = verify_integral("B36_2", singlemode_trace, -1.0, T, table)
@@ -376,7 +397,7 @@ class TestIntegral:
     @pytest.mark.parametrize("id,s,p", [("B32_1", 2.0, None), ("B32_3", 0.0, None),
                                         ("COR51", 1.0, 4.0), ("B36_1", 0.0, None),
                                         ("B36_4", 0.0, None), ("B29", None, None),
-                                        ("P40", None, None)])
+                                        ("P40", None, None), ("RAD", None, None)])
     def test_zero_delta_is_outside_the_domain(self, id, s, p):
         # a delta = 0 archive used to reach the rhs chains: ZeroDivisionError
         # (B32_1, B36_1, COR51) or a DomainError from lattice_constant

@@ -283,7 +283,7 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         pairs = [(r["id"], r["s"]) for r in json.loads(out.read_text())]
         assert len(pairs) == len(set(pairs))
-        for id in ("B29", "P40", "P51", "LIP47"):
+        for id in ("B29", "P40", "P51", "LIP47", "RAD"):
             assert [p[0] for p in pairs].count(id) == 1
         assert sorted(s for id, s in pairs if id == "FGT") == [1.0, 2.0]
 
@@ -484,6 +484,33 @@ class TestVerifyCommand:
         assert _skip_lines(capsys.readouterr().out) == [("B19", "1", reason),
                                                         ("FGT", "1", reason)]
         assert [r["id"] for r in json.loads((bad / "report.json").read_text())] == ["B29"]
+
+    def test_T_past_the_archive_skips_integral_bounds(self, cli_run, tmp_path,
+                                                      table_json, capsys):
+        # the archive ends at t = 0.02; T = 1000 used to be checked as if it
+        # were covered, against an rhs grown with T - t0 = 1000
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--T", "1000", "--s", "2", "1", "0", "-1", "-3"]) == EXIT_OK
+        skips = _skip_lines(capsys.readouterr().out)
+        covered = [(id, s) for id, s, reason in skips
+                   if reason == "trace does not cover [t0, T]"]
+        assert {id for id, _ in covered} == set(BOUNDS) - set(POINTWISE_IDS)
+        assert {r["id"] for r in json.loads(out.read_text())} <= set(POINTWISE_IDS)
+
+    def test_T_inside_the_archive_reads_earlier_checkpoints(self, cli_run, tmp_path,
+                                                            table_json):
+        # every pointwise row comes from a checkpoint at or before T; P44
+        # used to be reported from the last checkpoint of the archive
+        out = tmp_path / "report.json"
+        assert main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--T", "0.01", "--s", "0"]) == EXIT_OK
+        rows = json.loads(out.read_text())
+        assert "P44" in {r["id"] for r in rows}
+        assert all(r["T"] <= 0.01 + 1e-12 for r in rows), [(r["id"], r["T"]) for r in rows]
+        assert main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--T", "-1", "--s", "0"]) == EXIT_USAGE
 
     def test_missing_trace(self, tmp_path, table_json):
         assert main(["verify", str(tmp_path / "ghost"),

@@ -1,5 +1,6 @@
-"""Decay-rate fitting, resolution comparison, and the registry entries FGT
-(derivatives inside the guaranteed-regularity windows) and LIP47."""
+"""Decay-rate fitting, resolution comparison, and the registry entries RAD
+(guaranteed radius against the fitted decay rate), FGT (derivatives inside
+the guaranteed-regularity windows) and LIP47."""
 
 import math
 import re
@@ -12,9 +13,9 @@ from mhdgevrey.bounds import BOUNDS, _verify_pairs, verify_integral, verify_poin
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.radius import (
     RadiusEstimate,
+    _fit,
     decay_fit,
     default_fit_shells,
-    radius_check,
     two_resolution_psi,
 )
 from mhdgevrey.spectral import SpectralField, geometry
@@ -80,29 +81,58 @@ class TestDecayFit:
 
 
 class TestRadiusCheck:
-    def test_margins_nonnegative_on_smooth_run(self, random_trace, delta_std):
-        # N = 6 leaves only two default fit shells; widen the window
-        rows = radius_check(random_trace, delta_std, m_lo=2, m_hi=6)
-        assert len(rows) == len(random_trace.checkpoint_paths())
-        for r in rows:
-            assert not r["flagged"]
-            assert r["margin"] >= 0.0
-            assert r["lower_bound"] > 0.0
+    """The guaranteed radius delta*Phi against the fitted decay rate of the
+    (V, B) shell spectrum, registry entry RAD."""
 
-    def test_bad_window_rejected(self, random_trace, delta_std):
-        with pytest.raises(DomainError, match="m_lo < m_hi <= N"):
-            radius_check(random_trace, delta_std, m_lo=5, m_hi=3)
+    @staticmethod
+    def _report(trace, table):
+        [rep] = _verify_pairs([("RAD", None)], trace, table, float(trace.times[-1]))
+        return rep
 
-    def test_empty_spectrum_flagged_not_raised(self, tmp_path, delta_std):
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def smooth_trace(tmp_path_factory, delta_std):
+        st = make_initial("random-spectrum", {"norm_v": 0.3, "norm_b": 0.15},
+                          N=8, seed=5, nu=0.1, eta=0.1)
+        cfg = SolverConfig(N=8, nu=0.1, eta=0.1, dt=1e-3, t_end=0.02,
+                           output_stride=5, scheme="integrating-factor-RK2")
+        return simulate(cfg, st, tmp_path_factory.mktemp("rad8"),
+                        diagnostics=full_diagnostics(delta_std))
+
+    def test_margins_nonnegative_on_smooth_run(self, smooth_trace, table):
+        rep = self._report(smooth_trace, table)
+        assert (rep.id, rep.s, rep.verdict) == ("RAD", 0.0, "pass")
+        assert rep.note == "decay fitted over shells [3, 6]"
+        # every checkpoint fitted and passing; the report is the worst one
+        delta = smooth_trace.manifest["delta"]
+        states = smooth_trace.checkpoints()
+        singles = [verify_pointwise("RAD", st, table, delta=delta) for st in states]
+        assert len(singles) == len(smooth_trace.checkpoint_paths()) > 1
+        for st, r in zip(states, singles):
+            assert r.verdict == "pass"
+            assert r.lhs == delta * m.solve_phi(st.V, st.B, delta) > 0.0
+            assert r.rhs == _fit([st.V, st.B], 8, None, None).sigma_fit >= r.lhs
+        assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()
+
+    def test_empty_spectrum_flagged_not_raised(self, tmp_path, delta_std, table):
         z = m.SpectralField.zeros(8)
         st = m.MhdState(V=z, B=z, nu=0.1, eta=0.1)
         cfg = SolverConfig(N=8, nu=0.1, eta=0.1, dt=1e-3, t_end=0.002)
         tr = simulate(cfg, st, tmp_path / "flagged",
                       diagnostics=full_diagnostics(delta_std))
-        rows = radius_check(tr, delta_std)
-        assert rows
-        assert all(r["flagged"] for r in rows)
-        assert all(math.isnan(r["sigma_fit"]) for r in rows)
+        rep = self._report(tr, table)
+        assert (rep.verdict, rep.lhs, rep.rhs) == ("informational", 0.0, 0.0)
+        assert rep.note == "fewer than 3 populated shells in the fit window [3, 6]"
+
+    @pytest.mark.parametrize("N", [3, 5, 6])
+    def test_small_ball_informational(self, N, delta_std, table):
+        # the default window [3, 3N/4] holds under 3 shells for N <= 6; at
+        # N <= 5 it is empty, where decay_fit raises
+        st = make_initial("random-spectrum", {}, N=N, seed=1, nu=0.1, eta=0.1)
+        rep = verify_pointwise("RAD", st, table, delta=delta_std)
+        assert rep.verdict == "informational"
+        assert rep.note == ("fewer than 3 populated shells in the fit window [3, %d]"
+                            % (3 * N // 4))
 
 
 class TestGuaranteedIntervals:
