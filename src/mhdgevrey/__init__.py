@@ -10,7 +10,6 @@ from .bounds import (
     standard_sweep,
     verify_integral,
     verify_pointwise,
-    xi_fields,
 )
 from .config import RunConfig, load_run_config, parse_run_config
 from .constants import ConstantsTable, build_table, certified_cp, estimate_Cs, lattice_constant
@@ -49,13 +48,6 @@ from .spectral import (
     sobolev_norm,
     wiener_norm,
 )
-from .transform import (
-    PhiState,
-    delta_max,
-    q_functional,
-    sigma_p,
-    solve_phi,
-    transform,
-)
+from .transform import delta_max, q_functional, sigma_p, solve_phi
 
 __version__ = "0.1.0"

@@ -45,14 +45,7 @@ from .constants import lattice_constant
 from .errors import DomainError, TraceError
 from .radius import _fit, default_fit_shells
 from .solver import full_rhs, second_time_derivative
-from .spectral import (
-    SpectralField,
-    fmt_s,
-    geometry,
-    gevrey_scale,
-    sobolev_inner,
-    sobolev_norm,
-)
+from .spectral import _energy, fmt_s, geometry, gevrey_norm, sobolev_inner, sobolev_norm
 from .transform import (
     _energy_s,
     _growth_envelope,
@@ -61,7 +54,6 @@ from .transform import (
     _window,
     delta_max,
     solve_phi,
-    transform,
 )
 
 
@@ -239,32 +231,6 @@ def d4_constant(Q, delta, nu, eta, dT, s, table):
     return d41 * (qp**a * dT ** ((s + 2.0) / (s + 3.0)) + qp) + d42 * q_double(
         Q, delta, mn, dT, s / 2.0 + 2.0
     )
-
-
-# -- xi fields -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XiFields:
-    xi_v: SpectralField
-    xi_b: SpectralField
-    phi: float
-    delta: float
-
-
-def _xi_from(rhs, phi: float, delta: float) -> XiFields:
-    dV, dB = rhs
-    return XiFields(
-        xi_v=gevrey_scale(dV, delta * phi),
-        xi_b=gevrey_scale(dB, delta * phi),
-        phi=phi,
-        delta=delta,
-    )
-
-
-def xi_fields(state, delta: float) -> XiFields:
-    """Weighted derivative coefficients xi_n = e^{delta Phi |n|} dU_n/dt."""
-    return _xi_from(full_rhs(state), solve_phi(state.V, state.B, delta), delta)
 
 
 # -- the bound registry ------------------------------------------------------------
@@ -594,35 +560,33 @@ class _Derivatives:
         return second_time_derivative(self.state, rhs=self.rhs)
 
     @cached_property
-    def ps(self):
-        return transform(self.state, self.delta)
-
-    @cached_property
-    def xi(self):
-        return _xi_from(self.rhs, self.ps.phi, self.delta)
+    def dp(self):
+        """The weight index delta*Phi of the state: a norm of a Phi-weighted
+        field is the Gevrey norm of the plain field at this index."""
+        return self.delta * solve_phi(self.state.V, self.state.B, self.delta)
 
 
 def _p40(d, s):
-    ps, xi, table, nu, eta = d.ps, d.xi, d.table, d.state.nu, d.state.eta
-    lhs = 0.5 * (sobolev_norm(xi.xi_v, -0.5) ** 2 + sobolev_norm(xi.xi_b, -0.5) ** 2)
+    V, B, dp, table, nu, eta = d.state.V, d.state.B, d.dp, d.table, d.state.nu, d.state.eta
+    lhs = 0.5 * _energy(d.rhs, -0.5, dp)
     names = _ensure_C(table, 0.5, 1.0)
-    e1 = _energy_s(ps, 1.0)
+    e1 = _energy((V, B), 1.0, dp)
     return names, lambda: _Eval(lhs, (
-        nu**2 * sobolev_norm(ps.V, 1.5) ** 2
-        + eta**2 * sobolev_norm(ps.B, 1.5) ** 2
+        nu**2 * gevrey_norm(V, dp, 1.5) ** 2
+        + eta**2 * gevrey_norm(B, dp, 1.5) ** 2
         + 2.0 * table.Cprime_half() ** 2 * e1**2
     ))
 
 
 def _p42(d, s):
-    ps, xi, table, nu, eta = d.ps, d.xi, d.table, d.state.nu, d.state.eta
-    lhs = sobolev_norm(xi.xi_v, s) ** 2 + sobolev_norm(xi.xi_b, s) ** 2
+    V, B, dp, table, nu, eta = d.state.V, d.state.B, d.dp, d.table, d.state.nu, d.state.eta
+    lhs = _energy(d.rhs, s, dp)
     names = table.ensure_for_C_tilde_prime(s)
-    x, y = (sobolev_norm(f, 1.0) ** ((2.0 * s + 5.0) / 2.0)
-            * sobolev_norm(f, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (ps.V, ps.B))
+    x, y = (gevrey_norm(f, dp, 1.0) ** ((2.0 * s + 5.0) / 2.0)
+            * gevrey_norm(f, dp, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (V, B))
     return names, lambda: _Eval(lhs, (
-        2.0 * nu**2 * sobolev_norm(ps.V, s + 2.0) ** 2
-        + 2.0 * eta**2 * sobolev_norm(ps.B, s + 2.0) ** 2
+        2.0 * nu**2 * gevrey_norm(V, dp, s + 2.0) ** 2
+        + 2.0 * eta**2 * gevrey_norm(B, dp, s + 2.0) ** 2
         + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
     ))
 
@@ -691,7 +655,7 @@ def _rad(d, s):
     if est is None:
         return [], lambda: _Eval(0.0, 0.0, "fewer than 3 populated shells in the fit "
                                  "window [%d, %d]" % (lo, hi), "informational")
-    return [], lambda: _Eval(d.delta * d.ps.phi, est.sigma_fit,
+    return [], lambda: _Eval(d.dp, est.sigma_fit,
                              "decay fitted over shells [%d, %d]" % (lo, hi))
 
 
@@ -786,7 +750,7 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
 
     Every pair is checked against its domain before any work.  The states
     are then scanned once: each state's derivatives are computed once and
-    shared by all pairs (one ``full_rhs``; one ``transform`` if P40, P42 or
+    shared by all pairs (one ``full_rhs``; one ``solve_phi`` if P40, P42 or
     RAD is asked for; one ``second_time_derivative`` if P52 is), and dropped
     before the next state.  Ties keep the earliest state.  ``e_init`` is the
     energy in the P51/P52 constant; None uses the energy of the first state,

@@ -45,13 +45,16 @@ def default_fit_shells(N: int) -> tuple:
 
 def _fit(fields, N, m_lo, m_hi):
     """Least-squares fit of log(combined shell amplitude) vs shell index over
-    the window (default ``default_fit_shells(N)``); None when fewer than 3
-    shells of the window are populated."""
+    the window 1 <= m_lo < m_hi <= N (default ``default_fit_shells(N)``);
+    None when fewer than 3 shells of the window are populated."""
     lo, hi = default_fit_shells(N)
+    if m_lo is None and m_hi is None and not lo < hi:
+        raise DomainError("insufficient spectral range: the ball of radius %d has too "
+                          "few shells for a decay fit" % N)
     m_lo = lo if m_lo is None else int(m_lo)
     m_hi = hi if m_hi is None else int(m_hi)
-    if not (m_lo < m_hi <= N):
-        raise DomainError("fit shells must satisfy m_lo < m_hi <= N")
+    if not (1 <= m_lo < m_hi <= N):
+        raise DomainError("fit shells must satisfy 1 <= m_lo < m_hi <= N")
     # squared combined rms amplitude of the fields on each shell of the window
     ms = np.arange(m_lo, m_hi + 1)
     amp2 = _mean_squares(fields)[ms - 1]

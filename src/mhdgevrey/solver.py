@@ -414,7 +414,7 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     nl=None):
     """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
     has it; otherwise it is evaluated here when a column needs it."""
-    from .transform import _balance_terms, _energy_s, _sigma_pairing, solve_phi, transform
+    from .transform import _balance_terms, _energy_s, _sigma_pairing, solve_phi
 
     if nl is None and _row_uses_nl(spec):
         nl = nonlinear_rhs_fast(state)
@@ -447,9 +447,8 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
             )
     if spec.delta is not None:
         # A Phi-weighted norm is the Gevrey norm of the state at index
-        # delta*Phi; the weighted fields are built only for the Sigma_3 pairing.
-        ps = transform(state, spec.delta) if spec.sigma3 else None
-        phi = ps.phi if ps else solve_phi(state.V, state.B, spec.delta)
+        # delta*Phi.
+        phi = solve_phi(state.V, state.B, spec.delta)
         dp = spec.delta * phi
         row["phi"] = phi
         for s in spec.tilde_s:
@@ -463,8 +462,8 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
             tb1**2 + 4 * dp**2 * tb2**2
         )
         if spec.sigma3:
-            row["sigma3"] = _sigma_pairing(ps, nl, 3.0)
-            row["tE2"], row["tdiss52"] = _balance_terms(ps)
+            row["sigma3"] = _sigma_pairing(state, nl, dp, 3.0)
+            row["tE2"], row["tdiss52"] = _balance_terms(state, dp)
     if spec.shells:
         for m, amp in shell_spectrum(state.V):
             row["shv_%02d" % m] = amp

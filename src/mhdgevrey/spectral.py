@@ -206,8 +206,7 @@ def _radial_sum(N: int, values: np.ndarray, p: float, a: float = 0.0) -> float:
 
 
 def _energy(fields, s: float, sigma: float = 0.0) -> float:
-    """Sum over the fields of ||w||^2 with the weight |n|^{2s} e^{2 sigma |n|}
-    (sigma of either sign)."""
+    """Sum over the fields of ||w||^2 with the weight |n|^{2s} e^{2 sigma |n|}."""
     return _shell_total(fields[0].N, sum(w._shells[0] for w in fields), 2.0 * s,
                         2.0 * sigma)
 
@@ -252,13 +251,6 @@ def _mean_squares(fields) -> np.ndarray:
 def shell_spectrum(w: SpectralField):
     """Root-mean-square amplitude per integer shell m = round(|n|), m in [1, N]."""
     return [(m, float(v)) for m, v in enumerate(np.sqrt(_mean_squares([w])), start=1)]
-
-
-def gevrey_scale(w: SpectralField, sigma: float) -> SpectralField:
-    """Multiply every coefficient by exp(sigma |n|) (negative sigma allowed)."""
-    if abs(sigma) * w.N > _SAFE_EXP:
-        raise GevreyOverflowError("gevrey weight overflow")
-    return SpectralField(w.N, w.coeffs * np.exp(sigma * geometry(w.N).absn)[:, None])
 
 
 def embed_field(w: SpectralField, N: int) -> SpectralField:

@@ -3,36 +3,31 @@
 Two reweightings of the coefficient fields are provided.  The first applies
 the weight e^{sigma (t-t0)|n|}; the weighted energy stays below the
 closed-form envelope q_s(t) up to a guaranteed time t_star, which the
-registry entries B19 and FGT of ``bounds.BOUNDS`` check.  The second multiplies coefficients by e^{delta Phi |n|} where Phi in (0, 1] is
-the root of
+registry entries B19 and FGT of ``bounds.BOUNDS`` check.  The second weights
+coefficients by e^{delta Phi |n|} where Phi in (0, 1] is the root of
 
-    Theta(Phi) = ||v~||_{delta Phi, 3/2}^2 + ||b~||_{delta Phi, 3/2}^2
-                 + 1 - Phi^{-2} = 0,
+    Theta(Phi) = ||v~||_{3/2}^2 + ||b~||_{3/2}^2 + 1 - Phi^{-2} = 0,
+    v~ = e^{delta Phi |n|} v,  b~ = e^{delta Phi |n|} b,
 
 so that Phi = (1 + ||v~||_{3/2}^2 + ||b~||_{3/2}^2)^{-1/2} holds as a fixed
-point.  The weighted fields obey an energy inequality with a computable
-right-hand side Q built from the initial data; the registry entry B29 of
-``bounds.BOUNDS`` checks it along an archived trajectory.
+point.  The weighted fields are never formed: a Sobolev norm of v~ is the
+Gevrey norm of v at index dP = delta*Phi, so every weighted quantity here is
+a shell sum of the plain fields at that index.  The weighted fields obey an
+energy inequality with a computable right-hand side Q built from the initial
+data; the registry entry B29 of ``bounds.BOUNDS`` checks it along an
+archived trajectory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .spectral import (
-    SpectralField,
-    _energy,
-    _radial_sum,
-    gevrey_scale,
-    sobolev_norm,
-)
+from .spectral import SpectralField, _energy, _radial_sum, gevrey_norm
 
 PHI_RESIDUAL_TOL = 1e-12
-PHI_FIXED_POINT_TOL = 1e-10
 _MAX_BISECTIONS = 200
 
 
@@ -40,7 +35,7 @@ _MAX_BISECTIONS = 200
 
 
 def _energy_s(state, s: float) -> float:
-    """E_s = ||V||_s^2 + ||B||_s^2 of a state (or of a PhiState's weighted fields)."""
+    """E_s = ||V||_s^2 + ||B||_s^2 of a state."""
     return _energy((state.V, state.B), s)
 
 
@@ -118,84 +113,48 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PhiState:
-    """Weighted fields v~, b~ together with the weight data."""
-
-    delta: float
-    phi: float
-    V: SpectralField
-    B: SpectralField
-    t: float = 0.0
-    nu: float = 1.0
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.phi <= 1.0):
-            raise DomainError("phi must lie in (0, 1]")
-        e = _energy_s(self, 1.5)
-        if abs(self.phi - (1.0 + e) ** -0.5) > PHI_FIXED_POINT_TOL * self.phi:
-            raise DomainError("phi is not the fixed point of the weighted fields")
-
-
-def transform(state, delta: float) -> PhiState:
-    """Weight the coefficients of the state by e^{delta Phi |n|}."""
-    phi = solve_phi(state.V, state.B, delta)
-    return PhiState(
-        delta=delta,
-        phi=phi,
-        V=gevrey_scale(state.V, delta * phi),
-        B=gevrey_scale(state.B, delta * phi),
-        t=state.t,
-        nu=state.nu,
-        eta=state.eta,
-    )
-
-
 # -- triple-interaction sums ---------------------------------------------------
 
 
-def sigma_p(phi_state: PhiState, p: float) -> float:
-    """The real value i*Sigma_p of the weighted triple-interaction sum.
+def sigma_p(state, delta: float, p: float) -> float:
+    """The real value i*Sigma_p of the triple-interaction sum of the
+    Phi-weighted fields of the state.
 
-    With dP = delta*Phi, the sum over mode pairs carries the weight
-    |n|^p e^{dP(|n| - |k| - |n-k|)}.  The weight factorises, so for the
-    un-weighted fields v = e^{-dP|n|} v~, b = e^{-dP|n|} b~ the inner sum over
-    k is the Galerkin nonlinearity (NL_v, NL_b) of (v, b), and
+    With dP = delta*Phi, the sum over mode pairs of the weighted fields
+    carries the weight |n|^p e^{dP(|n| - |k| - |n-k|)}.  The weight
+    factorises, so the inner sum over k is the Galerkin nonlinearity
+    (NL_v, NL_b) of the plain fields (v, b), and
 
-        i Sigma_p = sum_n |n|^p e^{dP|n|}
-                    Re[conj(v~_n).NL_v(n) + conj(b~_n).NL_b(n)].
+        i Sigma_p = sum_n |n|^p e^{2 dP|n|} Re[conj(v_n).NL_v(n) + conj(b_n).NL_b(n)].
 
-    The Leray projection in NL_v drops out because v~_n is orthogonal to n,
+    The Leray projection in NL_v drops out because v_n is orthogonal to n,
     and the padded grid of ``nonlinear_rhs_fast`` makes the truncated
     convolution exact, so one padded evaluation gives the sum for every p.
     """
-    from .solver import MhdState, nonlinear_rhs_fast
+    from .solver import nonlinear_rhs_fast
 
-    dp = phi_state.delta * phi_state.phi
-    raw = MhdState(V=gevrey_scale(phi_state.V, -dp), B=gevrey_scale(phi_state.B, -dp))
-    return _sigma_pairing(phi_state, nonlinear_rhs_fast(raw), p)
+    dp = delta * solve_phi(state.V, state.B, delta)
+    return _sigma_pairing(state, nonlinear_rhs_fast(state), dp, p)
 
 
-def _sigma_pairing(phi_state: PhiState, nl, p: float) -> float:
-    """i*Sigma_p from the nonlinearity (NL_v, NL_b) of the un-weighted fields."""
+def _sigma_pairing(state, nl, dp: float, p: float) -> float:
+    """i*Sigma_p at weight index dP from the nonlinearity (NL_v, NL_b) of the state."""
     nl_v, nl_b = nl
-    dp = phi_state.delta * phi_state.phi
-    pairing = (
-        np.einsum("kc,kc->k", np.conj(phi_state.V.coeffs), nl_v.coeffs)
-        + np.einsum("kc,kc->k", np.conj(phi_state.B.coeffs), nl_b.coeffs)
-    )
-    return _radial_sum(phi_state.V.N, pairing.real, p, dp)
+    pairing = (np.einsum("kc,kc->k", np.conj(state.V.coeffs), nl_v.coeffs)
+               + np.einsum("kc,kc->k", np.conj(state.B.coeffs), nl_b.coeffs))
+    return _radial_sum(state.N, pairing.real, p, 2.0 * dp)
 
 
 # -- the weighted-energy balance -----------------------------------------------
 
 
-def _balance_terms(ps):
+def _balance_terms(state, dp: float):
     """E~_2 = ||v~||_2^2 + ||b~||_2^2 and the weighted dissipation
-    nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 of the weighted-energy balance."""
-    return (_energy_s(ps, 2.0),
-            ps.nu * sobolev_norm(ps.V, 2.5) ** 2 + ps.eta * sobolev_norm(ps.B, 2.5) ** 2)
+    nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 of the weighted-energy balance,
+    at weight index dP."""
+    return (_energy((state.V, state.B), 2.0, dp),
+            state.nu * gevrey_norm(state.V, dp, 2.5) ** 2
+            + state.eta * gevrey_norm(state.B, dp, 2.5) ** 2)
 
 
 # -- the initial-data functional and the time window ----------------------------
@@ -212,10 +171,11 @@ def _q(delta, phi, e0, eh, e1):
     )
 
 
-def q_functional(phi_state: PhiState) -> float:
+def q_functional(state, delta: float) -> float:
     """The initial-data functional Q of the weighted-energy inequality."""
-    return _q(phi_state.delta, phi_state.phi, _energy_s(phi_state, 0.0),
-              _energy_s(phi_state, 0.5), _energy_s(phi_state, 1.0))
+    phi = solve_phi(state.V, state.B, delta)
+    return _q(delta, phi, *(_energy((state.V, state.B), s, delta * phi)
+                            for s in (0.0, 0.5, 1.0)))
 
 
 def _trace_q(trace, delta, sel):

@@ -2,25 +2,31 @@
 
 Each function here is an independent route to a quantity the package
 evaluates by a faster or different path; the tests compare the two.  None of
-them is called by the package itself:
+them is called by the package itself.  The package never forms the
+Phi-weighted fields v~ = e^{delta Phi |n|} v, b~ = e^{delta Phi |n|} b: it
+reads each weighted quantity as a shell sum of the plain fields at the Gevrey
+index delta*Phi.  The weighted-copy route survives only here, as the
+reference:
 
   nonlinear_rhs_direct   the Galerkin nonlinearity by literal double summation
                          (``solver.nonlinear_rhs_fast``)
+  weighted               a field with every coefficient multiplied by e^{a|n|}
+  weighted_state         (v~, b~, Phi) of a state, as explicit coefficients
   sigma_p_direct         the weighted triple-interaction sum by literal double
-                         summation (``transform.sigma_p``)
-  xi_fields_chain        xi by the product rule along a trajectory
-                         (``bounds.xi_fields``)
+                         summation over explicitly weighted coefficients
+                         (``transform.sigma_p``)
+  xi_fields_chain        xi = e^{delta Phi |n|} dU/dt by the product rule along
+                         a trajectory (the P40/P42 left-hand sides)
   balance_residual       the midpoint residual of the weighted-energy balance
-                         along transformed states
+                         along a trajectory
 """
 
 import numpy as np
 
-from mhdgevrey.bounds import XiFields
 from mhdgevrey.errors import DomainError
 from mhdgevrey.solver import MhdState
-from mhdgevrey.spectral import SpectralField, geometry
-from mhdgevrey.transform import PhiState, _balance_terms, _energy_s, sigma_p, transform
+from mhdgevrey.spectral import SpectralField, _energy, geometry
+from mhdgevrey.transform import _balance_terms, sigma_p, solve_phi
 
 
 def nonlinear_rhs_direct(state: MhdState):
@@ -63,20 +69,33 @@ def nonlinear_rhs_direct(state: MhdState):
     return SpectralField(N, vvals), SpectralField(N, 1j * np.cross(nf, accW[at]))
 
 
-def sigma_p_direct(phi_state: PhiState, p: float) -> float:
-    """Reference i*Sigma_p by literal double summation over coefficient pairs.
+def weighted(w: SpectralField, a: float) -> SpectralField:
+    """w with every coefficient multiplied by e^{a|n|}."""
+    return SpectralField(w.N, w.coeffs * np.exp(a * geometry(w.N).absn)[:, None])
+
+
+def weighted_state(state, delta: float):
+    """(v~, b~, Phi): the fields of the state weighted by e^{delta Phi |n|}."""
+    phi = solve_phi(state.V, state.B, delta)
+    return weighted(state.V, delta * phi), weighted(state.B, delta * phi), phi
+
+
+def sigma_p_direct(state, delta: float, p: float) -> float:
+    """Reference i*Sigma_p by literal double summation over the coefficient
+    pairs of the explicitly weighted fields.
 
     O(N^6); keep N <= 8.  The p = 0 case uses the index-swapped symmetrized
     kernel, which removes a cancellation between large exponentials.
     """
-    N = phi_state.V.N
+    tv, tb, phi = weighted_state(state, delta)
+    N = state.N
     g = geometry(N)
     size = 2 * N + 1
-    dp = phi_state.delta * phi_state.phi
+    dp = delta * phi
     at = tuple((g.modes + N).T)  # the ball rows inside a local (2N+1)^3 cube
     vc = np.zeros((size, size, size, 3), dtype=np.complex128)
     bc = np.zeros_like(vc)
-    vc[at], bc[at] = phi_state.V.coeffs, phi_state.B.coeffs
+    vc[at], bc[at] = tv.coeffs, tb.coeffs
 
     r = np.arange(-N, N + 1)
     nsq = r[:, None, None] ** 2 + r[None, :, None] ** 2 + r[None, None, :] ** 2
@@ -91,7 +110,7 @@ def sigma_p_direct(phi_state: PhiState, p: float) -> float:
         wp = np.where(nsq == 0, 0.0, safe**p)
 
     total = np.zeros((), dtype=np.complex128)
-    for k, vk, bk in zip(g.modes, phi_state.V.coeffs, phi_state.B.coeffs):
+    for k, vk, bk in zip(g.modes, tv.coeffs, tb.coeffs):
         dst = tuple(slice(max(0, kd), size + min(0, kd)) for kd in k)
         src = tuple(slice(max(0, -kd), size + min(0, -kd)) for kd in k)
         VS = np.zeros_like(vc)
@@ -118,55 +137,49 @@ def sigma_p_direct(phi_state: PhiState, p: float) -> float:
     return float((1j * total).real)
 
 
-def xi_fields_chain(state_prev, state, state_next, delta: float) -> XiFields:
-    """xi via the product rule: d(v~)/dt - delta |n| v~ dPhi/dt.
+def xi_fields_chain(state_prev, state, state_next, delta: float):
+    """(xi_v, xi_b, Phi) via the product rule: d(v~)/dt - delta |n| v~ dPhi/dt.
 
-    The tilde-field derivative is a central difference of the transformed
-    trajectory; dPhi/dt comes from the weighted-energy balance, so this is
-    an independent consistency route, accurate to O(h^2).
+    The tilde-field derivative is a central difference of the explicitly
+    weighted trajectory; dPhi/dt comes from the weighted-energy balance, so
+    this is an independent consistency route, accurate to O(h^2).
     """
-    ps_prev = transform(state_prev, delta)
-    ps = transform(state, delta)
-    ps_next = transform(state_next, delta)
+    v_prev, b_prev, _ = weighted_state(state_prev, delta)
+    tv, tb, phi = weighted_state(state, delta)
+    v_next, b_next, _ = weighted_state(state_next, delta)
     h1 = state.t - state_prev.t
     h2 = state_next.t - state.t
     if not (h1 > 0 and h2 > 0):
         raise DomainError("states must be time-ordered")
 
     # dPhi/dt = -(Phi^3/2) dE_{3/2}/dt with dE_{3/2}/dt from the balance.
-    e2, diss = _balance_terms(ps)
-    de32 = 2.0 * (sigma_p(ps, 3.0) - diss) / (1.0 + delta * ps.phi**3 * e2)
-    dphi = -(ps.phi**3 / 2.0) * de32
+    e2, diss = _balance_terms(state, delta * phi)
+    de32 = 2.0 * (sigma_p(state, delta, 3.0) - diss) / (1.0 + delta * phi**3 * e2)
+    dphi = -(phi**3 / 2.0) * de32
 
     absn = geometry(state.N).absn[:, None]
-    dvt = (ps_next.V.coeffs - ps_prev.V.coeffs) / (h1 + h2)
-    dbt = (ps_next.B.coeffs - ps_prev.B.coeffs) / (h1 + h2)
-    xv = dvt - delta * dphi * absn * ps.V.coeffs
-    xb = dbt - delta * dphi * absn * ps.B.coeffs
-    return XiFields(
-        xi_v=SpectralField(state.N, xv),
-        xi_b=SpectralField(state.N, xb),
-        phi=ps.phi,
-        delta=delta,
-    )
+    xv = (v_next.coeffs - v_prev.coeffs) / (h1 + h2) - delta * dphi * absn * tv.coeffs
+    xb = (b_next.coeffs - b_prev.coeffs) / (h1 + h2) - delta * dphi * absn * tb.coeffs
+    return SpectralField(state.N, xv), SpectralField(state.N, xb), phi
 
 
-def balance_residual(samples) -> float:
-    """Midpoint residual of the weighted-energy balance along samples.
+def balance_residual(states, delta: float) -> float:
+    """Midpoint residual of the weighted-energy balance along states.
 
-    Each consecutive pair contributes |(1/2)(1 + delta Phi^3 E_2) dE_{3/2}/dt
+    Each consecutive pair contributes |(1/2)(1 + delta Phi^3 E~_2) dE~_{3/2}/dt
     + nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 - i Sigma_3| with every factor
     evaluated as the midpoint average; returns the maximum over pairs.
     """
-    samples = list(samples)
-    if len(samples) < 2:
+    states = list(states)
+    if len(states) < 2:
         raise DomainError("need at least two consecutive samples")
     vals = []
-    for ps in samples:
-        e32 = _energy_s(ps, 1.5)
-        e2, diss = _balance_terms(ps)
-        pref = 0.5 * (1.0 + ps.delta * ps.phi**3 * e2)
-        vals.append((ps.t, e32, pref, diss, sigma_p(ps, 3.0)))
+    for st in states:
+        phi = solve_phi(st.V, st.B, delta)
+        e32 = _energy((st.V, st.B), 1.5, delta * phi)
+        e2, diss = _balance_terms(st, delta * phi)
+        pref = 0.5 * (1.0 + delta * phi**3 * e2)
+        vals.append((st.t, e32, pref, diss, sigma_p(st, delta, 3.0)))
     worst = 0.0
     for (t1, e1, p1, d1, s1), (t2, e2_, p2, d2, s2) in zip(vals, vals[1:]):
         h = t2 - t1

@@ -21,7 +21,6 @@ from mhdgevrey.bounds import (
     _verify_pairs,
     verify_integral,
     verify_pointwise,
-    xi_fields,
 )
 from mhdgevrey.constants import lattice_constant, lattice_sum
 from mhdgevrey.solver import (
@@ -33,7 +32,7 @@ from mhdgevrey.solver import (
 from mhdgevrey.spectral import SpectralField, geometry, gevrey_norm, sobolev_norm
 from mhdgevrey.transform import _growth_envelope, _theta, solve_phi
 
-from oracles import balance_residual, nonlinear_rhs_direct, xi_fields_chain
+from oracles import balance_residual, nonlinear_rhs_direct, weighted, xi_fields_chain
 from sweep_runs import SWEEP_SIGMA, make_sweep_trace
 
 DATA = Path(__file__).parent / "data" / "bound_ratios.json"
@@ -325,19 +324,28 @@ class TestStandardSweep:
 # -- 8. xi consistency: algebraic vs chain-rule route ----------------------------
 
 
-def test_xi_algebraic_and_chain_routes_agree(delta_std):
+def test_xi_algebraic_and_chain_routes_agree(table, delta_std):
+    """xi = e^{delta Phi |n|} dU/dt built by the product rule along the
+    trajectory agrees with the weighted-copy reference, and its norms with
+    the P40 and P42 (s = -1) left-hand sides that verify reports."""
     st0 = m.make_initial("random-spectrum", {"norm_v": 0.3, "norm_b": 0.15},
                          N=4, seed=2, nu=0.1, eta=0.1)
     h = 1e-3
     st1 = step(st0, h)
     st2 = step(st1, h)
-    xa = xi_fields(st1, delta_std)
-    xc = xi_fields_chain(st0, st1, st2, delta_std)
-    num = math.sqrt(np.sum(np.abs(xa.xi_v.coeffs - xc.xi_v.coeffs) ** 2)
-                    + np.sum(np.abs(xa.xi_b.coeffs - xc.xi_b.coeffs) ** 2))
-    den = math.sqrt(np.sum(np.abs(xa.xi_v.coeffs) ** 2)
-                    + np.sum(np.abs(xa.xi_b.coeffs) ** 2))
+    xi_v, xi_b, phi = xi_fields_chain(st0, st1, st2, delta_std)
+    # the coefficients, against the weighted-copy reference e^{delta Phi |n|} dU/dt
+    ref_v, ref_b = (weighted(f, delta_std * phi) for f in full_rhs(st1))
+    num = math.sqrt(np.sum(np.abs(ref_v.coeffs - xi_v.coeffs) ** 2)
+                    + np.sum(np.abs(ref_b.coeffs - xi_b.coeffs) ** 2))
+    den = math.sqrt(np.sum(np.abs(ref_v.coeffs) ** 2) + np.sum(np.abs(ref_b.coeffs) ** 2))
     assert num / den <= 1e-6
+    p42 = verify_pointwise("P42", st1, table, delta=delta_std, s=-1.0).lhs
+    chain = sobolev_norm(xi_v, -1.0) ** 2 + sobolev_norm(xi_b, -1.0) ** 2
+    assert abs(p42 - chain) / p42 <= 1e-6
+    p40 = verify_pointwise("P40", st1, table, delta=delta_std).lhs
+    chain = 0.5 * (sobolev_norm(xi_v, -0.5) ** 2 + sobolev_norm(xi_b, -0.5) ** 2)
+    assert abs(p40 - chain) / p40 <= 1e-6
 
 
 # -- 9. second time derivative --------------------------------------------------
@@ -381,9 +389,9 @@ class TestBalanceResidual:
                             nu=SM_NU, eta=SM_ETA)
         samples = []
         for _ in range(n):
-            samples.append(m.transform(st, delta))
+            samples.append(st)
             st = step(st, h)
-        return balance_residual(samples)
+        return balance_residual(samples, delta)
 
     def test_small_on_single_mode(self, delta_std):
         assert self.residual_at(1e-3, delta_std) <= 1e-6

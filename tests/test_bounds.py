@@ -26,7 +26,6 @@ from mhdgevrey.bounds import (
     standard_sweep,
     verify_integral,
     verify_pointwise,
-    xi_fields,
     _quadrature_note,
     _retry_with_better_constants,
     _verify_pairs,
@@ -37,7 +36,7 @@ from mhdgevrey.spectral import _energy, sobolev_norm
 from mhdgevrey.transform import _energy_s
 
 from conftest import random_field
-from oracles import xi_fields_chain
+from oracles import weighted, xi_fields_chain
 
 
 class TestExponents:
@@ -132,19 +131,28 @@ class TestConstantChains:
 
 
 class TestXiRoutes:
-    def test_algebraic_and_chain_routes_agree(self, delta_std):
+    def test_algebraic_and_chain_routes_agree(self, table, delta_std):
+        # The P40 and P42 left-hand sides that verify reports (Gevrey norms
+        # of dU/dt at delta*Phi) against the norms of the chain-rule xi.
         st0 = m.make_initial("random-spectrum",
                              {"norm_v": 0.3, "norm_b": 0.15}, N=4, seed=2,
                              nu=0.1, eta=0.1)
         h = 1e-3
         st1 = step(st0, h)
         st2 = step(st1, h)
-        xa = xi_fields(st1, delta_std)
-        xc = xi_fields_chain(st0, st1, st2, delta_std)
-        scale = max(xa.xi_v.max_abs(), xa.xi_b.max_abs())
-        assert np.max(np.abs(xa.xi_v.coeffs - xc.xi_v.coeffs)) <= 1e-4 * scale
-        assert np.max(np.abs(xa.xi_b.coeffs - xc.xi_b.coeffs)) <= 1e-4 * scale
-        assert xa.phi == pytest.approx(xc.phi, abs=1e-10)
+        xi_v, xi_b, phi = xi_fields_chain(st0, st1, st2, delta_std)
+        # coefficient by coefficient against the weighted-copy reference
+        ref_v, ref_b = (weighted(f, delta_std * phi) for f in full_rhs(st1))
+        scale = max(ref_v.max_abs(), ref_b.max_abs())
+        assert np.max(np.abs(ref_v.coeffs - xi_v.coeffs)) <= 1e-4 * scale
+        assert np.max(np.abs(ref_b.coeffs - xi_b.coeffs)) <= 1e-4 * scale
+        for s in (-0.5, -1.0, -2.0):
+            rep = verify_pointwise("P42", st1, table, delta=delta_std, s=s)
+            chain = sobolev_norm(xi_v, s) ** 2 + sobolev_norm(xi_b, s) ** 2
+            assert rep.lhs == pytest.approx(chain, rel=1e-6)
+        rep = verify_pointwise("P40", st1, table, delta=delta_std)
+        chain = 0.5 * (sobolev_norm(xi_v, -0.5) ** 2 + sobolev_norm(xi_b, -0.5) ** 2)
+        assert rep.lhs == pytest.approx(chain, rel=1e-6)
 
     def test_chain_requires_time_order(self, delta_std):
         st = m.make_initial("random-spectrum", {}, N=3, seed=1,
@@ -153,15 +161,19 @@ class TestXiRoutes:
             xi_fields_chain(st, st, st, delta_std)
 
     def test_xi_norm_recovers_derivative_norm(self, delta_std):
+        # ||xi||_s of xi = e^{dP|n|} dU/dt is the Gevrey norm of dU/dt at dP;
+        # at dP = 0 both are the plain derivative norm
         st = MhdState(V=random_field(4, 3, 0.3), B=random_field(4, 13, 0.3),
                       nu=0.1, eta=0.1)
-        xi = xi_fields(st, delta_std)
-        dV, dB = full_rhs(st)
-        for s in (-1.0, 0.0, 1.0):
-            direct = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
-            # sum |n|^{2s} e^{-2 delta Phi |n|} |xi_n|^2
-            via_xi = _energy((xi.xi_v, xi.xi_b), s, -xi.delta * xi.phi)
-            assert via_xi == pytest.approx(direct, rel=1e-11)
+        rhs = full_rhs(st)
+        for dp in (0.0, delta_std * m.solve_phi(st.V, st.B, delta_std), 0.5):
+            xi_v, xi_b = (weighted(f, dp) for f in rhs)
+            for s in (-1.0, 0.0, 1.0):
+                via_xi = sobolev_norm(xi_v, s) ** 2 + sobolev_norm(xi_b, s) ** 2
+                assert via_xi == pytest.approx(_energy(rhs, s, dp), rel=1e-11)
+                if dp == 0.0:
+                    direct = sobolev_norm(rhs[0], s) ** 2 + sobolev_norm(rhs[1], s) ** 2
+                    assert via_xi == pytest.approx(direct, rel=1e-11)
 
 
 class TestPointwise:

@@ -2,9 +2,11 @@
 
 import csv
 import importlib
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,6 +595,19 @@ class TestSpectrumCommand:
     def test_missing_checkpoint(self, tmp_path):
         assert main(["spectrum", str(tmp_path / "no.bin")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: insufficient spectral range: the ball of radius 5 has too few shells"),
+        (["--m-lo", "0", "--m-hi", "4"], "error: fit shells must satisfy 1 <= m_lo < m_hi <= N"),
+    ], ids=["default-window", "m-lo-0"])
+    def test_unusable_fit_window(self, tmp_path, capsys, argv, message):
+        st = m.make_initial("random-spectrum", {}, N=5, seed=1, nu=0.1, eta=0.1)
+        path = tmp_path / "ck.bin"
+        checkpoint_save(st, path)
+        assert main(["spectrum", str(path)] + argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestCompareCommand:
     def test_identical_resolutions_zero_psi(self, tmp_path, table_json):
@@ -631,3 +646,24 @@ class TestCompareCommand:
             rows = list(csv.reader(f))[1:]
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == 0.0
+
+
+class TestDemoWorkflow:
+    def test_demo_runs_end_to_end(self, tmp_path, monkeypatch):
+        # scripts/demo_workflow.py, the walkthrough the README advertises
+        path = Path(__file__).resolve().parents[1] / "scripts" / "demo_workflow.py"
+        spec = importlib.util.spec_from_file_location("demo_workflow", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        codes = []
+
+        def recording(argv):
+            codes.append((argv[0], main(argv)))
+            return codes[-1][1]
+
+        monkeypatch.setattr(demo, "main", recording)
+        demo.demo(tmp_path)
+        assert codes == [(c, EXIT_OK) for c in
+                         ("constants", "run", "verify", "spectrum", "compare")]
+        report = json.loads((tmp_path / "trace" / "report.json").read_text())
+        assert report and "fail" not in {r["verdict"] for r in report}

@@ -73,6 +73,19 @@ class TestDecayFit:
         with pytest.raises(DomainError):
             decay_fit(w, 3, 12)
 
+    @pytest.mark.parametrize("m_lo", [0, -2])
+    def test_window_below_shell_one_rejected(self, m_lo):
+        # shell m is entry m - 1 of the shell means: m_lo = 0 used to read
+        # shell N as shell 0 and return a fit
+        with pytest.raises(DomainError, match="1 <= m_lo < m_hi <= N"):
+            decay_fit(random_field(8, 0), m_lo, 4)
+
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_default_window_too_narrow_for_small_ball(self, N):
+        with pytest.raises(DomainError, match="insufficient spectral range: the ball of "
+                           "radius %d has too few shells" % N):
+            decay_fit(random_field(N, 0))
+
     def test_estimate_validation(self):
         with pytest.raises(DomainError):
             RadiusEstimate(sigma_fit=-0.1, fit_range=(3, 6), residual=0.0)

@@ -1,4 +1,4 @@
-"""Weighting transforms: Phi root, weighted states, energy inequalities."""
+"""Weighting transforms: Phi root, Phi-weighted quantities, energy inequalities."""
 
 import math
 
@@ -7,23 +7,34 @@ import pytest
 
 import mhdgevrey as m
 from mhdgevrey.errors import DomainError, GevreyOverflowError, TraceError
-from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, step
-from mhdgevrey.spectral import gevrey_scale
-from mhdgevrey.bounds import BOUNDS, verify_integral
+from mhdgevrey.solver import MhdState, _diagnostic_row, full_rhs, nonlinear_rhs_fast, step
+from mhdgevrey.spectral import _energy, _radial_sum, fmt_s
+from mhdgevrey.bounds import BOUNDS, verify_integral, verify_pointwise
 from mhdgevrey.transform import (
-    PhiState,
     _growth_envelope,
+    _q,
     _trace_q,
     _theta,
     delta_max,
     q_functional,
     sigma_p,
     solve_phi,
-    transform,
 )
 
 from conftest import random_field
-from oracles import balance_residual, sigma_p_direct
+from oracles import balance_residual, sigma_p_direct, weighted, weighted_state
+
+
+def _weighted_energy(st, delta, s):
+    """||v~||_s^2 + ||b~||_s^2 of the Phi-weighted fields of a state."""
+    return _energy((st.V, st.B), s, delta * solve_phi(st.V, st.B, delta))
+
+
+def _fixed_point_gap(V, B, delta):
+    """(Phi, |Phi - (1 + ||v~||_{3/2}^2 + ||b~||_{3/2}^2)^{-1/2}|)."""
+    phi = solve_phi(V, B, delta)
+    e = m.gevrey_norm(V, delta * phi, 1.5) ** 2 + m.gevrey_norm(B, delta * phi, 1.5) ** 2
+    return phi, abs(phi - (1.0 + e) ** -0.5)
 
 
 def _theta_gevrey(V, B, delta, phi):
@@ -108,9 +119,7 @@ class TestSolvePhi:
 
     def test_fixed_point_identity(self):
         V, B = random_field(5, 1), random_field(5, 2)
-        ps = transform(MhdState(V=V, B=B, nu=0.1, eta=0.1), 0.15)
-        e = m.sobolev_norm(ps.V, 1.5) ** 2 + m.sobolev_norm(ps.B, 1.5) ** 2
-        assert ps.phi == pytest.approx((1.0 + e) ** -0.5, abs=1e-10)
+        assert _fixed_point_gap(V, B, 0.15)[1] <= 1e-10
 
     def test_negative_delta_rejected(self):
         z = m.SpectralField.zeros(3)
@@ -125,8 +134,10 @@ class TestSolvePhi:
         st = m.make_initial("random-spectrum",
                             {"norm_v": 3000.0, "norm_b": 3000.0}, N=8, seed=0,
                             nu=0.1, eta=0.1)
-        ps = transform(st, delta)
-        assert abs(_theta(st.V, st.B, delta, ps.phi)) * ps.phi**2 <= 1e-9
+        phi, gap = _fixed_point_gap(st.V, st.B, delta)
+        assert abs(_theta(st.V, st.B, delta, phi)) * phi**2 <= 1e-9
+        # and Phi is the fixed point of the weighted H_{3/2} energy
+        assert gap <= 1e-10 * phi
 
     def test_phi_decreases_with_amplitude(self):
         B = m.SpectralField.zeros(4)
@@ -137,25 +148,6 @@ class TestSolvePhi:
                 add_conjugates=True)
             phis.append(solve_phi(V, B, 0.1))
         assert phis[0] > phis[1] > phis[2]
-
-
-class TestPhiState:
-    def test_transform_untransform_roundtrip(self):
-        st = MhdState(V=random_field(4, 3), B=random_field(4, 4),
-                      nu=0.1, eta=0.1)
-        ps = transform(st, 0.2)
-        back = gevrey_scale(ps.V, -ps.delta * ps.phi)
-        assert np.allclose(back.coeffs, st.V.coeffs, rtol=1e-12, atol=1e-16)
-
-    def test_fixed_point_enforced_on_construction(self):
-        V, B = random_field(4, 5), random_field(4, 6)
-        with pytest.raises(DomainError, match="fixed point"):
-            PhiState(delta=0.2, phi=0.123, V=V, B=B)
-
-    def test_phi_range_enforced(self):
-        z = m.SpectralField.zeros(3)
-        with pytest.raises(DomainError):
-            PhiState(delta=0.2, phi=1.5, V=z, B=z)
 
 
 class TestDeltaMax:
@@ -175,16 +167,15 @@ class TestQFunctional:
             st = MhdState(V=random_field(4, seed, 0.2),
                           B=random_field(4, seed + 10, 0.2),
                           nu=0.1, eta=0.1)
-            ps = transform(st, delta_std)
-            e0 = m.sobolev_norm(ps.V, 0.0) ** 2 + m.sobolev_norm(ps.B, 0.0) ** 2
-            assert q_functional(ps) >= 0.25 * e0 - 1e-12
+            e0 = _weighted_energy(st, delta_std, 0.0)
+            assert q_functional(st, delta_std) >= 0.25 * e0 - 1e-12
 
     def test_state_and_trace_columns_agree(self, random_trace, delta_std):
         # Q of the first checkpoint's weighted fields against the Q that the
         # integral bounds read from the archived columns of that sample.
         first = random_trace.checkpoints()[0]
         from_trace = _trace_q(random_trace, delta_std, slice(0, 1))
-        assert q_functional(transform(first, delta_std)) == pytest.approx(
+        assert q_functional(first, delta_std) == pytest.approx(
             from_trace, rel=1e-12)
 
 
@@ -193,17 +184,15 @@ class TestSigmaP:
         st = m.make_initial("single-mode",
                             {"n_v": (0, 0, 1), "amp_v": [1.0, 1j, 0.0],
                              "n_b": None}, N=4, nu=0.1, eta=0.1)
-        ps = transform(st, delta_std)
-        assert abs(sigma_p(ps, 3.0)) <= 1e-12
+        assert abs(sigma_p(st, delta_std, 3.0)) <= 1e-12
 
     def test_p0_is_exactly_antisymmetric(self, delta_std):
         # The unweighted triple sum is the energy flux of the nonlinearity,
         # which cancels identically.
         st = MhdState(V=random_field(4, 7, 0.3), B=random_field(4, 8, 0.3),
                       nu=0.1, eta=0.1)
-        ps = transform(st, 0.0)
-        scale = (m.sobolev_norm(ps.V, 1.0) ** 2 + m.sobolev_norm(ps.B, 1.0) ** 2) ** 1.5
-        assert abs(sigma_p(ps, 0.0)) <= 1e-11 * max(1.0, scale)
+        scale = (m.sobolev_norm(st.V, 1.0) ** 2 + m.sobolev_norm(st.B, 1.0) ** 2) ** 1.5
+        assert abs(sigma_p(st, 0.0, 0.0)) <= 1e-11 * max(1.0, scale)
 
     @pytest.mark.parametrize("N", [4, 6])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 3.0])
@@ -213,10 +202,9 @@ class TestSigmaP:
         for seed in range(3):
             st = MhdState(V=random_field(N, seed, 0.3),
                           B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
-            ps = transform(st, delta)
-            s = 1.0 + 0.5 * p
-            scale = (m.sobolev_norm(ps.V, s) ** 2 + m.sobolev_norm(ps.B, s) ** 2) ** 1.5
-            assert abs(sigma_p(ps, p) - sigma_p_direct(ps, p)) <= 1e-12 * max(1.0, scale)
+            scale = _weighted_energy(st, delta, 1.0 + 0.5 * p) ** 1.5
+            assert abs(sigma_p(st, delta, p) - sigma_p_direct(st, delta, p)) \
+                <= 1e-12 * max(1.0, scale)
 
     @pytest.mark.parametrize("derivative_s", [(), (0.0,)])
     def test_diagnostic_row_shares_the_nonlinearity(self, derivative_s,
@@ -225,7 +213,7 @@ class TestSigmaP:
 
         st = MhdState(V=random_field(6, 3, 0.3), B=random_field(6, 23, 0.3),
                       nu=0.1, eta=0.1)
-        expected = sigma_p(transform(st, delta_std), 3.0)
+        expected = sigma_p(st, delta_std, 3.0)
         calls = []
         real = solver.nonlinear_rhs_fast
 
@@ -238,9 +226,73 @@ class TestSigmaP:
                                  sigma3=True)
         row = _diagnostic_row(st, spec, 0.0)
         assert len(calls) == 1
-        ps = transform(st, delta_std)
-        scale = (m.sobolev_norm(ps.V, 2.5) ** 2 + m.sobolev_norm(ps.B, 2.5) ** 2) ** 1.5
+        scale = _weighted_energy(st, delta_std, 2.5) ** 1.5
         assert abs(row["sigma3"] - expected) <= 1e-12 * max(1.0, scale)
+
+
+class TestGevreyRoute:
+    """Every Phi-weighted quantity, read as a shell sum of the plain fields at
+    the Gevrey index delta*Phi, against the same formula evaluated on the
+    explicitly weighted coefficients v~ = e^{delta Phi |n|} v."""
+
+    TILDE_S = (0.0, 0.5, 1.0, 1.5)
+
+    @staticmethod
+    def _close(a, b):
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("which", ["zero", "std", "one"])
+    def test_row_columns_and_q(self, N, which, delta_std):
+        delta = {"zero": 0.0, "std": delta_std, "one": 1.0}[which]
+        spec = m.DiagnosticsSpec(s_grid=(), delta=delta, tilde_s=self.TILDE_S, sigma3=True)
+        for seed in range(3):
+            st = MhdState(V=random_field(N, seed, 0.3),
+                          B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
+            row = _diagnostic_row(st, spec, 0.0)
+            tv, tb, phi = weighted_state(st, delta)
+            assert row["phi"] == phi
+            for s in self.TILDE_S:
+                self._close(row["tv_s%s" % fmt_s(s)], m.sobolev_norm(tv, s))
+                self._close(row["tb_s%s" % fmt_s(s)], m.sobolev_norm(tb, s))
+            self._close(row["tE2"], m.sobolev_norm(tv, 2.0) ** 2 + m.sobolev_norm(tb, 2.0) ** 2)
+            self._close(row["tdiss52"], st.nu * m.sobolev_norm(tv, 2.5) ** 2
+                        + st.eta * m.sobolev_norm(tb, 2.5) ** 2)
+            # i Sigma_3 = sum_n |n|^3 e^{delta Phi |n|} Re[conj(v~_n).NL_v(n) + ...]
+            nl_v, nl_b = nonlinear_rhs_fast(st)
+            pairing = (np.einsum("kc,kc->k", np.conj(tv.coeffs), nl_v.coeffs)
+                       + np.einsum("kc,kc->k", np.conj(tb.coeffs), nl_b.coeffs))
+            self._close(row["sigma3"], _radial_sum(N, pairing.real, 3.0, delta * phi))
+            e = [m.sobolev_norm(tv, s) ** 2 + m.sobolev_norm(tb, s) ** 2 for s in (0.0, 0.5, 1.0)]
+            self._close(q_functional(st, delta), _q(delta, phi, *e))
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("which", ["std", "one"])  # P40 and P42 need delta > 0
+    def test_p40_p42_sides(self, N, which, table, delta_std):
+        delta = {"std": delta_std, "one": 1.0}[which]
+        for seed in range(3):
+            st = MhdState(V=random_field(N, seed, 0.3),
+                          B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
+            tv, tb, phi = weighted_state(st, delta)
+            xi_v, xi_b = (weighted(f, delta * phi) for f in full_rhs(st))
+            nu2, eta2 = st.nu**2, st.eta**2
+
+            rep = verify_pointwise("P40", st, table, delta=delta)
+            self._close(rep.lhs, 0.5 * (m.sobolev_norm(xi_v, -0.5) ** 2
+                                        + m.sobolev_norm(xi_b, -0.5) ** 2))
+            e1 = m.sobolev_norm(tv, 1.0) ** 2 + m.sobolev_norm(tb, 1.0) ** 2
+            self._close(rep.rhs, nu2 * m.sobolev_norm(tv, 1.5) ** 2
+                        + eta2 * m.sobolev_norm(tb, 1.5) ** 2
+                        + 2.0 * table.Cprime_half() ** 2 * e1**2)
+
+            for s in (-1.0, -2.0):
+                rep = verify_pointwise("P42", st, table, delta=delta, s=s)
+                self._close(rep.lhs, m.sobolev_norm(xi_v, s) ** 2 + m.sobolev_norm(xi_b, s) ** 2)
+                x, y = (m.sobolev_norm(f, 1.0) ** ((2.0 * s + 5.0) / 2.0)
+                        * m.sobolev_norm(f, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (tv, tb))
+                self._close(rep.rhs, 2.0 * nu2 * m.sobolev_norm(tv, s + 2.0) ** 2
+                            + 2.0 * eta2 * m.sobolev_norm(tb, s + 2.0) ** 2
+                            + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2)
 
 
 def _residual_along_trajectory(N, delta):
@@ -251,10 +303,11 @@ def _residual_along_trajectory(N, delta):
     samples = []
     cur = st
     for _ in range(3):
-        samples.append(transform(cur, delta))
+        samples.append(cur)
         cur = step(cur, h)
-    res = balance_residual(samples)
-    e32 = m.sobolev_norm(samples[0].V, 1.5) ** 2
+    res = balance_residual(samples, delta)
+    tv, _, _ = weighted_state(samples[0], delta)
+    e32 = m.sobolev_norm(tv, 1.5) ** 2
     return res, e32
 
 
@@ -269,12 +322,11 @@ class TestBalanceResidual:
 
     def test_requires_two_samples(self, singlemode_state, delta_std):
         with pytest.raises(DomainError):
-            balance_residual([transform(singlemode_state, delta_std)])
+            balance_residual([singlemode_state], delta_std)
 
     def test_requires_increasing_times(self, singlemode_state, delta_std):
-        ps = transform(singlemode_state, delta_std)
         with pytest.raises(DomainError):
-            balance_residual([ps, ps])
+            balance_residual([singlemode_state, singlemode_state], delta_std)
 
 
 class TestVerifyTheorem2:
