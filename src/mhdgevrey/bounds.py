@@ -345,8 +345,7 @@ def _evaluate(bound, s, T, table, names, compute) -> BoundReport:
             ev = again._replace(note=_join(again.note, "re-estimated constants"))
     lhs, rhs = ev.lhs, ev.rhs
     ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    verdict = ev.verdict or (
-        "informational" if "informational" in ev.note else _verdict(lhs, rhs))
+    verdict = ev.verdict or _verdict(lhs, rhs)
     constants = table.describe(names)
     if not math.isfinite(rhs):
         # an overflowed constant must not make the bound hold trivially
@@ -394,8 +393,9 @@ class _Window:
     def against_q(self, lhs, rhs_fn, note=""):
         """``compute`` of a bound whose rhs grows from Q: Q < 0 makes it
         informational."""
-        q_note = "Q <= 0; informational" if self.Q < 0 else ""
-        return lambda: _Eval(lhs, rhs_fn(), _join(q_note, note))
+        if self.Q < 0:
+            return lambda: _Eval(lhs, rhs_fn(), _join("Q < 0", note), "informational")
+        return lambda: _Eval(lhs, rhs_fn(), note)
 
 
 def _worst_pair(lhs, rhs):
@@ -493,9 +493,8 @@ def _b32_1(w, s, v, b):
 
 def _b32_2(w, s, v, b):
     lhs = _trapz((v**2 + b**2) ** (1.0 / s), w.ts)
-    e0_init = w.col("v_s0")[0] ** 2 + w.col("b_s0")[0] ** 2 \
-        if w.trace.has_col("v_s0") else 2.0 * w.col("energy")[0]
-    return [], lambda: _Eval(lhs, (2.0 * w.mn) ** -1.0 * e0_init ** (1.0 / s))
+    e0 = 2.0 * w.col("energy")[0]
+    return [], lambda: _Eval(lhs, (2.0 * w.mn) ** -1.0 * e0 ** (1.0 / s))
 
 
 def _b32_3(w, s, wv, wb):

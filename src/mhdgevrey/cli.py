@@ -54,23 +54,33 @@ def _load_table(path):
     return build_table()
 
 
+def _simulate(cfg, table, initial, outdir):
+    """Run ``cfg`` from ``initial`` zero-padded to its N; None on blow-up.
+    Next to what simulate records, the manifest gets the seed, the initial
+    family with the N ``initial`` was drawn at, and the "auto" notes."""
+    diagnostics, notes = cfg.resolve(table)
+    extra = {"seed": cfg.initial["seed"],
+             "initial": {"kind": cfg.initial["kind"],
+                         "params": cfg.initial["params"], "N": initial.N},
+             **notes}
+    N = cfg.solver.N
+    start = replace(initial, V=embed_field(initial.V, N), B=embed_field(initial.B, N))
+    try:
+        return simulate(cfg.solver, start, outdir, diagnostics=diagnostics,
+                        manifest_extra=extra)
+    except BlowUpError as exc:
+        print("numerical blow-up at t=%g; partial archive kept in %s"
+              % (exc.t, outdir), file=sys.stderr)
+        return None
+
+
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     outdir = args.out or cfg.outdir
     if not outdir:
         raise ConfigError("no output directory (config 'outdir' or --out)")
-    table = _load_table(args.table)
-    delta, sigma, notes = cfg.resolve(table)
-    extra = {"seed": cfg.seed, "initial": {"kind": cfg.initial_kind,
-                                           "params": cfg.initial_params}, **notes}
-    initial = cfg.initial_state()
-    diagnostics = cfg.diagnostics(delta, sigma)
-    try:
-        trace = simulate(cfg.solver_config(), initial, outdir,
-                         diagnostics=diagnostics, manifest_extra=extra)
-    except BlowUpError as exc:
-        print("numerical blow-up at t=%g; partial archive kept in %s"
-              % (exc.t, outdir), file=sys.stderr)
+    trace = _simulate(cfg, _load_table(args.table), cfg.initial_state(), outdir)
+    if trace is None:
         return EXIT_BLOWUP
     if args.verbosity >= 1:
         energy = trace.col("energy")
@@ -149,22 +159,15 @@ def cmd_spectrum(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     table = _load_table(args.table)
-    delta, sigma, _ = cfg.resolve(table)
     outdir = Path(args.out or cfg.outdir or "compare-out")
     traces = []
     # One initial state, drawn at the smallest N and zero-padded to the
     # others, so that psi(t) measures truncation and not different data.
-    base = replace(cfg, N=min(args.N)).initial_state()
-
+    base = cfg.initial_state(min(args.N))
     for N in args.N:
-        sub = outdir / ("N%03d" % N)
-        cfgN = replace(cfg, N=int(N))
-        initial = replace(base, V=embed_field(base.V, N), B=embed_field(base.B, N))
-        try:
-            tr = simulate(cfgN.solver_config(), initial, sub,
-                          diagnostics=cfgN.diagnostics(delta, sigma))
-        except BlowUpError as exc:
-            print("blow-up at t=%g for N=%d" % (exc.t, N), file=sys.stderr)
+        tr = _simulate(replace(cfg, solver=replace(cfg.solver, N=N)), table, base,
+                       outdir / ("N%03d" % N))
+        if tr is None:
             return EXIT_BLOWUP
         traces.append((N, tr))
     for (n1, t1), (n2, t2) in zip(traces, traces[1:]):

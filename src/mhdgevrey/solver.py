@@ -10,7 +10,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -73,20 +73,17 @@ class SolverConfig:
     checkpoint_stride: int | None = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError("N must be >= 1")
-        if not (self.dt > 0):
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
-        if not (self.nu > 0 and self.eta > 0):
-            raise ConfigError("diffusivities must be positive")
-        if self.output_stride < 1:
-            raise ConfigError("output_stride must be >= 1")
-        if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
-            raise ConfigError("checkpoint_stride must be >= 1")
+        for name in ("nu", "eta", "dt"):
+            if not getattr(self, name) > 0:
+                raise ConfigError("field %r must be positive" % name)
+        if not self.t_end >= 0:
+            raise ConfigError("field 't_end' must be nonnegative")
+        for name in ("N", "output_stride", "checkpoint_stride"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError("field %r must be >= 1" % name)
         if self.scheme not in SCHEMES:
-            raise ConfigError("unknown scheme %r" % self.scheme)
+            raise ConfigError("field 'scheme' is %r; it must be one of %s"
+                              % (self.scheme, ", ".join(SCHEMES)))
 
 
 # -- pruned padded transforms ------------------------------------------------
@@ -473,29 +470,19 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
 
 
 def simulate(config: SolverConfig, initial: MhdState, outdir,
-             diagnostics: DiagnosticsSpec | None = None,
+             diagnostics: DiagnosticsSpec = DiagnosticsSpec(),
              manifest_extra: dict | None = None) -> TraceArchive:
     """Integrate to t_end, writing samples every output_stride steps.
 
-    The manifest records the diagnostics' ``delta`` and ``ft_sigma`` as
-    ``delta`` and ``sigma``; a ``manifest_extra`` value for either that
-    differs is a ConfigError.
+    The manifest records every field of ``config`` under ``config`` and the
+    diagnostics' ``delta`` and ``ft_sigma`` as ``delta`` and ``sigma``; a
+    ``manifest_extra`` value for either that differs is a ConfigError.
     """
     initial.validate()
     if initial.N != config.N:
         raise ConfigError("initial state truncation differs from config")
-    if diagnostics is None:
-        diagnostics = DiagnosticsSpec()
     manifest = {
-        "config": {
-            "N": config.N,
-            "nu": config.nu,
-            "eta": config.eta,
-            "dt": config.dt,
-            "t_end": config.t_end,
-            "output_stride": config.output_stride,
-            "scheme": config.scheme,
-        },
+        "config": asdict(config),
         "t0": initial.t,
         "version": 1,
         # The weight scales of the weighted columns: the integral checks

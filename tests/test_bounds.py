@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mhdgevrey as m
+from mhdgevrey import bounds
 from mhdgevrey.bounds import (
     BOUNDS,
     INTEGRAL_IDS,
@@ -465,6 +466,24 @@ class TestHarnessInternals:
         rhs, retried = _retry_with_better_constants(
             t, [], lambda: 99.0, 5.0, 1.0)
         assert rhs == 1.0 and not retried
+
+    def test_negative_q_is_informational_without_reestimation(
+            self, singlemode_trace, table, monkeypatch):
+        # Q < 0 sets the verdict in _Window.against_q: the row is
+        # informational, and its estimated constants C[0.5] and C[1] are not
+        # re-estimated although lhs > rhs.  The rhs chain is stubbed: its
+        # sqrt(Q) is undefined at Q < 0.
+        monkeypatch.setattr(bounds._Window, "Q", property(lambda self: -1.0))
+        monkeypatch.setattr(bounds, "d1_constant", lambda *args: 0.0)
+        t = copy.deepcopy(table)
+        reestimated = []
+        monkeypatch.setattr(t, "reestimate", reestimated.append)
+        rep = verify_integral("B36_1", singlemode_trace, 0.0,
+                              float(singlemode_trace.times[-1]), t)
+        assert rep.lhs > rep.rhs
+        assert rep.verdict == "informational"
+        assert "Q < 0" in rep.note
+        assert reestimated == []
 
     def test_d2_report_checkpoints(self, singlemode_trace, table):
         # P52 over the stored checkpoints: the worst single-state report

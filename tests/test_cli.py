@@ -24,6 +24,7 @@ from mhdgevrey.cli import (
 )
 from mhdgevrey.config import load_run_config, parse_run_config
 from mhdgevrey.errors import ConfigError, ConvergenceError, DomainError, TraceError
+from mhdgevrey.solver import SCHEMES
 from mhdgevrey.spectral import SpectralField, geometry
 
 from conftest import full_diagnostics
@@ -101,20 +102,58 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("key,value,field", [
+        ("nu", 0.0, "'nu'"), ("eta", -0.1, "'eta'"), ("dt", 0.0, "'dt'"),
+        ("dt", -1e-3, "'dt'"), ("t_end", -1.0, "'t_end'"), ("N", 0, "'N'"),
+        ("output_stride", 0, "'output_stride'"),
+        ("checkpoint_stride", 0, "'checkpoint_stride'"),
+    ])
+    def test_out_of_range_field_named(self, key, value, field):
+        # the ranges are SolverConfig's, checked while the config is parsed
+        with pytest.raises(ConfigError, match=field):
+            parse_run_config(dict(BASE_CONFIG, **{key: value}))
+
+    def test_unknown_scheme_lists_the_schemes(self):
+        with pytest.raises(ConfigError, match="'scheme'") as exc:
+            parse_run_config(dict(BASE_CONFIG, scheme="euler"))
+        assert all(name in str(exc.value) for name in SCHEMES)
+
+    def test_sections_built_once(self):
+        cfg = parse_run_config(dict(BASE_CONFIG, checkpoint_stride=4, shells=True))
+        assert cfg.solver == m.SolverConfig(
+            N=6, nu=0.1, eta=0.1, dt=1e-3, t_end=0.02, output_stride=2,
+            scheme="integrating-factor-RK2", checkpoint_stride=4)
+        assert cfg.diagnostics.wiener_s == (-1.0, 0.0, 1.0)
+        assert cfg.diagnostics.lq_grid == ((4.0, 1.0),) and cfg.diagnostics.shells
+        assert cfg.initial == {"kind": "random-spectrum", "seed": 5,
+                               "params": {"norm_v": 0.3, "norm_b": 0.15}}
+
     def test_auto_scales_resolve(self, table):
         cfg = parse_run_config(dict(BASE_CONFIG))
-        delta, sigma, notes = cfg.resolve(table)
-        assert delta == pytest.approx(0.9 * m.delta_max(table, 0.1, 0.1))
-        assert sigma == pytest.approx(0.05)
+        spec, notes = cfg.resolve(table)
+        assert spec.delta == pytest.approx(0.9 * m.delta_max(table, 0.1, 0.1))
+        assert spec.ft_sigma == pytest.approx(0.05)
+        assert spec.s_grid == cfg.diagnostics.s_grid
         assert "delta_resolution" in notes and "sigma_resolution" in notes
         # the manifest records sigma even for a run without ft_s columns
         no_ft = parse_run_config(dict(BASE_CONFIG, ft_s=[]))
-        assert no_ft.diagnostics(delta, sigma).ft_sigma == sigma
+        assert no_ft.resolve(table)[0].ft_sigma == spec.ft_sigma
 
     def test_explicit_sigma_validated(self, table):
         cfg = parse_run_config(dict(BASE_CONFIG, sigma=0.5))
         with pytest.raises(ConfigError, match="sigma"):
             cfg.resolve(table)
+
+    @pytest.mark.parametrize("key,value", [("sigma", 0.0), ("delta", 0.0),
+                                           ("delta", -1.0)])
+    def test_nonpositive_scale_rejected_by_resolve(self, table, key, value):
+        cfg = parse_run_config(dict(BASE_CONFIG, **{key: value}))
+        with pytest.raises(ConfigError, match="'%s'" % key):
+            cfg.resolve(table)
+
+    def test_scale_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="'delta'"):
+            parse_run_config(dict(BASE_CONFIG, delta="large"))
 
 
 class TestRunCommand:
@@ -125,6 +164,18 @@ class TestRunCommand:
         assert man["delta"] > 0 and man["sigma"] == pytest.approx(0.05)
         assert man["delta_resolution"].startswith("auto")
         assert len(tr.times) == 11
+
+    def test_manifest_names_every_solver_setting(self, tmp_path, table_json):
+        # checkpoint_stride was missing from the manifest's config
+        cfg = write_config(tmp_path, checkpoint_stride=4)
+        out = tmp_path / "ck"
+        assert main(["run", cfg, "--out", str(out), "--table", table_json,
+                     "--verbosity", "0"]) == EXIT_OK
+        man = m.TraceArchive.load(out).manifest
+        assert m.SolverConfig(**man["config"]) == load_run_config(cfg).solver
+        assert man["seed"] == 5
+        assert man["initial"] == {"kind": "random-spectrum", "N": 6,
+                                  "params": {"norm_v": 0.3, "norm_b": 0.15}}
 
     def test_zero_duration(self, tmp_path, table_json):
         cfg = write_config(tmp_path, t_end=0.0)
@@ -646,6 +697,23 @@ class TestCompareCommand:
             rows = list(csv.reader(f))[1:]
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == 0.0
+
+    def test_manifests_name_seed_initial_data_and_notes(self, tmp_path, table_json):
+        # a compare archive recorded only config, delta, sigma, t0 and
+        # version: not the data it was run from
+        cfg = write_config(tmp_path, t_end=0.004)
+        out = tmp_path / "cmp4"
+        assert main(["compare", cfg, "--N", "4", "6", "--out", str(out),
+                     "--table", table_json]) == EXIT_OK
+        for N in (4, 6):
+            man = m.TraceArchive.load(out / ("N%03d" % N)).manifest
+            assert man["config"]["N"] == N
+            assert man["seed"] == 5
+            # both states are the one drawn at the smallest N
+            assert man["initial"] == {"kind": "random-spectrum", "N": 4,
+                                      "params": {"norm_v": 0.3, "norm_b": 0.15}}
+            assert man["delta_resolution"].startswith("auto")
+            assert man["sigma_resolution"].startswith("auto")
 
 
 class TestDemoWorkflow:
