@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     FieldInvariantError,
     GevreyOverflowError,
-    MissingConstantError,
     TraceError,
 )
 from .radius import (

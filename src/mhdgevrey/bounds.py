@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -255,8 +255,8 @@ class Bound:
     (delta, sigma, p).  An integral bound reads the trace columns
     ``columns(s, p)``, and the columns of Q if it needs delta; ``uniform``
     asks for evenly spaced samples.  ``check(window, s, *series)`` (integral)
-    or ``check(derivatives, s)`` (pointwise) returns the names of the
-    constants used and ``compute()``, which evaluates lhs and the rhs chain.
+    or ``check(derivatives, s)`` (pointwise) returns the ``_Eval`` of both
+    sides; the constants its report names are those it reads from the table.
     """
 
     id: str
@@ -305,8 +305,8 @@ class Bound:
 
 
 class _Eval(NamedTuple):
-    """Both sides of one evaluation.  A check that sets the verdict itself
-    is not re-evaluated with re-estimated constants."""
+    """Both sides of one check, with a note.  A check that sets the verdict
+    itself is not re-evaluated with re-estimated constants."""
 
     lhs: float
     rhs: float
@@ -336,13 +336,16 @@ def _retry_with_better_constants(table, names, compute_rhs, lhs, rhs):
     return compute_rhs(), True
 
 
-def _evaluate(bound, s, T, table, names, compute) -> BoundReport:
-    """Report one check; if it fails, once more with re-estimated constants."""
-    ev = compute()
-    if ev.verdict is None:
-        again, retried = _retry_with_better_constants(table, names, compute, ev.lhs, ev.rhs)
-        if retried:
-            ev = again._replace(note=_join(again.note, "re-estimated constants"))
+def _evaluate(bound, s, T, table, check) -> BoundReport:
+    """Report ``check()`` with the constants it reads; if it fails, once more
+    with those re-estimated."""
+    with table.reads() as names:
+        ev = check()
+        if ev.verdict is None:
+            again, retried = _retry_with_better_constants(table, names, check,
+                                                          ev.lhs, ev.rhs)
+            if retried:
+                ev = again._replace(note=_join(again.note, "re-estimated constants"))
     lhs, rhs = ev.lhs, ev.rhs
     ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
     verdict = ev.verdict or _verdict(lhs, rhs)
@@ -357,13 +360,6 @@ def _evaluate(bound, s, T, table, names, compute) -> BoundReport:
     return BoundReport(bound.id, s if bound.fixed_s is None else bound.fixed_s, T,
                        float(lhs), float(rhs), float(ratio), constants,
                        verdict, ev.note)
-
-
-def _ensure_C(table, *indices):
-    """Estimate (or recall) C_s at each index; returns their names."""
-    for x in indices:
-        table.ensure_C(x)
-    return [table.skey_C(x) for x in indices]
 
 
 # -- integral bounds --------------------------------------------------------------
@@ -391,11 +387,12 @@ class _Window:
         return _trace_q(self.trace, self.delta, self.sel)
 
     def against_q(self, lhs, rhs_fn, note=""):
-        """``compute`` of a bound whose rhs grows from Q: Q < 0 makes it
-        informational."""
+        """Both sides of a bound whose rhs grows from Q.  Q < 0 leaves that
+        rhs undefined (it takes sqrt(Q)): rhs_fn is not called, the rhs is
+        reported as 0 and the row as informational."""
         if self.Q < 0:
-            return lambda: _Eval(lhs, rhs_fn(), _join("Q < 0", note), "informational")
-        return lambda: _Eval(lhs, rhs_fn(), note)
+            return _Eval(lhs, 0.0, _join("Q < 0", note), "informational")
+        return _Eval(lhs, rhs_fn(), note)
 
 
 def _worst_pair(lhs, rhs):
@@ -429,18 +426,14 @@ def _b19(w, s, lhs_series):
     # of the weighted column is the plain squared H_s norm of the data, and
     # the envelope equals it there by construction.
     tau = w.ts - w.t0
-
-    def compute():
-        t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, lhs_series[0], tau)
-        inside = _in_window(tau, t_star)
-        if not np.any(inside):
-            return _Eval(0.0, 0.0, "no sample after t0 inside the guaranteed window "
-                         "(t_star = %.6g)" % t_star, "informational")
-        return _Eval(*_worst_pair(lhs_series[inside], qs[inside]),
-                     "max over %d of %d samples after t0 (t_star = %.6g)"
-                     % (np.sum(inside), len(tau) - 1, t_star))
-
-    return _ensure_C(w.table, s, 1.5 - s), compute
+    t_star, qs = _growth_envelope(w.table, s, w.sigma, w.mn, lhs_series[0], tau)
+    inside = _in_window(tau, t_star)
+    if not np.any(inside):
+        return _Eval(0.0, 0.0, "no sample after t0 inside the guaranteed window "
+                     "(t_star = %.6g)" % t_star, "informational")
+    return _Eval(*_worst_pair(lhs_series[inside], qs[inside]),
+                 "max over %d of %d samples after t0 (t_star = %.6g)"
+                 % (np.sum(inside), len(tau) - 1, t_star))
 
 
 def _fgt(w, p, v1, b1, vp, bp):
@@ -448,23 +441,19 @@ def _fgt(w, p, v1, b1, vp, bp):
     # q_1 of its H_1 energy, inside which the derivatives of order p obey
     # E_p(t_j) <= q_1(tau) ((p-1)/(e sigma tau))^{2(p-1)}, tau = t_j - t_k.
     e1, ep = v1**2 + b1**2, vp**2 + bp**2
-
-    def compute():
-        lhs, rhs = [], []
-        for tk, ek in zip(w.ts, e1):
-            tau = w.ts - tk
-            t_star, q1 = _growth_envelope(w.table, 1.0, w.sigma, w.mn, ek, tau)
-            inside = _in_window(tau, t_star)
-            lhs.append(ep[inside])
-            rhs.append(q1[inside] * ((p - 1.0) / (math.e * w.sigma * tau[inside]))
-                       ** (2.0 * (p - 1.0)))
-        lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
-        if not len(lhs):
-            return _Eval(0.0, 0.0, "no sample pair inside a guaranteed window",
-                         "informational")
-        return _Eval(*_worst_pair(lhs, rhs), "max over %d sample pairs" % len(lhs))
-
-    return _ensure_C(w.table, 1.0, 0.5), compute
+    lhs, rhs = [], []
+    for tk, ek in zip(w.ts, e1):
+        tau = w.ts - tk
+        t_star, q1 = _growth_envelope(w.table, 1.0, w.sigma, w.mn, ek, tau)
+        inside = _in_window(tau, t_star)
+        lhs.append(ep[inside])
+        rhs.append(q1[inside] * ((p - 1.0) / (math.e * w.sigma * tau[inside]))
+                   ** (2.0 * (p - 1.0)))
+    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
+    if not len(lhs):
+        return _Eval(0.0, 0.0, "no sample pair inside a guaranteed window",
+                     "informational")
+    return _Eval(*_worst_pair(lhs, rhs), "max over %d sample pairs" % len(lhs))
 
 
 def _b29(w, s, integrand):
@@ -473,41 +462,36 @@ def _b29(w, s, integrand):
     e0 = w.col("tv_s0") ** 2 + w.col("tb_s0") ** 2
     lhs = float(2.25 * e0[-1]) + _trapz(integrand, w.ts)
     rhs = float(9.0 * w.Q)
-    names = _ensure_C(w.table, 0.5, 1.0)
     dmax = delta_max(w.table, w.nu, w.eta)
     q_note = "Q <= 0" if w.Q <= 0.0 else ""
     if w.delta > dmax * (1 + 1e-12):
-        ev = _Eval(lhs, rhs, _join(q_note, "delta = %.6g exceeds delta_max = %.6g; "
-                                   "informational" % (w.delta, dmax)), "informational")
-    else:
-        ev = _Eval(lhs, rhs, q_note, _verdict(lhs, rhs))
-    return names, lambda: ev
+        return _Eval(lhs, rhs, _join(q_note, "delta = %.6g exceeds delta_max = %.6g; "
+                                     "informational" % (w.delta, dmax)), "informational")
+    return _Eval(lhs, rhs, q_note, _verdict(lhs, rhs))
 
 
 def _b32_1(w, s, v, b):
     y = (v**2 + b**2) ** (alpha_exponent(s) / 2.0)
-    return [], w.against_q(_trapz(y, w.ts),
-                           lambda: q_tilde(w.Q, w.delta, w.mn, w.dT, s),
-                           _quadrature_note(y, w.ts))
+    return w.against_q(_trapz(y, w.ts), lambda: q_tilde(w.Q, w.delta, w.mn, w.dT, s),
+                       _quadrature_note(y, w.ts))
 
 
 def _b32_2(w, s, v, b):
     lhs = _trapz((v**2 + b**2) ** (1.0 / s), w.ts)
     e0 = 2.0 * w.col("energy")[0]
-    return [], lambda: _Eval(lhs, (2.0 * w.mn) ** -1.0 * e0 ** (1.0 / s))
+    return _Eval(lhs, (2.0 * w.mn) ** -1.0 * e0 ** (1.0 / s))
 
 
 def _b32_3(w, s, wv, wb):
     y = (wv + wb) ** alpha_exponent(s + 1.5)
-    return [], w.against_q(_trapz(y, w.ts),
-                           lambda: q_tilde_wiener(w.Q, w.delta, w.mn, w.dT, s))
+    return w.against_q(_trapz(y, w.ts),
+                       lambda: q_tilde_wiener(w.Q, w.delta, w.mn, w.dT, s))
 
 
 def _cor51(w, s, lv, lb):
     idx = s + 1.5 - 3.0 / w.p
     a = alpha_exponent(idx)
-    names = _ensure_C(w.table, 1.5 - 3.0 / w.p)
-    return names, w.against_q(
+    return w.against_q(
         _trapz((lv + lb) ** a, w.ts),
         lambda: w.table.C(1.5 - 3.0 / w.p) ** a
         * 2.0 ** (a / 2.0)
@@ -517,26 +501,25 @@ def _cor51(w, s, lv, lb):
 
 def _b36_1(w, s, dv, db):
     y = (dv**2 + db**2) ** (alpha_exponent(s + 2.0) / 2.0)
-    return _ensure_C(w.table, 0.5, 1.0), w.against_q(
+    return w.against_q(
         _trapz(y, w.ts), lambda: d1_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table))
 
 
 def _b36_2(w, s, dv, db):
     y = (dv**2 + db**2) ** (2.0 / (2.0 * s + 5.0))
-    return w.table.ensure_for_C_tilde_prime(s), w.against_q(
+    return w.against_q(
         _trapz(y, w.ts), lambda: d2_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table),
         "derivation-dependent RHS")
 
 
 def _b36_3(w, s, dv, db):
-    w.table.ensure_cp(-s - 1.0)
-    return [w.table.skey_cp(-s - 1.0)], w.against_q(
+    return w.against_q(
         float(np.max(dv**2 + db**2)), lambda: d3_constant(w.Q, w.nu, w.eta, s, w.table))
 
 
 def _b36_4(w, s, dwv, dwb):
     y = (dwv + dwb) ** alpha_exponent(s + 3.5)
-    return _ensure_C(w.table, 0.5, 1.0), w.against_q(
+    return w.against_q(
         _trapz(y, w.ts), lambda: d4_constant(w.Q, w.delta, w.nu, w.eta, w.dT, s, w.table))
 
 
@@ -568,9 +551,8 @@ class _Derivatives:
 def _p40(d, s):
     V, B, dp, table, nu, eta = d.state.V, d.state.B, d.dp, d.table, d.state.nu, d.state.eta
     lhs = 0.5 * _energy(d.rhs, -0.5, dp)
-    names = _ensure_C(table, 0.5, 1.0)
     e1 = _energy((V, B), 1.0, dp)
-    return names, lambda: _Eval(lhs, (
+    return _Eval(lhs, (
         nu**2 * gevrey_norm(V, dp, 1.5) ** 2
         + eta**2 * gevrey_norm(B, dp, 1.5) ** 2
         + 2.0 * table.Cprime_half() ** 2 * e1**2
@@ -580,10 +562,9 @@ def _p40(d, s):
 def _p42(d, s):
     V, B, dp, table, nu, eta = d.state.V, d.state.B, d.dp, d.table, d.state.nu, d.state.eta
     lhs = _energy(d.rhs, s, dp)
-    names = table.ensure_for_C_tilde_prime(s)
     x, y = (gevrey_norm(f, dp, 1.0) ** ((2.0 * s + 5.0) / 2.0)
             * gevrey_norm(f, dp, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (V, B))
-    return names, lambda: _Eval(lhs, (
+    return _Eval(lhs, (
         2.0 * nu**2 * gevrey_norm(V, dp, s + 2.0) ** 2
         + 2.0 * eta**2 * gevrey_norm(B, dp, s + 2.0) ** 2
         + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
@@ -594,10 +575,9 @@ def _p44(d, s):
     state, table = d.state, d.table
     dV, dB = d.rhs
     lhs = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
-    names = _ensure_C(table, 0.5, 1.0)
     e1 = _energy_s(state, 1.0)
     e_mid = _energy_s(state, s + 1.5)
-    return names, lambda: _Eval(lhs, (
+    return _Eval(lhs, (
         2.0 * state.nu**2 * sobolev_norm(state.V, s + 2.0) ** 2
         + 2.0 * state.eta**2 * sobolev_norm(state.B, s + 2.0) ** 2
         + table.C_tripleprime(s) * e_mid * e1
@@ -608,10 +588,9 @@ def _p51(d, s):
     state, table = d.state, d.table
     dV, dB = d.rhs
     lhs = sobolev_norm(dV, -1.0) ** 2 + sobolev_norm(dB, -1.0) ** 2
-    names = _ensure_C(table, 0.5, 1.0)
     e1 = _energy_s(state, 1.0)
-    return names, lambda: _Eval(
-        lhs, c_second_tilde(state.nu, state.eta, d.e_init, table) * (e1 + e1**1.5))
+    return _Eval(lhs, c_second_tilde(state.nu, state.eta, d.e_init, table)
+                 * (e1 + e1**1.5))
 
 
 def _p52(d, s):
@@ -621,15 +600,10 @@ def _p52(d, s):
     drift = (2.0 * state.nu * sobolev_inner(dV, d2V, s + 1.0)
              + 2.0 * state.eta * sobolev_inner(dB, d2B, s + 1.0))
     lhs = sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
-    cp = table.ensure_cp(-s - 2.0)
-    names = _ensure_C(table, 0.5, 1.0) + [table.skey_cp(-s - 2.0)]
     e1 = _energy_s(state, 1.0)
-    return names, lambda: _Eval(lhs, (
-        20.0
-        * cp**2
-        * c_second_tilde(state.nu, state.eta, d.e_init, table)
-        * (e1**2 + e1**2.5)
-    ))
+    # C_{1/2} and C_1 are read before c_{-s-2}, the order the report lists
+    c_tilde = c_second_tilde(state.nu, state.eta, d.e_init, table)
+    return _Eval(lhs, 20.0 * table.ensure_cp(-s - 2.0) ** 2 * c_tilde * (e1**2 + e1**2.5))
 
 
 def _lip47(d, s):
@@ -641,8 +615,7 @@ def _lip47(d, s):
     lhs = np.concatenate([np.linalg.norm(f.coeffs, axis=-1) for f in d.rhs])
     rhs = np.concatenate([state.nu * absn**2 * root + 2.0 * e * absn,
                           state.eta * absn**2 * root + e * absn])
-    worst = _worst_pair(lhs, rhs)
-    return [], lambda: _Eval(*worst)
+    return _Eval(*_worst_pair(lhs, rhs))
 
 
 def _rad(d, s):
@@ -652,10 +625,9 @@ def _rad(d, s):
     lo, hi = default_fit_shells(N)
     est = _fit([d.state.V, d.state.B], N, None, None) if hi - lo >= 2 else None
     if est is None:
-        return [], lambda: _Eval(0.0, 0.0, "fewer than 3 populated shells in the fit "
-                                 "window [%d, %d]" % (lo, hi), "informational")
-    return [], lambda: _Eval(d.dp, est.sigma_fit,
-                             "decay fitted over shells [%d, %d]" % (lo, hi))
+        return _Eval(0.0, 0.0, "fewer than 3 populated shells in the fit "
+                     "window [%d, %d]" % (lo, hi), "informational")
+    return _Eval(d.dp, est.sigma_fit, "decay fitted over shells [%d, %d]" % (lo, hi))
 
 
 def c_second_tilde(nu: float, eta: float, e_init: float, table) -> float:
@@ -739,8 +711,8 @@ def verify_integral(id: str, trace, s: float, T: float, table,
     if error:
         raise error
     w = _Window(trace, T, table, values)
-    names, compute = bound.check(w, s, *(w.col(c) for c in bound.columns(s, p)))
-    return _evaluate(bound, s, T, table, names, compute)
+    return _evaluate(bound, s, T, table,
+                     partial(bound.check, w, s, *(w.col(c) for c in bound.columns(s, p))))
 
 
 def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
@@ -767,7 +739,7 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
         derivs = _Derivatives(state, delta, table, e_init)
         for id, s in worst:
             bound = BOUNDS[id]
-            rep = _evaluate(bound, s, state.t, table, *bound.check(derivs, s))
+            rep = _evaluate(bound, s, state.t, table, partial(bound.check, derivs, s))
             if worst[(id, s)] is None or rep.ratio > worst[(id, s)].ratio:
                 worst[(id, s)] = rep
     return worst

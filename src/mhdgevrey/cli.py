@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     FieldInvariantError,
     GevreyOverflowError,
-    MissingConstantError,
     TraceError,
 )
 from .radius import decay_fit, two_resolution_psi
@@ -249,7 +248,6 @@ def main(argv=None) -> int:
         DomainError,
         TraceError,
         CheckpointError,
-        MissingConstantError,
         FieldInvariantError,
         GevreyOverflowError,
     ) as exc:

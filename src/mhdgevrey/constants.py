@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as _gamma
 
 from .archive import atomic_open, read_json
-from .errors import ConfigError, DomainError, MissingConstantError
+from .errors import ConfigError, DomainError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -274,7 +275,8 @@ def _c_tilde_prime_indices(s: float):
 
 @dataclass
 class ConstantsTable:
-    """Named constants with provenance flags and the estimation safety factor."""
+    """Named constants with provenance flags and the estimation safety factor.
+    Each constant is read through ``ensure_C`` or ``ensure_cp``."""
 
     safety: float = 2.0
     entries: dict = field(default_factory=dict)
@@ -282,6 +284,23 @@ class ConstantsTable:
 
     def __post_init__(self):
         check_safety(self.safety)
+        self._read = None
+
+    @contextmanager
+    def reads(self):
+        """Yield a list that fills with the name of each constant read
+        inside the block, in first-read order, once each."""
+        self._read = []
+        try:
+            yield self._read
+        finally:
+            self._read = None
+
+    def _record(self, key: str) -> str:
+        """Record ``key`` as read inside ``reads()``; returns it."""
+        if self._read is not None and key not in self._read:
+            self._read.append(key)
+        return key
 
     def _put(self, name: str, value: float, provenance: str):
         if not value > 0:
@@ -325,13 +344,6 @@ class ConstantsTable:
         }
         return val
 
-    def ensure_for_C_tilde_prime(self, s: float):
-        """Estimate the base constants the derivative nonlinearity bound needs."""
-        a, b, _ = _c_tilde_prime_indices(s)
-        for x in (a, b):
-            self.ensure_C(x)
-        return [self.skey_C(a), self.skey_C(b)]
-
     def describe(self, names):
         out = []
         for nm in names:
@@ -347,7 +359,7 @@ class ConstantsTable:
     def ensure_C(self, s: float, resolution: int = 16, trials: int = 24, seed: int = 0):
         """Estimate (or recall) the embedding constant C_s."""
         s = float(s)
-        key = self.skey_C(s)
+        key = self._record(self.skey_C(s))
         if key in self.entries:
             return self.entries[key]["value"]
         if s == 0.0:
@@ -356,18 +368,11 @@ class ConstantsTable:
             return 1.0
         return self._estimate_C(s, resolution, trials, seed)
 
-    def C(self, s: float) -> float:
-        s = float(s)
-        key = self.skey_C(s)
-        if key not in self.entries:
-            if s == 0.0:
-                return self.ensure_C(0.0)
-            raise MissingConstantError("constant C_s missing for s=%r" % s)
-        return self.entries[key]["value"]
+    C = ensure_C  # a missing C_s is estimated at the default parameters
 
     def ensure_cp(self, p: float, radius: int = 1000):
         """Certify (or recall) the sup-norm embedding constant c_p."""
-        key = self.skey_cp(p)
+        key = self._record(self.skey_cp(p))
         if key in self.entries:
             return self.entries[key]["value"]
         val = certified_cp(p, radius=radius)

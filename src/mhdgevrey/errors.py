@@ -13,14 +13,6 @@ class GevreyOverflowError(OverflowError):
     """Exponential weight would overflow double precision."""
 
 
-class MissingConstantError(KeyError):
-    """A required constants-table entry is absent."""
-
-    def __str__(self):
-        # the message itself, not the repr that KeyError prints
-        return Exception.__str__(self)
-
-
 class ConfigError(ValueError):
     """Invalid run configuration."""
 

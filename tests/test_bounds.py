@@ -109,7 +109,6 @@ class TestConstantChains:
         (-3.0, {"Qprime", "D3_s"}),
     ])
     def test_chain_branches(self, table, s, keys):
-        table.ensure_for_C_tilde_prime(-1.0)
         table.ensure_cp(2.0)
         out = self._chain(s, table)
         assert set(out) == keys
@@ -467,23 +466,47 @@ class TestHarnessInternals:
             t, [], lambda: 99.0, 5.0, 1.0)
         assert rhs == 1.0 and not retried
 
+    @pytest.mark.parametrize("id,s", [
+        ("B32_1", 2.0), ("B32_3", 0.0), ("COR51", 1.0), ("B36_1", 0.0),
+        ("B36_2", -1.0), ("B36_3", -3.0), ("B36_4", 0.0)])
     def test_negative_q_is_informational_without_reestimation(
-            self, singlemode_trace, table, monkeypatch):
-        # Q < 0 sets the verdict in _Window.against_q: the row is
-        # informational, and its estimated constants C[0.5] and C[1] are not
-        # re-estimated although lhs > rhs.  The rhs chain is stubbed: its
-        # sqrt(Q) is undefined at Q < 0.
+            self, singlemode_trace, table, monkeypatch, id, s):
+        # Q < 0 sets the verdict in _Window.against_q: the rhs chain, whose
+        # sqrt(Q) is undefined there, is not evaluated; the row is
+        # informational with rhs 0, and no constant is re-estimated although
+        # lhs > rhs.
         monkeypatch.setattr(bounds._Window, "Q", property(lambda self: -1.0))
-        monkeypatch.setattr(bounds, "d1_constant", lambda *args: 0.0)
         t = copy.deepcopy(table)
         reestimated = []
         monkeypatch.setattr(t, "reestimate", reestimated.append)
-        rep = verify_integral("B36_1", singlemode_trace, 0.0,
-                              float(singlemode_trace.times[-1]), t)
-        assert rep.lhs > rep.rhs
+        rep = verify_integral(id, singlemode_trace, s,
+                              float(singlemode_trace.times[-1]), t, p=4.0)
+        assert rep.lhs > rep.rhs == 0.0
         assert rep.verdict == "informational"
-        assert "Q < 0" in rep.note
+        assert "Q < 0" in rep.note and "overflow" not in rep.note
         assert reestimated == []
+
+    def test_sweep_names_each_constant_once(self, random_trace, table):
+        # a repeated name made a failing row re-estimate that constant twice
+        for rep in standard_sweep(random_trace, copy.deepcopy(table)):
+            names = [c["name"] for c in rep.constants_used]
+            assert len(names) == len(set(names)), rep.id
+
+    def test_failing_row_reestimates_each_constant_once(self, singlemode_trace,
+                                                        monkeypatch):
+        # B19 at s = 3/4 reads C_{3/4} twice, through C'_{3/4} = C_{3/4}^2;
+        # an envelope of 0 makes it fail, and the retry doubles the trials once
+        def vanishing(table, s, sigma, mn, e0, tau):
+            table.Cprime(s)
+            return math.inf, np.zeros_like(tau)
+
+        monkeypatch.setattr(bounds, "_growth_envelope", vanishing)
+        t = m.build_table(trials=4)
+        rep = verify_integral("B19", singlemode_trace, 0.75,
+                              float(singlemode_trace.times[-1]), t)
+        assert rep.verdict == "fail" and "re-estimated constants" in rep.note
+        assert t.meta["estimation"]["C[0.75]"]["trials"] == 8
+        assert [c["name"] for c in rep.constants_used] == ["C[0.75]"]
 
     def test_d2_report_checkpoints(self, singlemode_trace, table):
         # P52 over the stored checkpoints: the worst single-state report

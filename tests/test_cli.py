@@ -215,13 +215,17 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: %s: " % bad)
         assert message in err[0]
 
-    def test_missing_constant_printed_plain(self, tmp_path, capsys):
+    def test_missing_constant_estimated_on_first_read(self, tmp_path, cli_run):
+        # delta "auto" reads C_{1/2} and C_1; a table without them estimates
+        # them at the default parameters, as build_table does for the session
+        # table of cli_run, so the two runs get the same delta bit for bit
         empty = tmp_path / "empty.json"
         empty.write_text('{"entries": {}}')
-        cfg = write_config(tmp_path)
-        assert main(["run", cfg, "--out", str(tmp_path / "x"),
-                     "--table", str(empty)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: constant C_s missing for s=0.5\n"
+        out = tmp_path / "x"
+        assert main(["run", write_config(tmp_path), "--out", str(out),
+                     "--table", str(empty), "--verbosity", "0"]) == EXIT_OK
+        delta = m.TraceArchive.load(str(out)).manifest["delta"]
+        assert delta == m.TraceArchive.load(cli_run).manifest["delta"]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blow_up_exit_code(self, tmp_path, table_json, capsys):
@@ -268,6 +272,23 @@ class TestVerifyCommand:
                    for r in report)
         ids = {r["id"] for r in report}
         assert "B29" in ids and "B36_1" in ids and "P40" in ids
+
+    def test_negative_q_rows_are_informational(self, cli_run, table_json, tmp_path,
+                                               capsys, monkeypatch):
+        # sqrt(Q) in the rhs chains is undefined at Q < 0: each row that reads
+        # Q is reported, informational, and the command exits normally
+        bounds = importlib.import_module("mhdgevrey.bounds")
+        monkeypatch.setattr(bounds._Window, "Q", property(lambda self: -1.0))
+        ids = ["B32_1", "B32_3", "COR51", "B36_1", "B36_2", "B36_3", "B36_4"]
+        code = main(["verify", cli_run, "--table", table_json, "--bounds", *ids,
+                     "--s", "2", "1", "0", "-1", "-3", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert {r["id"] for r in report} == set(ids)
+        for r in report:
+            assert r["verdict"] == "informational" and r["rhs"] == 0.0
+            assert "Q < 0" in r["note"] and "overflow" not in r["note"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_bound_id_lists_valid(self, cli_run, table_json, capsys):
         code = main(["verify", cli_run, "--table", table_json,

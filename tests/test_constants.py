@@ -22,7 +22,7 @@ from mhdgevrey.constants import (
     lattice_constant,
     lattice_sum,
 )
-from mhdgevrey.errors import ConfigError, DomainError, MissingConstantError
+from mhdgevrey.errors import ConfigError, DomainError
 
 BAD_SAFETY = [-1.0, 0.0, math.inf, math.nan]
 
@@ -214,10 +214,13 @@ class TestConstantsTable:
         with pytest.raises(ConfigError, match="safety"):
             ConstantsTable.from_snapshot({"safety": safety, "entries": {}})
 
-    def test_missing_constant_raises(self):
+    def test_missing_constant_estimated_on_first_read(self, table):
+        # at the default parameters, those of the session table's build_table
         t = ConstantsTable()
-        with pytest.raises(MissingConstantError):
-            t.C(0.75)
+        assert t.C(0.75) == table.C(0.75)
+        key = t.skey_C(0.75)
+        assert t.provenance(key) == "estimated"
+        assert t.meta["estimation"][key] == table.meta["estimation"][key]
 
     def test_cprime_product(self, table):
         assert table.Cprime(0.5) == pytest.approx(table.C(0.5) * table.C(1.0), rel=1e-15)
@@ -231,8 +234,6 @@ class TestConstantsTable:
             ConstantsTable.C_tilde(-1.5)
 
     def test_c_tilde_prime_branches(self, table):
-        table.ensure_for_C_tilde_prime(-0.75)
-        table.ensure_for_C_tilde_prime(-1.5)
         assert table.C_tilde_prime(-0.75) > 0
         assert table.C_tilde_prime(-1.5) > 0
         with pytest.raises(DomainError):
@@ -240,17 +241,18 @@ class TestConstantsTable:
 
     @pytest.mark.parametrize("s", [-0.5, -0.75, -1.0, -1.5, -2.25])
     def test_c_tilde_prime_reads_one_index_table(self, table, s):
-        # the two branches written out: the estimated indices, and the value
-        # bit for bit
-        names = table.ensure_for_C_tilde_prime(s)
+        # the two branches written out: the indices read, once each in the
+        # order read, and the value bit for bit
+        with table.reads() as names:
+            ct = table.C_tilde_prime(s)
         if -1.0 < s <= -0.5:
             a, b = (1.0 - 2.0 * s) / 4.0, (2.0 * s + 5.0) / 4.0
             value = table.C(a) * table.C(b)
         else:
             a, b = -1.0 - s, (2.0 * s + 5.0) / 4.0
             value = table.C(a) * table.C(b) ** 2
-        assert names == [table.skey_C(a), table.skey_C(b)]
-        assert table.C_tilde_prime(s) == value
+        assert names == list(dict.fromkeys([table.skey_C(a), table.skey_C(b)]))
+        assert ct == value
 
     def test_c_second_monotone_in_gamma(self, table):
         # Exponent -(5-2s)/(2s-1) < 0 for 1/2 < s <= 1: smaller gamma, larger C''.
