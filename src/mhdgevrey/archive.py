@@ -64,14 +64,15 @@ def checkpoint_save(state, path) -> None:
     modes = geometry(state.V.N).modes
     rec = np.empty(len(modes), dtype=_REC_DTYPE)
     rec["n"] = modes
-    rec["c"] = np.hstack([state.V.coeffs, state.B.coeffs]).view(np.float64)
+    c = rec["c"].view(np.complex128)  # written in place: no copy of the state
+    c[:, :3], c[:, 3:] = state.V.coeffs, state.B.coeffs
     with atomic_open(path, "wb") as f:
         f.write(
             _HEADER.pack(
                 MAGIC, VERSION, state.V.N, state.nu, state.eta, state.t, len(modes)
             )
         )
-        f.write(rec.tobytes())
+        f.write(rec)
 
 
 def checkpoint_load(path):

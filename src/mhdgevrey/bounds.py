@@ -75,17 +75,24 @@ class BoundReport:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "s": self.s,
-            "T": self.T,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "constants_used": self.constants_used,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        """The report as strict JSON values: a number that is not finite (the
+        infinite ratio of rhs = 0 < lhs, say) is None, and the note says
+        what it was."""
+        nulled = []
+
+        def finite(name, v):
+            if v is None or math.isfinite(v):
+                return v
+            nulled.append("%s = %r" % (name, v))
+            return None
+
+        d = {"id": self.id, "s": self.s, "T": self.T, "lhs": finite("lhs", self.lhs),
+             "rhs": finite("rhs", self.rhs), "ratio": finite("ratio", self.ratio),
+             "constants_used": [dict(c, value=finite(c["name"], c["value"]))
+                                for c in self.constants_used],
+             "verdict": self.verdict}
+        d["note"] = _join(self.note, nulled and "%s written as null" % ", ".join(nulled))
+        return d
 
 
 # -- constant chains -----------------------------------------------------------

@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
     bundle = [r.as_dict() for r in reports]
     out = Path(args.out) if args.out else Path(args.trace) / "report.json"
     with atomic_open(out) as f:
-        json.dump(bundle, f, indent=1, sort_keys=True)
+        json.dump(bundle, f, indent=1, sort_keys=True, allow_nan=False)
     failed = 0
     for r in reports:
         print("%-6s s=%-6s verdict=%-13s ratio=%-12.5g %s"

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import next_fast_len
 from scipy.special import gamma as _gamma
 
 from .archive import atomic_open, read_json
@@ -54,43 +54,56 @@ def lattice_constant(p: float, a: float) -> float:
     return math.sqrt(csq)
 
 
-@lru_cache(maxsize=8)
-def _shell_counts(radius: int) -> np.ndarray:
-    """counts[m] = number of integer lattice points with |n|^2 = m <= radius^2.
-
-    The 1-d histogram h of squares convolved with itself three times, as two
-    FFT convolutions of length >= 2 radius^2 + 1: h*h truncated to m <=
-    radius^2, then that times h.  Neither wraps around, and the truncation
-    touches no output m <= radius^2; FFT roundoff is far below 0.5, so
-    rounding recovers the integer counts after each.
-    """
+def _disk_counts(radius: int) -> np.ndarray:
+    """r2[k] = number of integer points (n1, n2) with n1^2 + n2^2 = k, for
+    k <= radius^2, as int32: one pass over the rows n1 >= 0."""
     msq = radius * radius
-    h = np.zeros(msq + 1)
-    a = np.arange(0, radius + 1)
-    h[a * a] = 2.0
-    h[0] = 1.0
-    n = next_fast_len(2 * msq + 1, real=True)
-    fh = rfft(h, n=n)
-    pairs = rfft(np.rint(irfft(fh * fh, n=n)[: msq + 1]), n=n)
-    pairs *= fh
-    return np.rint(irfft(pairs, n=n)[: msq + 1]).astype(np.int64)
+    r2 = np.zeros(msq + 1, dtype=np.int32)
+    b = np.arange(radius + 1)
+    mult = np.where(b > 0, 2, 1).astype(np.int32)  # +-b
+    for a in range(radius + 1):
+        k = math.isqrt(msq - a * a) + 1
+        r2[a * a + b[:k] * b[:k]] += mult[a] * mult[:k]
+    return r2
+
+
+# Shells |n|^2 per block of lattice_sum: the block's counts and weights stay
+# a few hundred kB whatever the radius.
+_BLOCK = 1 << 16
 
 
 def lattice_sum(weight, radius: int = 200) -> float:
-    """sum over 0 < |n| <= radius of weight(|n|), grouped by |n|^2 shells."""
-    counts = _shell_counts(radius)
-    m = np.arange(1, radius * radius + 1)
-    nz = counts[1:] > 0
-    r = np.sqrt(m[nz].astype(float))
-    return float(np.sum(counts[1:][nz] * weight(r)))
+    """sum over 0 < |n| <= radius of weight(|n|), grouped by |n|^2 shells.
+
+    The exact shell counts are summed block by block: the count of |n|^2 = m
+    is r2[m] + 2 sum_{n3 >= 1} r2[m - n3^2] with r2 the disk counts, added
+    as int32 slices, and each block's counts are dotted with its weights.
+    """
+    msq = radius * radius
+    r2 = _disk_counts(radius)
+    acc = np.empty(_BLOCK, dtype=np.int32)
+    total = 0.0
+    for m0 in range(1, msq + 1, _BLOCK):
+        m1 = min(m0 + _BLOCK, msq + 1)
+        counts = acc[: m1 - m0]
+        counts[:] = 0
+        for n3 in range(1, math.isqrt(m1 - 1) + 1):
+            lo = max(m0, n3 * n3)
+            counts[lo - m0:] += r2[lo - n3 * n3: m1 - n3 * n3]
+        counts *= 2
+        counts += r2[m0:m1]
+        total += float(np.sum(counts * weight(np.sqrt(np.arange(m0, m1, dtype=float)))))
+    return total
 
 
+@lru_cache(maxsize=16)
 def certified_cp(p: float, radius: int = 1000) -> float:
     """Certified upper bound for the sup-norm embedding constant c_p.
 
     max|f| <= sum|f_n| <= (sum_{n!=0} |n|^{-2p})^{1/2} ||f||_p; the lattice sum
     is evaluated exactly up to |n| <= radius and the tail is overestimated by
     comparing each unit cell against the integral of (|x|-sqrt(3)/2)^{-2p}.
+    Cached: the bound depends on (p, radius) alone.
     """
     if p <= 1.5:
         raise DomainError("certified_cp requires p > 3/2 (sum diverges)")

@@ -11,11 +11,10 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, next_fast_len
 
 from .archive import TraceArchive
 from .errors import BlowUpError, ConfigError, DomainError
@@ -89,71 +88,113 @@ class SolverConfig:
 # -- pruned padded transforms ------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _plan(N: int):
-    """Gather indices for the exact convolution of two radius-N balls.
+class _Plan:
+    """Gather indices and work arrays for the exact convolution of two
+    radius-N balls.
 
     The product of two fields supported in |n| <= N has modes up to 2N per
     component; a grid of M >= 3N+1 points per dimension (the smallest fast
     size) keeps every retained mode alias-free, so the truncated
     convolution computed through physical space is exact to roundoff.  Only
-    the pencils that hold the ball are transformed: the spectral box has
-    shape (2N+1, M, N+1) over (n1, n2 mod M, n3).  Inputs are read at the
-    ball rows with n3 >= 0; outputs are gathered on the canonical half ball
-    and expanded by conjugation.
+    the n1 rows that hold the ball (n1 mod M for |n1| <= N, the two
+    ``slabs``) are transformed along n2.  Inputs are read at the ball rows
+    with n3 >= 0; outputs are gathered on the canonical half ball and
+    expanded by conjugation.
+
+    The work arrays are made on first use and reused by every call, so a
+    warm call allocates nothing of grid size: ``half`` (M, M, M//2+1) for
+    the forward passes, ``spec`` with one row of half-ball values per
+    product, and ``reals(count)``, the physical fields and products,
+    enlarged to the largest count asked for.  Two more arrays share the
+    memory of ``half``, whose contents no call needs between its passes:
+    ``grid`` (M, M, N+1) for the inverse passes, all done before the first
+    forward pass, and ``scratch``, one real M^3 array for a product's
+    partial terms, consumed before that product's forward pass.
     """
-    M = next_fast_len(3 * N + 1, real=True)
-    g = geometry(N)
-    mo = g.modes
-    box = ((mo[:, 0] + N) * M + mo[:, 1] % M) * (N + 1) + mo[:, 2]
-    up, half = mo[:, 2] >= 0, np.nonzero(g.canonical)[0]
-    return SimpleNamespace(
-        N=N, M=M,
-        rows=np.arange(-N, N + 1) % M,  # grid rows of the n1 pencils
-        src=up, box_in=box[up],
-        box_out=box[half], dst=half,
-        mirror=len(mo) - 1 - half,  # the row of -n
-        n=g.modes_f[half], nsq=g.nsq_f[half],
-    )
+
+    def __init__(self, N: int):
+        M = next_fast_len(3 * N + 1, real=True)
+        g = geometry(N)
+        mo = g.modes
+        up, half = np.nonzero(mo[:, 2] >= 0)[0], np.nonzero(g.canonical)[0]
+        at = (mo[:, 0] % M) * M + mo[:, 1] % M  # (n1, n2) position in an M x M plane
+        self.N, self.M = N, M
+        self.src, self.grid_in = up, (at * (N + 1) + mo[:, 2])[up]
+        self.half_out = (at * (M // 2 + 1) + mo[:, 2])[half]
+        self.dst, self.mirror = half, len(mo) - 1 - half  # the row of -n
+        self.n, self.nsq = g.modes_f[half], g.nsq_f[half]
+        self._reals = np.empty((0, M, M, M))
+
+    @cached_property
+    def half(self):
+        return np.empty((self.M, self.M, self.M // 2 + 1), dtype=np.complex128)
+
+    @cached_property
+    def grid(self):
+        M = self.M
+        return self.half.reshape(-1)[:M * M * (self.N + 1)].reshape(M, M, self.N + 1)
+
+    @cached_property
+    def scratch(self):
+        M = self.M
+        return self.half.reshape(-1).view(np.float64)[:M ** 3].reshape(M, M, M)
+
+    @cached_property
+    def spec(self):
+        return np.empty((9, len(self.dst)), dtype=np.complex128)
+
+    def reals(self, count: int) -> np.ndarray:
+        if len(self._reals) < count:
+            self._reals = np.empty((count,) + self._reals.shape[1:])
+        return self._reals[:count]
+
+    def slabs(self, a):
+        """The n1 rows of ``a`` that hold the ball, as two views."""
+        return a[:self.N + 1], a[self.M - self.N:]
 
 
-def _to_phys(fields, plan):
-    """Physical values of the three components of each field, shape
-    (3 len(fields), M, M, M).  One component at a time: the work arrays stay
-    small enough to be reused rather than faulted in afresh on every call."""
-    N, M = plan.N, plan.M
-    box = np.zeros((2 * N + 1, M, N + 1), dtype=np.complex128)
-    grid = np.zeros((M, M, N + 1), dtype=np.complex128)
-    phys = np.empty((3 * len(fields), M, M, M))
-    vals = np.concatenate([w.coeffs[plan.src].T for w in fields])
-    for f, v in enumerate(vals):
-        box.reshape(-1)[plan.box_in] = v
-        grid[plan.rows] = ifft(box, axis=1, norm="forward", workers=1)
-        grid_x = ifft(grid, axis=0, norm="forward", workers=1)
-        phys[f] = irfft(grid_x, n=M, axis=2, norm="forward", workers=1)
-    return phys
+@lru_cache(maxsize=8)
+def _plan(N: int) -> _Plan:
+    return _Plan(N)
 
 
-def _to_spec(prods, plan):
-    """Forward-transform the physical arrays of the iterable ``prods`` one
-    at a time; one row of canonical half-ball values per array."""
-    out = []
-    for p in prods:
-        spec = rfft(p, axis=2, norm="forward", workers=1)[:, :, :plan.N + 1]
-        spec = fft(spec, axis=0, norm="forward", workers=1)[plan.rows]
-        spec = fft(spec, axis=1, norm="forward", workers=1, overwrite_x=True)
-        out.append(spec.reshape(-1)[plan.box_out])
-    return np.stack(out)
+def _to_phys(plan, fields, phys):
+    """Write the physical values of the three components of each field into
+    ``phys[0 : 3 len(fields)]``, one component at a time through the plan's
+    grid, every pass in place."""
+    M, grid = plan.M, plan.grid
+    flat, slabs = grid.reshape(-1), plan.slabs(grid)
+    comps = (w.coeffs[:, i] for w in fields for i in range(3))
+    for f, comp in enumerate(comps):
+        grid.fill(0)
+        flat[plan.grid_in] = comp.take(plan.src)
+        for slab in slabs:
+            ifft(slab, axis=1, norm="forward", workers=1, overwrite_x=True)
+        ifft(grid, axis=0, norm="forward", workers=1, overwrite_x=True)
+        np.fft.irfft(grid, n=M, axis=2, norm="forward", out=phys[f])
 
 
-def _ball(adv, ind, plan):
-    """The conjugate-symmetric ball fields (dV, dB) from canonical half-ball
-    values, as the two halves of one (2, K, 3) array."""
-    c = np.empty((2, 2 * len(adv), 3), dtype=np.complex128)  # dst and mirror cover it
-    for half, vals in zip(c, (adv, ind)):
-        half[plan.dst] = vals
-        half[plan.mirror] = vals.conj()
-    return SpectralField(plan.N, c[0]), SpectralField(plan.N, c[1])
+def _to_spec(plan, prods):
+    """Forward-transform the physical arrays of the iterable ``prods`` one at
+    a time through the plan's half grid; row k of the returned ``plan.spec``
+    holds the canonical half-ball values of the k-th."""
+    half, spec = plan.half, plan.spec
+    low = half[:, :, :plan.N + 1]  # the n3 columns of the ball
+    flat, slabs = half.reshape(-1), plan.slabs(low)
+    for k, p in enumerate(prods):
+        np.fft.rfft(p, axis=2, norm="forward", out=half)
+        fft(low, axis=0, norm="forward", workers=1, overwrite_x=True)
+        for slab in slabs:
+            fft(slab, axis=1, norm="forward", workers=1, overwrite_x=True)
+        np.take(flat, plan.half_out, out=spec[k])
+    return spec
+
+
+def _put_half(plan, u, vals):
+    """Write the canonical half-ball rows ``vals`` (consumed) and their
+    conjugate partners into the ball array ``u``."""
+    u[plan.dst] = vals
+    u[plan.mirror] = np.conjugate(vals, out=vals)
 
 
 def _pair(V: SpectralField, B: SpectralField) -> np.ndarray:
@@ -167,6 +208,11 @@ def _pair(V: SpectralField, B: SpectralField) -> np.ndarray:
     return np.stack([V.coeffs, B.coeffs])
 
 
+def _fields(N: int, u: np.ndarray):
+    """The fields (V, B) held by the two halves of a (2, K, 3) array."""
+    return SpectralField(N, u[0]), SpectralField(N, u[1])
+
+
 # -- right-hand sides --------------------------------------------------------
 
 
@@ -174,12 +220,12 @@ def _pair(V: SpectralField, B: SpectralField) -> np.ndarray:
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _cross(x, y):
-    return (
-        x[1] * y[2] - x[2] * y[1],
-        x[2] * y[0] - x[0] * y[2],
-        x[0] * y[1] - x[1] * y[0],
-    )
+def _cross(x, y, c, out, tmp):
+    """Component c of x cross y, formed in ``out`` with ``tmp`` as scratch."""
+    a, b = (c + 1) % 3, (c + 2) % 3
+    np.multiply(x[a], y[b], out=out)
+    np.multiply(x[b], y[a], out=tmp)
+    return np.subtract(out, tmp, out=out)
 
 
 def nonlinear_rhs_fast(state: MhdState):
@@ -191,58 +237,83 @@ def nonlinear_rhs_fast(state: MhdState):
     the smallest fast grid of at least 3N+1 points per dimension.
     """
     plan = _plan(state.N)
-    phys = _to_phys([state.V, state.B], plan)
-    return _rhs_from_products(_products(phys[:3], phys[3:]), plan)
+    work = plan.reals(7)
+    _to_phys(plan, [state.V, state.B], work)
+    prods = _products(work[:3], work[3:6], work[6], plan.scratch)
+    return _fields(state.N, _rhs_from_products(plan, prods))
 
 
-def _products(v, b):
-    """The physical products of the nonlinearity, formed one at a time:
-    T_ij = V_i V_j - B_i B_j (upper triangle, 6), then w = V x B (3)."""
+def _products(v, b, out, tmp):
+    """The physical products of the nonlinearity, formed one at a time in
+    ``out`` with ``tmp`` as scratch: T_ij = V_i V_j - B_i B_j (upper
+    triangle, 6), then w = V x B (3)."""
     for i, j in _PAIRS:
-        yield v[i] * v[j] - b[i] * b[j]
-    yield from _cross(v, b)
+        np.multiply(v[i], v[j], out=out)
+        np.multiply(b[i], b[j], out=tmp)
+        yield np.subtract(out, tmp, out=out)
+    for c in range(3):
+        yield _cross(v, b, c, out, tmp)
 
 
-def _rhs_from_products(prods, plan):
-    """(-i P_n n_j T_ij, i n x w) from the physical products: the 6 entries
-    of T in ``_PAIRS`` order, then the 3 components of w."""
-    spec = _to_spec(prods, plan)
+def _rhs_from_products(plan, prods):
+    """(-i P_n n_j T_ij, i n x w) from the physical products (the 6 entries
+    of T in ``_PAIRS`` order, then the 3 components of w), as the two halves
+    of one new (2, K, 3) array."""
+    spec = _to_spec(plan, prods)
     T = {pair: spec[k] for k, pair in enumerate(_PAIRS)}
     for i, j in _PAIRS:
         T[(j, i)] = T[(i, j)]
     n = plan.n
-    adv = np.stack(
-        [-1j * sum(n[:, j] * T[(i, j)] for j in range(3)) for i in range(3)], axis=-1
-    )
-    adv = _leray(adv, n, plan.nsq)
-    ind = 1j * np.cross(n, spec[6:].T)
-    return _ball(adv, ind, plan)
+    u = np.empty((2, 2 * len(n), 3), dtype=np.complex128)  # dst and mirror cover it
+    adv, tmp = np.zeros((len(n), 3), dtype=np.complex128), np.empty(len(n), dtype=np.complex128)
+    for i in range(3):
+        for j in range(3):  # adv_i = -i sum_j n_j T_ij, summed from zero in j order
+            adv[:, i] += np.multiply(n[:, j], T[(i, j)], out=tmp)
+    adv *= -1j
+    _put_half(plan, u[0], _leray(adv, n, plan.nsq))
+    ind = adv
+    for c in range(3):
+        _cross(n.T, spec[6:], c, ind[:, c], tmp)
+    ind *= 1j
+    _put_half(plan, u[1], ind)
+    return u
 
 
-def _diffusion(state: MhdState, dV: SpectralField, dB: SpectralField):
-    nsq = geometry(state.N).nsq_f[:, None]
-    vc = dV.coeffs - state.nu * nsq * state.V.coeffs
-    bc = dB.coeffs - state.eta * nsq * state.B.coeffs
-    return SpectralField(state.N, vc), SpectralField(state.N, bc)
+def _add_diffusion(state: MhdState, u: np.ndarray):
+    """The fields (dV, dB) of the nonlinear terms ``u`` (a (2, K, 3) array,
+    updated in place) plus the diffusion of ``state``."""
+    nsq = geometry(state.N).nsq_f
+    for half, w, kappa in ((u[0], state.V, state.nu), (u[1], state.B, state.eta)):
+        k = kappa * nsq
+        for i in range(3):  # a column at a time, to keep the temporaries small
+            half[:, i] -= k * w.coeffs[:, i]
+    return _fields(state.N, u)
 
 
 def full_rhs(state: MhdState):
     """Exact time derivative (dV/dt, dB/dt) of the Galerkin system."""
-    return _diffusion(state, *nonlinear_rhs_fast(state))
+    # the nonlinear terms are fresh, so the diffusion is added in place
+    return _add_diffusion(state, _pair(*nonlinear_rhs_fast(state)))
 
 
 # -- the second time derivative ---------------------------------------------
 
 
-def _linearised_products(v, b, dv, db):
+def _linearised_products(v, b, dv, db, out, tmp, tmp2):
     """Products of the nonlinearity linearised at (V, B) in the direction
-    (dV, dB), formed one at a time in the order of ``_products``."""
+    (dV, dB), formed one at a time in ``out`` with ``tmp`` and ``tmp2`` as
+    scratch, in the order of ``_products``."""
     # dT_ij = dV_i V_j + V_i dV_j - dB_i B_j - B_i dB_j, symmetric in (i, j)
     for i, j in _PAIRS:
-        yield dv[i] * v[j] + v[i] * dv[j] - db[i] * b[j] - b[i] * db[j]
+        np.multiply(dv[i], v[j], out=out)
+        out += np.multiply(v[i], dv[j], out=tmp)
+        out -= np.multiply(db[i], b[j], out=tmp)
+        out -= np.multiply(b[i], db[j], out=tmp)
+        yield out
     # dw = dV x B + V x dB
-    for x, y in zip(_cross(dv, b), _cross(v, db)):
-        yield x + y
+    for c in range(3):
+        _cross(dv, b, c, out, tmp)
+        yield np.add(out, _cross(v, db, c, tmp, tmp2), out=out)
 
 
 def second_time_derivative(state: MhdState, rhs=None):
@@ -255,9 +326,11 @@ def second_time_derivative(state: MhdState, rhs=None):
     """
     dV, dB = full_rhs(state) if rhs is None else rhs
     plan = _plan(state.N)
-    phys = _to_phys([state.V, state.B, dV, dB], plan)
-    prods = _linearised_products(phys[0:3], phys[3:6], phys[6:9], phys[9:12])
-    return _diffusion(replace(state, V=dV, B=dB), *_rhs_from_products(prods, plan))
+    work = plan.reals(14)
+    _to_phys(plan, [state.V, state.B, dV, dB], work)
+    prods = _linearised_products(work[0:3], work[3:6], work[6:9], work[9:12],
+                                 work[12], plan.scratch, work[13])
+    return _add_diffusion(replace(state, V=dV, B=dB), _rhs_from_products(plan, prods))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -295,22 +368,54 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
                                                   SpectralField(N, u[1]))))
 
     u0 = _pair(state.V, state.B)
+    # One work array a holds every stage input and then the new state; each
+    # formula's operations run in the order written, so the rounding is that
+    # of the formula.  k1 may be the caller's and is never written; the
+    # later stages are this step's own and serve as scratch once read.
+    a = np.empty_like(u0)
     # Overflow is how blow-up manifests; detect it below instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = nl(u0) if _nl is None else _pair(*_nl)
         if scheme == "integrating-factor-RK2":
-            k2 = nl(e * (u0 + dt * k1))
-            un = e * u0 + 0.5 * dt * (e * k1 + k2)
+            # k2 = nl(e (u0 + dt k1))
+            np.multiply(dt, k1, out=a)
+            a += u0
+            a *= e
+            k2 = nl(a)
+            # un = e u0 + dt/2 (e k1 + k2)
+            np.multiply(e, k1, out=a)
+            a += k2
+            a *= 0.5 * dt
+            a += np.multiply(e, u0, out=k2)
         else:
-            k2 = nl(e2 * (u0 + 0.5 * dt * k1))
-            k3 = nl(e2 * u0 + 0.5 * dt * k2)
-            k4 = nl(e * u0 + dt * e2 * k3)
-            un = e * u0 + (dt / 6.0) * (e * k1 + 2.0 * e2 * (k2 + k3) + k4)
+            # k2 = nl(e2 (u0 + dt/2 k1))
+            np.multiply(0.5 * dt, k1, out=a)
+            a += u0
+            a *= e2
+            k2 = nl(a)
+            # k3 = nl(e2 u0 + dt/2 k2)
+            np.multiply(0.5 * dt, k2, out=a)
+            a += e2 * u0
+            k3 = nl(a)
+            # k4 = nl(e u0 + dt e2 k3)
+            np.multiply(dt * e2, k3, out=a)
+            a += e * u0
+            k4 = nl(a)
+            # un = e u0 + dt/6 (e k1 + 2 e2 (k2 + k3) + k4)
+            np.multiply(e, k1, out=a)
+            k3 += k2
+            k3 *= 2.0 * e2
+            a += k3
+            a += k4
+            a *= dt / 6.0
+            a += np.multiply(e, u0, out=k4)
+        un = a
         t_new = state.t + dt
         if not np.all(np.isfinite(un.view(np.float64))):
             raise BlowUpError(t_new, state)
         # the new state's V and B stay the two halves of un for the next step
-        un[0] = project_solenoidal(SpectralField(N, un[0])).coeffs
+        g = geometry(N)
+        _leray(un[0], g.modes_f, g.nsq_f)
     return replace(state, V=SpectralField(N, un[0]), B=SpectralField(N, un[1]), t=t_new)
 
 
@@ -424,7 +529,7 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
         row["v_s%s" % fmt_s(s)] = sobolev_norm(state.V, s)
         row["b_s%s" % fmt_s(s)] = sobolev_norm(state.B, s)
     if spec.derivative_s or spec.wiener_s:
-        dV, dB = _diffusion(state, *nl)
+        dV, dB = _add_diffusion(state, np.stack([w.coeffs for w in nl]))
         for s in spec.derivative_s:
             row["dv_s%s" % fmt_s(s)] = sobolev_norm(dV, s)
             row["db_s%s" % fmt_s(s)] = sobolev_norm(dB, s)

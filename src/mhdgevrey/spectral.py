@@ -161,15 +161,19 @@ class SpectralField:
 
 
 def _leray(c: np.ndarray, n: np.ndarray, nsq: np.ndarray) -> np.ndarray:
-    """Rows c minus their components along the wavevectors n (floats, with
-    the exact |n|^2 in nsq): the Leray projection, row by row."""
-    return c - (np.einsum("kc,kc->k", c, n) / nsq)[:, None] * n
+    """Subtract from the rows c, in place, their components along the
+    wavevectors n (floats, with the exact |n|^2 in nsq): the Leray
+    projection, row by row.  Returns c."""
+    w = np.einsum("kc,kc->k", c, n) / nsq
+    for i in range(3):  # a column at a time, to keep the temporaries small
+        c[:, i] -= w * n[:, i]
+    return c
 
 
 def project_solenoidal(w: SpectralField) -> SpectralField:
     """Apply the orthogonal-to-wavevector projection to every coefficient."""
     g = geometry(w.N)
-    return SpectralField(w.N, _leray(w.coeffs, g.modes_f, g.nsq_f))
+    return SpectralField(w.N, _leray(w.coeffs.copy(), g.modes_f, g.nsq_f))
 
 
 # -- norms -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Constant chains and inequality verification on archived trajectories."""
 
 import copy
+import json
 import math
 import re
 
@@ -11,6 +12,7 @@ import mhdgevrey as m
 from mhdgevrey import bounds
 from mhdgevrey.bounds import (
     BOUNDS,
+    BoundReport,
     INTEGRAL_IDS,
     POINTWISE_IDS,
     SWEEP_POINTWISE_CASES,
@@ -266,6 +268,16 @@ class TestPointwise:
         d = rep.as_dict()
         assert set(d) == {"id", "s", "T", "lhs", "rhs", "ratio",
                           "constants_used", "verdict", "note"}
+
+    def test_report_dict_is_strict_json(self):
+        # a number that is not finite becomes null; the note keeps its value
+        rep = BoundReport("B36_1", 0.0, 1.0, 1.0, 0.0, math.inf, verdict="informational",
+                          note="Q < 0", constants_used=[{"name": "C[0.5]", "value": math.inf,
+                                                         "provenance": "estimated"}])
+        d = json.loads(json.dumps(rep.as_dict(), allow_nan=False))
+        assert d["ratio"] is None and d["constants_used"][0]["value"] is None
+        assert d["note"] == "Q < 0; ratio = inf, C[0.5] = inf written as null"
+        assert rep.ratio == math.inf
 
 
 class TestCheckpointScan:

@@ -283,12 +283,20 @@ class TestVerifyCommand:
         code = main(["verify", cli_run, "--table", table_json, "--bounds", *ids,
                      "--s", "2", "1", "0", "-1", "-3", "--out", str(tmp_path / "r.json")])
         assert code == EXIT_OK
-        report = json.loads((tmp_path / "r.json").read_text())
+
+        def not_json(token):
+            raise ValueError("%s is not JSON" % token)
+
+        # rhs = 0 < lhs: the infinite ratio is written as null, with the reason
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=not_json)
         assert {r["id"] for r in report} == set(ids)
         for r in report:
             assert r["verdict"] == "informational" and r["rhs"] == 0.0
             assert "Q < 0" in r["note"] and "overflow" not in r["note"]
-        assert "Traceback" not in capsys.readouterr().err
+            assert r["ratio"] is None and "ratio = inf written as null" in r["note"]
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "ratio=inf" in out  # the printed line keeps the value
 
     def test_unknown_bound_id_lists_valid(self, cli_run, table_json, capsys):
         code = main(["verify", cli_run, "--table", table_json,

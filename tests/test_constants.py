@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from mhdgevrey.constants import (
     ConstantsTable,
     _from_grid,
     _random_scalar_spectrum,
-    _shell_counts,
     _to_grid,
     _trial_lattice,
     build_table,
@@ -54,15 +54,19 @@ class TestLatticeConstant:
 
 
 class TestShellCounts:
+    """lattice_sum counts each shell |n|^2 exactly: against brute force."""
+
     @pytest.mark.parametrize("radius", [1, 2, 5, 17, 40])
     def test_equal_to_brute_force_count(self, radius):
         r = np.arange(-radius, radius + 1)
         n = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
         m = np.einsum("ki,ki->k", n, n)
-        brute = np.bincount(m[m <= radius * radius], minlength=radius * radius + 1)
-        counts = _shell_counts(radius)
-        assert counts.dtype == np.int64
-        np.testing.assert_array_equal(counts, brute)
+        absn = np.sqrt(m[(m > 0) & (m <= radius * radius)].astype(float))
+        # the point count and the sum of |n|^2 are integers, exact in any order
+        assert lattice_sum(np.ones_like, radius) == len(absn)
+        assert lattice_sum(lambda x: np.rint(x * x), radius) == np.sum(np.rint(absn**2))
+        assert lattice_sum(lambda x: x**-4.0, radius) == pytest.approx(
+            np.sum(absn**-4.0), rel=1e-14)
 
 
 class TestCertifiedCp:
@@ -92,6 +96,26 @@ class TestCertifiedCp:
             w = random_field(4, seed=seed)
             mx = np.max(np.linalg.norm(collocation_values(w, grid=24), axis=-1))
             assert mx <= cp * sobolev_norm(w, 2.0) * (1 + 1e-9)
+
+    def test_memory_stays_small(self):
+        # summed block by block, the 10^6 shell counts at radius 1000 trace
+        # about 5 MB; two 2*10^6-point FFT convolutions traced about 62 MB
+        certified_cp.cache_clear()
+        tracemalloc.start()
+        try:
+            certified_cp(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_certified_once_per_process(self):
+        # a fresh table (as each cli command loads) recalls c_2, not recounts it
+        ConstantsTable().ensure_cp(2.0)
+        before = certified_cp.cache_info()
+        ConstantsTable().ensure_cp(2.0)
+        after = certified_cp.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def _box_reference(K0, M):

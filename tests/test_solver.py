@@ -1,6 +1,7 @@
 """Galerkin dynamics: convolution oracle, stepping, archiving, initial data."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mhdgevrey.errors import (
 from mhdgevrey.solver import (
     MhdState,
     SolverConfig,
+    _plan,
     full_rhs,
     nonlinear_rhs_fast,
     second_time_derivative,
@@ -82,6 +84,40 @@ class TestPrunedTransforms:
             nxt = step(st, 1e-2, scheme=scheme)
             assert_conjugate_symmetric(nxt.V)
             assert_conjugate_symmetric(nxt.B)
+
+    def test_work_arrays_do_not_leak_between_calls(self):
+        # Every call reuses the plan's work arrays: a result must not alias
+        # them, and enlarging them for the 12 fields of the second derivative
+        # must not change the nonlinear term.
+        a, b = random_state(N=5, seed=51), random_state(N=5, seed=52)
+        kept = nonlinear_rhs_fast(a)
+        first = [w.coeffs.copy() for w in kept]
+        second_time_derivative(b)
+        full_rhs(b)
+        for w, ref in zip(kept, first):
+            assert np.array_equal(w.coeffs, ref)
+        for w, ref in zip(nonlinear_rhs_fast(a), first):
+            assert np.array_equal(w.coeffs, ref)
+
+    @pytest.mark.parametrize("which", ["nonlinear_rhs_fast", "second_time_derivative"])
+    def test_warm_call_allocates_less_than_one_grid(self, which):
+        # Beyond the result it returns, a warm call's traced memory stays
+        # below one M^3 float64 array (the product temporaries, the scattered
+        # boxes and the physical fields are the plan's work arrays).
+        N = 12
+        st = random_state(N=N, seed=53)
+        rhs = full_rhs(st)
+        call = {"nonlinear_rhs_fast": lambda: nonlinear_rhs_fast(st),
+                "second_time_derivative": lambda: second_time_derivative(st, rhs)}[which]
+        call()
+        tracemalloc.start()
+        try:
+            out = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 2
+        assert peak - held < _plan(N).M ** 3 * 8
 
 
 class TestStepping:
