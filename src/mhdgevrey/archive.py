@@ -171,14 +171,24 @@ class TraceArchive:
         return arch
 
     def _read(self):
-        with open(self.root / "series.csv", newline="") as f:
+        """Parse series.csv; TraceError if no row follows the header or a row
+        is not one number per column, as a run killed mid-row leaves it."""
+        path = self.root / "series.csv"
+        with open(path, newline="") as f:
             rows = list(csv.reader(f))
-        if not rows:
-            raise TraceError("empty series")
+        if len(rows) < 2:
+            raise TraceError("%s holds no sample" % path)
         self._columns = rows[0]
-        self._data = np.array(
-            [[float(x) for x in r] for r in rows[1:]], dtype=float
-        ).reshape(len(rows) - 1, len(self._columns))
+        data = []
+        for line, r in enumerate(rows[1:], start=2):
+            if len(r) != len(self._columns):
+                raise TraceError("%s line %d: %d fields where the header has %d"
+                                 % (path, line, len(r), len(self._columns)))
+            try:
+                data.append([float(x) for x in r])
+            except ValueError as exc:
+                raise TraceError("%s line %d: %s" % (path, line, exc)) from exc
+        self._data = np.array(data, dtype=float)
 
     @property
     def manifest(self) -> dict:

@@ -132,8 +132,7 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     table = ConstantsTable(safety=args.safety)
     for s in args.s or []:
-        table.ensure_C(s, resolution=args.resolution, trials=args.trials,
-                       seed=args.seed)
+        table.ensure_C(s, trials=args.trials)
     for p in args.cp or []:
         table.ensure_cp(p)
     snap = table.snapshot()
@@ -215,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("constants", help="estimate/certify constants")
     c.add_argument("--s", nargs="*", type=float)
     c.add_argument("--cp", nargs="*", type=float)
-    c.add_argument("--resolution", type=int, default=16)
     c.add_argument("--trials", type=int, default=24)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--safety", type=_safety, default=2.0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_constants)

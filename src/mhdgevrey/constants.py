@@ -29,13 +29,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.special import gamma as _gamma
 
 from .archive import atomic_open, read_json
 from .errors import ConfigError, DomainError
 
 SQRT3 = math.sqrt(3.0)
+PROVENANCES = ("exact", "certified-upper", "estimated")
 
 
 def lattice_constant(p: float, a: float) -> float:
@@ -210,30 +210,25 @@ def check_safety(safety) -> float:
     return safety
 
 
-def estimate_Cs(
-    s: float,
-    resolution: int = 16,
-    trials: int = 24,
-    seed: int = 0,
-    safety: float = 2.0,
-) -> float:
+def estimate_Cs(s: float, trials: int = 24, safety: float = 2.0) -> float:
     """Empirical estimate of the L^{6/(3-2s)} embedding constant C_s.
 
-    Maximises |f|_q / ||f||_s over seeded random scalar trial fields followed
-    by fixed-point ascent, then multiplies by the safety factor.  Deterministic
-    for a fixed seed; a running maximum, so more trials never decrease it.
+    Maximises |f|_q / ||f||_s over random scalar trial fields on the cube
+    |n|_inf <= 8, evaluated on the 36^3 grid, followed by fixed-point ascent,
+    then multiplies by the safety factor.  Trial i is drawn from the stream
+    default_rng((0, i)), so the estimate depends on s, trials and safety
+    alone; a running maximum, so more trials never decrease it.
     The maximiser satisfies |f|^{q-2} f proportional to (-lap)^s f, so each
     ascent step maps f to the trial-lattice part of |f|^{q-2} f divided by
     |n|^{2s}, normalised to maximum modulus 1.
     """
     if not (0.0 < s < 1.5):
         raise DomainError("estimate_Cs requires 0 < s < 3/2")
-    if resolution < 2 or trials < 0:
-        raise DomainError("estimate_Cs requires resolution >= 2 and trials >= 0")
+    if trials < 0:
+        raise DomainError("estimate_Cs requires trials >= 0")
     check_safety(safety)
-    K0 = max(2, resolution // 2)
-    M = next_fast_len(2 * resolution + 1, real=True)
-    lat = _trial_lattice(K0, M)
+    M = 36
+    lat = _trial_lattice(8, M)
     q = 6.0 / (3.0 - 2.0 * s)
     up = lat.nsq**s  # |n|^{2s}; down is |n|^{-2s}; both are 0 at n = 0
     down = np.zeros_like(up)
@@ -245,7 +240,7 @@ def estimate_Cs(
     # One child stream per trial keeps the candidate list prefix-stable, so
     # raising `trials` only appends candidates and the max never decreases.
     for i in range(trials):
-        tr = np.random.default_rng((seed, i))
+        tr = np.random.default_rng((0, i))
         candidates.append(_random_scalar_spectrum(tr, lat, float(tr.uniform(0.2, 1.5))))
     best = 0.0
     a = np.empty((M, M, M))
@@ -293,7 +288,6 @@ class ConstantsTable:
 
     safety: float = 2.0
     entries: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_safety(self.safety)
@@ -315,10 +309,10 @@ class ConstantsTable:
             self._read.append(key)
         return key
 
-    def _put(self, name: str, value: float, provenance: str):
+    def _put(self, name: str, value: float, provenance: str, **params):
         if not value > 0:
             raise DomainError("constant %s must be positive" % name)
-        self.entries[name] = {"value": float(value), "provenance": provenance}
+        self.entries[name] = {"value": float(value), "provenance": provenance, **params}
 
     @staticmethod
     def skey_C(s: float) -> str:
@@ -337,39 +331,24 @@ class ConstantsTable:
         """Redo an estimated entry at doubled trials (running max, never lower)."""
         if self.provenance(name) != "estimated":
             return self.entries.get(name, {}).get("value")
-        params = self.meta.get("estimation", {}).get(name, {})
-        return self._estimate_C(float(name[2:-1]), params.get("resolution", 16),
-                                2 * params.get("trials", 24), params.get("seed", 0))
+        return self._estimate_C(float(name[2:-1]), 2 * self.entries[name].get("trials", 24))
 
-    def _estimate_C(self, s: float, resolution: int, trials: int, seed: int) -> float:
+    def _estimate_C(self, s: float, trials: int) -> float:
         """Estimate C_s, keep the larger of it and any earlier estimate, and
-        record the estimation parameters."""
+        record it with its trial count and safety factor."""
         key = self.skey_C(s)
         val = max(self.entries.get(key, {}).get("value", 0.0),
-                  estimate_Cs(s, resolution=resolution, trials=trials, seed=seed,
-                              safety=self.safety))
-        self._put(key, val, "estimated")
-        self.meta.setdefault("estimation", {})[key] = {
-            "resolution": resolution,
-            "trials": trials,
-            "seed": seed,
-            "safety": self.safety,
-        }
+                  estimate_Cs(s, trials=trials, safety=self.safety))
+        self._put(key, val, "estimated", trials=trials, safety=self.safety)
         return val
 
     def describe(self, names):
-        out = []
-        for nm in names:
-            if nm in self.entries:
-                e = self.entries[nm]
-                out.append({"name": nm, "value": e["value"], "provenance": e["provenance"]})
-            else:
-                out.append({"name": nm, "value": None, "provenance": "exact-closed-form"})
-        return out
+        return [{"name": nm, "value": self.entries.get(nm, {}).get("value"),
+                 "provenance": self.provenance(nm)} for nm in names]
 
     # -- base entries -------------------------------------------------------
 
-    def ensure_C(self, s: float, resolution: int = 16, trials: int = 24, seed: int = 0):
+    def ensure_C(self, s: float, trials: int = 24):
         """Estimate (or recall) the embedding constant C_s."""
         s = float(s)
         key = self._record(self.skey_C(s))
@@ -379,16 +358,16 @@ class ConstantsTable:
             # |f|_2 = ||f||_0 with the (2pi)^-3 normalised measure (Parseval).
             self._put(key, 1.0, "exact")
             return 1.0
-        return self._estimate_C(s, resolution, trials, seed)
+        return self._estimate_C(s, trials)
 
-    C = ensure_C  # a missing C_s is estimated at the default parameters
+    C = ensure_C  # a missing C_s is estimated at the default trial count
 
-    def ensure_cp(self, p: float, radius: int = 1000):
+    def ensure_cp(self, p: float):
         """Certify (or recall) the sup-norm embedding constant c_p."""
         key = self._record(self.skey_cp(p))
         if key in self.entries:
             return self.entries[key]["value"]
-        val = certified_cp(p, radius=radius)
+        val = certified_cp(p)
         self._put(key, val, "certified-upper")
         return val
 
@@ -423,7 +402,7 @@ class ConstantsTable:
     # -- persistence ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {"safety": self.safety, "entries": self.entries, "meta": self.meta}
+        return {"safety": self.safety, "entries": self.entries}
 
     def to_json(self, path):
         with atomic_open(path) as f:
@@ -431,23 +410,30 @@ class ConstantsTable:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "ConstantsTable":
-        """The table of a ``snapshot()``; ConfigError if ``snap`` is not one."""
-        if not (isinstance(snap, dict) and isinstance(snap.get("entries", {}), dict)
-                and isinstance(snap.get("meta", {}), dict)):
+        """The table of a ``snapshot()``; ConfigError if ``snap`` is not one.
+        Any other top-level key is ignored, so a table written when the
+        estimation parameters were kept apart from the entries still loads."""
+        if not (isinstance(snap, dict) and isinstance(snap.get("entries", {}), dict)):
             raise ConfigError("a constants table must be an object whose entries "
-                              "and meta are objects")
+                              "are an object")
         try:
             t = cls(safety=snap.get("safety", 2.0))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        # the rule of _put: an infinite value is kept (its bounds report as
-        # informational), a nan or nonpositive one is not
         for name, e in snap.get("entries", {}).items():
-            v = e.get("value") if isinstance(e, dict) else None
+            e = e if isinstance(e, dict) else {}
+            # the rule of _put: an infinite value is kept (its bounds report
+            # as informational), a nan or nonpositive one is not
+            v = e.get("value")
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError("constant %s must be a positive number" % name)
+            if e.get("provenance") not in PROVENANCES:
+                raise ConfigError("constant %s: provenance must be one of %s"
+                                  % (name, ", ".join(PROVENANCES)))
+            n = e.get("trials", 0)
+            if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
+                raise ConfigError("constant %s: trials must be an integer >= 0" % name)
         t.entries = dict(snap.get("entries", {}))
-        t.meta = dict(snap.get("meta", {}))
         return t
 
     @classmethod

@@ -423,7 +423,7 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
 
 
 def make_initial(kind: str, params: dict, N: int, seed: int = 0,
-                 nu: float = 1.0, eta: float = 1.0, t: float = 0.0) -> MhdState:
+                 nu: float = 1.0, eta: float = 1.0) -> MhdState:
     """Construct a valid initial state of the requested family."""
     if kind == "single-mode":
         V = _single_mode_field(N, params["n_v"], params["amp_v"])
@@ -446,7 +446,7 @@ def make_initial(kind: str, params: dict, N: int, seed: int = 0,
         B = _rescale(B, tb)
     else:
         raise ConfigError("unknown initial kind %r" % kind)
-    return MhdState(V=V.validate(), B=B.validate(), t=t, nu=nu, eta=eta)
+    return MhdState(V=V.validate(), B=B.validate(), nu=nu, eta=eta)
 
 
 def _single_mode_field(N, n, amp):

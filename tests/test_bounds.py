@@ -467,7 +467,7 @@ class TestHarnessInternals:
 
         rhs, retried = _retry_with_better_constants(t, [key], rhs_fn, 5.0, 1.0)
         assert retried and rhs == 7.0 and len(calls) == 1
-        assert t.meta["estimation"][key]["trials"] == 8
+        assert t.entries[key]["trials"] == 8
 
     def test_retry_skips_when_passing_or_exact(self, table):
         rhs, retried = _retry_with_better_constants(
@@ -517,7 +517,7 @@ class TestHarnessInternals:
         rep = verify_integral("B19", singlemode_trace, 0.75,
                               float(singlemode_trace.times[-1]), t)
         assert rep.verdict == "fail" and "re-estimated constants" in rep.note
-        assert t.meta["estimation"]["C[0.75]"]["trials"] == 8
+        assert t.entries["C[0.75]"]["trials"] == 8
         assert [c["name"] for c in rep.constants_used] == ["C[0.75]"]
 
     def test_d2_report_checkpoints(self, singlemode_trace, table):

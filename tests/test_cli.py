@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from mhdgevrey.cli import (
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from mhdgevrey.config import load_run_config, parse_run_config
@@ -156,6 +158,9 @@ class TestConfigParsing:
             parse_run_config(dict(BASE_CONFIG, delta="large"))
 
 
+_PROVENANCE = "constant C[0.5]: provenance must be one of exact, certified-upper, estimated"
+
+
 class TestRunCommand:
     def test_archive_and_manifest(self, cli_run):
         tr = m.TraceArchive.load(cli_run)
@@ -201,11 +206,16 @@ class TestRunCommand:
         ('{"entries": {"C[0.5]": {"value": "2.5", "provenance": "estimated"}}}',
          "constant C[0.5] must be a positive number"),
         ('{"safety": "x", "entries": {}}', "safety must be a positive number"),
-    ], ids=["truncated", "not_an_object", "string_value", "string_safety"])
+        ('{"entries": {"C[0.5]": {"value": 2.5}}}', _PROVENANCE),
+        ('{"entries": {"C[0.5]": {"value": 2.5, "provenance": "guessed"}}}', _PROVENANCE),
+    ], ids=["truncated", "not_an_object", "string_value", "string_safety",
+            "no_provenance", "unknown_provenance"])
     def test_corrupt_table_is_a_usage_error(self, tmp_path, capsys, text, message):
         # a truncated table used to end in a JSONDecodeError traceback, a
         # non-object one in an AttributeError, a string value or safety
-        # factor in a TypeError once a constant is read or estimated
+        # factor in a TypeError once a constant is read or estimated; an
+        # entry without a valid provenance loaded, and verify died with
+        # KeyError: 'provenance' on its first row
         bad = tmp_path / "broken.json"
         bad.write_text(text)
         cfg = write_config(tmp_path)
@@ -598,6 +608,61 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "ghost"),
                      "--table", table_json]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("damage", ["row_cut_short", "header_only"])
+    def test_damaged_series_is_a_usage_error(self, cli_run, tmp_path, table_json,
+                                             capsys, damage):
+        # append flushes one row at a time, so a run killed mid-row leaves a
+        # short last line: loading it ended in numpy's "inhomogeneous shape"
+        # ValueError, and a series with no row in an IndexError at times[-1]
+        import shutil
+
+        bad = tmp_path / "damaged"
+        shutil.copytree(cli_run, bad)
+        lines = (bad / "series.csv").read_text().splitlines()
+        if damage == "row_cut_short":
+            lines[-1] = ",".join(lines[-1].split(",")[:3])
+            message = "series.csv line %d: 3 fields where the header has %d" % (
+                len(lines), len(lines[0].split(",")))
+        else:
+            lines = lines[:1]
+            message = "series.csv holds no sample"
+        (bad / "series.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--table", table_json]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+
+    def test_table_with_estimation_meta_still_loads(self, cli_run, tmp_path, table,
+                                                    table_json, monkeypatch):
+        # the format written before each estimated entry recorded its trial
+        # count: the estimation parameters sat apart, in meta.estimation
+        entries = {k: {"value": e["value"], "provenance": e["provenance"]}
+                   for k, e in table.entries.items()}
+        meta = {"estimation": {k: {"resolution": 16, "trials": 24, "seed": 0,
+                                   "safety": 2.0}
+                               for k, e in entries.items()
+                               if e["provenance"] == "estimated"}}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"safety": 2.0, "entries": entries, "meta": meta}))
+        t = m.ConstantsTable.from_json(old)
+        assert t.entries == entries
+        reports = []
+        for path in (str(old), table_json):
+            out = tmp_path / "report.json"
+            assert main(["verify", cli_run, "--table", path, "--bounds", "B19", "B29",
+                         "--s", "1", "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] and reports[0] == reports[1]
+        # meta is ignored: a re-estimate doubles the default of 24 trials
+        constants = importlib.import_module("mhdgevrey.constants")
+        asked = []
+        monkeypatch.setattr(constants, "estimate_Cs",
+                            lambda s, trials, safety: asked.append(trials) or 1.0)
+        t.reestimate("C[0.5]")
+        assert asked == [48] and t.entries["C[0.5]"]["trials"] == 48
+        assert t.C(0.5) == table.C(0.5)
+
 
 def _skip_lines(out):
     """(id, s, reason) of every skip line that verify printed."""
@@ -605,9 +670,8 @@ def _skip_lines(out):
 
 
 class TestConstantsCommand:
-    def test_deterministic_per_seed(self, tmp_path, capsys):
-        args = ["constants", "--s", "0.5", "--cp", "2.0", "--seed", "3",
-                "--trials", "6"]
+    def test_deterministic(self, tmp_path, capsys):
+        args = ["constants", "--s", "0.5", "--cp", "2.0", "--trials", "6"]
         assert main(args + ["--out", str(tmp_path / "a.json")]) == EXIT_OK
         assert main(args + ["--out", str(tmp_path / "b.json")]) == EXIT_OK
         a = (tmp_path / "a.json").read_text()
@@ -619,7 +683,7 @@ class TestConstantsCommand:
     def test_out_of_domain_s(self, capsys):
         assert main(["constants", "--s", "1.5"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag,value", [("--resolution", "1"), ("--trials", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--trials", "-1")])
     def test_bad_estimator_arguments(self, tmp_path, capsys, flag, value):
         # rejected before any estimate runs, so no table is written
         out = tmp_path / "t.json"
@@ -764,3 +828,15 @@ class TestDemoWorkflow:
                          ("constants", "run", "verify", "spectrum", "compare")]
         report = json.loads((tmp_path / "trace" / "report.json").read_text())
         assert report and "fail" not in {r["verdict"] for r in report}
+
+    def test_readme_examples_parse(self):
+        # every command line of the README's usage block, parsed as the
+        # entry point parses it: a flag the README uses and the parser
+        # lacks fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1]
+        lines = [ln for ln in block.split("```", 1)[0].splitlines()
+                 if ln.startswith("mhdgevrey ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(ln)[1:]).command for ln in lines]
+        assert commands == ["constants", "run", "verify", "spectrum", "compare"]

@@ -209,8 +209,7 @@ class TestEstimateCs:
         with pytest.raises(DomainError):
             estimate_Cs(0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"resolution": 1}, {"trials": -1}],
-                             ids=["resolution", "trials"])
+    @pytest.mark.parametrize("kwargs", [{"trials": -1}], ids=["trials"])
     def test_bad_arguments(self, kwargs):
         with pytest.raises(DomainError):
             estimate_Cs(0.5, **kwargs)
@@ -239,12 +238,12 @@ class TestConstantsTable:
             ConstantsTable.from_snapshot({"safety": safety, "entries": {}})
 
     def test_missing_constant_estimated_on_first_read(self, table):
-        # at the default parameters, those of the session table's build_table
+        # at the default trial count, that of the session table's build_table
         t = ConstantsTable()
         assert t.C(0.75) == table.C(0.75)
         key = t.skey_C(0.75)
         assert t.provenance(key) == "estimated"
-        assert t.meta["estimation"][key] == table.meta["estimation"][key]
+        assert t.entries[key] == table.entries[key]
 
     def test_cprime_product(self, table):
         assert table.Cprime(0.5) == pytest.approx(table.C(0.5) * table.C(1.0), rel=1e-15)
@@ -288,6 +287,18 @@ class TestConstantsTable:
         t2 = ConstantsTable.from_json(path)
         assert t2.snapshot() == table.snapshot()
 
+    def test_estimated_entry_is_the_whole_record(self, table):
+        assert table.entries[table.skey_C(0.5)] == {
+            "value": table.C(0.5), "provenance": "estimated", "trials": 24, "safety": 2.0}
+        assert set(table.snapshot()) == {"safety", "entries"}
+
+    @pytest.mark.parametrize("trials", ["8", -1, 1.5, True, None])
+    def test_trials_must_be_a_count(self, trials):
+        # reestimate doubles the recorded count
+        entry = {"value": 2.5, "provenance": "estimated", "trials": trials}
+        with pytest.raises(ConfigError, match=r"C\[0.5\]: trials must be an integer >= 0"):
+            ConstantsTable.from_snapshot({"entries": {"C[0.5]": entry}})
+
     def test_failed_write_leaves_no_file(self, table, tmp_path, monkeypatch):
         import mhdgevrey.constants as constants
 
@@ -306,7 +317,7 @@ class TestConstantsTable:
         before = t.C(0.5)
         t.reestimate(key)
         assert t.C(0.5) >= before
-        assert t.meta["estimation"][key]["trials"] == 16
+        assert t.entries[key]["trials"] == 16
 
     def test_reestimate_noop_for_exact(self, table):
         table.reestimate(table.skey_C(0.0))
