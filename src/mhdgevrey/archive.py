@@ -78,21 +78,21 @@ def checkpoint_save(state, path) -> None:
 def checkpoint_load(path):
     from .solver import MhdState
 
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise CheckpointError("unexpected end of checkpoint")
-        magic, version, N, nu, eta, t, count = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise CheckpointError("bad magic %r" % magic)
-        if version != VERSION:
-            raise CheckpointError("unsupported checkpoint version %d" % version)
-        body = f.read(count * _REC_DTYPE.itemsize)
-        if len(body) < count * _REC_DTYPE.itemsize:
-            raise CheckpointError("unexpected end of checkpoint")
-    if N < 1:
-        raise CheckpointError("truncation radius must be >= 1")
-    rec = np.frombuffer(body, dtype=_REC_DTYPE)
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise CheckpointError("unexpected end of checkpoint")
+    magic, version, N, nu, eta, t, count = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise CheckpointError("bad magic %r" % magic)
+    if version != VERSION:
+        raise CheckpointError("unsupported checkpoint version %d" % version)
+    if len(data) != _HEADER.size + count * _REC_DTYPE.itemsize:
+        raise CheckpointError("checkpoint of %d bytes does not hold the %d records its "
+                              "header announces" % (len(data), count))
+    # A ball of radius N >= 1 holds at least N^3 modes: check before building it.
+    if N < 1 or N**3 > count:
+        raise CheckpointError("radius %d does not fit the %d records" % (N, count))
+    rec = np.frombuffer(data, dtype=_REC_DTYPE, offset=_HEADER.size)
     if not np.array_equal(rec["n"], geometry(N).modes):
         raise CheckpointError("records must hold every mode of the ball once, in order")
     c = rec["c"].copy().view(np.complex128)  # (K, 6): V, then B

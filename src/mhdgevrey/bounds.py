@@ -143,7 +143,7 @@ def d1_constant(Q, delta, nu, eta, dT, s, table):
     d11 = (
         2.0 * max(nu**2, eta**2) * ((2.0 * s + 1.0) / (2.0 * math.e * delta)) ** (2.0 * s + 1.0)
     ) ** (1.0 / (2.0 * s + 3.0))
-    d12 = (2.0 * table.Cprime_half()) ** (2.0 / (2.0 * s + 3.0)) * (
+    d12 = (2.0 * table.Cprime(0.5)) ** (2.0 / (2.0 * s + 3.0)) * (
         (2.0 * s + 1.0) / (2.0 * math.e * delta)
     ) ** ((2.0 * s + 1.0) / (2.0 * s + 3.0))
     qp = q_prime(Q, delta, mn, dT)
@@ -233,7 +233,7 @@ def d4_constant(Q, delta, nu, eta, dT, s, table):
     a = 1.0 / (s + 3.0)  # the printed exponent alpha at index s + 7/2
     cpa = lattice_constant(2.0 * s + 1.0, 2.0 * delta)
     d41 = (2.0 * cpa * max(nu, eta)) ** a
-    d42 = (math.sqrt(8.0) * cpa * table.Cprime_half()) ** a
+    d42 = (math.sqrt(8.0) * cpa * table.Cprime(0.5)) ** a
     qp = q_prime(Q, delta, mn, dT)
     return d41 * (qp**a * dT ** ((s + 2.0) / (s + 3.0)) + qp) + d42 * q_double(
         Q, delta, mn, dT, s / 2.0 + 2.0
@@ -562,7 +562,7 @@ def _p40(d, s):
     return _Eval(lhs, (
         nu**2 * gevrey_norm(V, dp, 1.5) ** 2
         + eta**2 * gevrey_norm(B, dp, 1.5) ** 2
-        + 2.0 * table.Cprime_half() ** 2 * e1**2
+        + 2.0 * table.Cprime(0.5) ** 2 * e1**2
     ))
 
 
@@ -630,7 +630,7 @@ def _rad(d, s):
     # radius (Sulem, Sulem & Frisch 1983); delta*Phi bounds it from below.
     N = d.state.N
     lo, hi = default_fit_shells(N)
-    est = _fit([d.state.V, d.state.B], N, None, None) if hi - lo >= 2 else None
+    est = _fit([d.state.V, d.state.B], N) if hi - lo >= 2 else None
     if est is None:
         return _Eval(0.0, 0.0, "fewer than 3 populated shells in the fit "
                      "window [%d, %d]" % (lo, hi), "informational")

@@ -147,7 +147,7 @@ def cmd_constants(args) -> int:
 def cmd_spectrum(args) -> int:
     state = checkpoint_load(args.checkpoint)
     for name, w in (("V", state.V), ("B", state.B)):
-        est = decay_fit(w, args.m_lo, args.m_hi)
+        est = decay_fit(w)
         print("%s: sigma_fit=%.6g shells=[%d,%d] residual=%.3g"
               % (name, est.sigma_fit, est.fit_range[0], est.fit_range[1],
                  est.residual))
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="fit decay rate of a checkpoint")
     s.add_argument("checkpoint")
-    s.add_argument("--m-lo", type=int, dest="m_lo")
-    s.add_argument("--m-hi", type=int, dest="m_hi")
     s.set_defaults(func=cmd_spectrum)
 
     m = sub.add_parser("compare", help="rerun at several truncations")

@@ -10,18 +10,15 @@ its manifest alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .archive import read_json
 from .errors import ConfigError
 from .solver import DiagnosticsSpec, SolverConfig, make_initial
 
-_TOP_KEYS = {
-    "N", "nu", "eta", "dt", "t_end", "output_stride",
-    "checkpoint_stride", "scheme", "initial", "delta", "sigma",
-    "s_grid", "derivative_s", "wiener_s", "lq_grid", "ft_s", "tilde_s",
-    "sigma3", "shells", "outdir",
-}
+# The specs' fields ("sigma" requests "ft_sigma"; see resolve), the initial family, outdir.
+_TOP_KEYS = ({f.name for spec in (SolverConfig, DiagnosticsSpec) for f in fields(spec)}
+             - {"ft_sigma"}) | {"initial", "sigma", "outdir"}
 _INITIAL_KEYS = {"kind", "params", "seed"}
 _REQUIRED = object()
 
@@ -35,17 +32,20 @@ def _number(doc, key, default=_REQUIRED, integer=False):
             raise ConfigError("missing field %r" % key)
         return default
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+    if not _is_number(v) or (integer and not isinstance(v, int)):
         raise ConfigError("field %r must be %s, got %r"
                           % (key, "an integer" if integer else "a number", v))
     return v if integer else float(v)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or float, and not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _slist(doc, key, default=()):
     v = doc.get(key, list(default))
-    if not isinstance(v, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
-    ):
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
         raise ConfigError("field %r must be a list of numbers, got %r" % (key, v))
     return tuple(float(x) for x in v)
 
@@ -132,10 +132,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         return "auto" if doc.get(key) == "auto" else _number(doc, key, None)
 
     lq = doc.get("lq_grid", [])
-    if not isinstance(lq, list) or any(
-        not isinstance(x, list) or len(x) != 2 for x in lq
+    if not isinstance(lq, list) or not all(
+        isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)) for x in lq
     ):
-        raise ConfigError("field 'lq_grid' must be a list of [q, s] pairs")
+        raise ConfigError("field 'lq_grid' must be a list of [q, s] pairs of numbers, "
+                          "got %r" % (lq,))
 
     for key in ("sigma3", "shells"):
         if key in doc and not isinstance(doc[key], bool):

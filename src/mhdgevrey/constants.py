@@ -72,7 +72,7 @@ def _disk_counts(radius: int) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def lattice_sum(weight, radius: int = 200) -> float:
+def lattice_sum(weight, radius: int) -> float:
     """sum over 0 < |n| <= radius of weight(|n|), grouped by |n|^2 shells.
 
     The exact shell counts are summed block by block: the count of |n|^2 = m
@@ -328,10 +328,12 @@ class ConstantsTable:
         return self.entries[name]["provenance"]
 
     def reestimate(self, name: str):
-        """Redo an estimated entry at doubled trials (running max, never lower)."""
+        """Redo an estimated entry at twice its trials, at least one (a
+        running max, never lower)."""
         if self.provenance(name) != "estimated":
             return self.entries.get(name, {}).get("value")
-        return self._estimate_C(float(name[2:-1]), 2 * self.entries[name].get("trials", 24))
+        trials = self.entries[name].get("trials", 24)
+        return self._estimate_C(float(name[2:-1]), max(2 * trials, 1))
 
     def _estimate_C(self, s: float, trials: int) -> float:
         """Estimate C_s, keep the larger of it and any earlier estimate, and
@@ -376,9 +378,6 @@ class ConstantsTable:
     def Cprime(self, s: float) -> float:
         return self.C(s) * self.C(1.5 - s)
 
-    def Cprime_half(self) -> float:
-        return self.C(0.5) * self.C(1.0)
-
     @staticmethod
     def C_tilde(s: float) -> float:
         if s < -1:
@@ -386,7 +385,7 @@ class ConstantsTable:
         return 1.0 if s <= 0 else 2.0 ** (s + 1.0)
 
     def C_tripleprime(self, s: float) -> float:
-        return (2.0 * self.Cprime_half() * self.C_tilde(s)) ** 2
+        return (2.0 * self.Cprime(0.5) * self.C_tilde(s)) ** 2
 
     def C_tilde_prime(self, s: float) -> float:
         """Constant of the transformed-derivative nonlinearity bound."""
@@ -402,7 +401,8 @@ class ConstantsTable:
     # -- persistence ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {"safety": self.safety, "entries": self.entries}
+        """The table as plain data; its entries are copies."""
+        return {"safety": self.safety, "entries": {k: dict(e) for k, e in self.entries.items()}}
 
     def to_json(self, path):
         with atomic_open(path) as f:
@@ -433,7 +433,7 @@ class ConstantsTable:
             n = e.get("trials", 0)
             if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
                 raise ConfigError("constant %s: trials must be an integer >= 0" % name)
-        t.entries = dict(snap.get("entries", {}))
+        t.entries = {k: dict(e) for k, e in snap.get("entries", {}).items()}
         return t
 
     @classmethod

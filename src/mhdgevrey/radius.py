@@ -43,20 +43,15 @@ def default_fit_shells(N: int) -> tuple:
     return max(3, N // 4), (3 * N) // 4
 
 
-def _fit(fields, N, m_lo, m_hi):
+def _fit(fields, N):
     """Least-squares fit of log(combined shell amplitude) vs shell index over
-    the window 1 <= m_lo < m_hi <= N (default ``default_fit_shells(N)``);
-    None when fewer than 3 shells of the window are populated."""
+    ``default_fit_shells(N)``; None when fewer than 3 of its shells are populated."""
     lo, hi = default_fit_shells(N)
-    if m_lo is None and m_hi is None and not lo < hi:
+    if not lo < hi:
         raise DomainError("insufficient spectral range: the ball of radius %d has too "
                           "few shells for a decay fit" % N)
-    m_lo = lo if m_lo is None else int(m_lo)
-    m_hi = hi if m_hi is None else int(m_hi)
-    if not (1 <= m_lo < m_hi <= N):
-        raise DomainError("fit shells must satisfy 1 <= m_lo < m_hi <= N")
     # squared combined rms amplitude of the fields on each shell of the window
-    ms = np.arange(m_lo, m_hi + 1)
+    ms = np.arange(lo, hi + 1)
     amp2 = _mean_squares(fields)[ms - 1]
     kept = amp2 > DEFAULT_FIT_FLOOR
     if np.count_nonzero(kept) < 3:
@@ -65,14 +60,13 @@ def _fit(fields, N, m_lo, m_hi):
     logs = 0.5 * np.log(amp2[kept])
     slope, intercept = np.polyfit(ms, logs, 1)
     resid = logs - (slope * ms + intercept)
-    return RadiusEstimate(sigma_fit=max(0.0, -float(slope)), fit_range=(m_lo, m_hi),
+    return RadiusEstimate(sigma_fit=max(0.0, -float(slope)), fit_range=(lo, hi),
                           residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def decay_fit(w: SpectralField, m_lo: int | None = None,
-              m_hi: int | None = None) -> RadiusEstimate:
-    """Fit log(shell amplitude) vs shell index; sigma_fit = -slope, floored at 0."""
-    est = _fit([w], w.N, m_lo, m_hi)
+def decay_fit(w: SpectralField) -> RadiusEstimate:
+    """sigma_fit = -slope of log(shell amplitude) over ``default_fit_shells``, floored at 0."""
+    est = _fit([w], w.N)
     if est is None:
         raise DomainError("insufficient spectral range")
     return est

@@ -422,39 +422,47 @@ def step(state: MhdState, dt: float, scheme: str = "integrating-factor-RK4",
 # -- initial conditions ------------------------------------------------------
 
 
+def _param(params: dict, key: str, default=None, size: int = 0):
+    """``params[key]``, or a non-None ``default``: a number, or ``size`` of them in a list."""
+    v = params.get(key, default)
+    vals = v if size and isinstance(v, (list, tuple, np.ndarray)) else [v]
+    if len(vals) != max(size, 1) or not all(
+            isinstance(x, (int, float, complex, np.number)) and not isinstance(x, bool)
+            for x in vals):
+        raise ConfigError("initial.params %r must be %s, got %r" % (
+            key, "a list of %d numbers" % size if size else "a number", v))
+    return v
+
+
 def make_initial(kind: str, params: dict, N: int, seed: int = 0,
                  nu: float = 1.0, eta: float = 1.0) -> MhdState:
     """Construct a valid initial state of the requested family."""
     if kind == "single-mode":
-        V = _single_mode_field(N, params["n_v"], params["amp_v"])
-        if params.get("n_b") is not None:
-            B = _single_mode_field(N, params["n_b"], params["amp_b"])
-        else:
-            B = SpectralField.zeros(N)
+        V = _single_mode_field(N, params, "v")
+        B = (SpectralField.zeros(N) if params.get("n_b") is None
+             else _single_mode_field(N, params, "b"))
     elif kind == "abc-like":
-        A, Bc, C = params.get("A", 1.0), params.get("B", 1.0), params.get("C", 1.0)
-        scale_b = params.get("b_factor", 0.5)
+        A, Bc, C = (_param(params, k, 1.0) for k in "ABC")
+        scale_b = _param(params, "b_factor", 0.5)
         V = _abc_field(N, A, Bc, C)
         B = _abc_field(N, scale_b * C, scale_b * A, scale_b * Bc)
     elif kind == "random-spectrum":
         rng = np.random.default_rng(seed)
-        V = _random_field(N, rng, params.get("a", 2.0), params.get("b", 0.5))
-        B = _random_field(N, rng, params.get("a", 2.0), params.get("b", 0.5))
-        tv = params.get("norm_v", 1.0)
-        tb = params.get("norm_b", 1.0)
-        V = _rescale(V, tv)
-        B = _rescale(B, tb)
+        a, b = _param(params, "a", 2.0), _param(params, "b", 0.5)
+        V = _rescale(_random_field(N, rng, a, b), _param(params, "norm_v", 1.0))
+        B = _rescale(_random_field(N, rng, a, b), _param(params, "norm_b", 1.0))
     else:
         raise ConfigError("unknown initial kind %r" % kind)
     return MhdState(V=V.validate(), B=B.validate(), nu=nu, eta=eta)
 
 
-def _single_mode_field(N, n, amp):
-    n = tuple(int(x) for x in n)
-    amp = np.asarray(amp, dtype=np.complex128)
+def _single_mode_field(N, params, f):
+    """The mode n_<f> with amplitude amp_<f> of ``params``, and its conjugate."""
+    n = tuple(int(x) for x in _param(params, "n_" + f, size=3))
+    amp = np.asarray(_param(params, "amp_" + f, size=3), dtype=np.complex128)
     if abs(complex(amp @ np.asarray(n, float))) > 1e-14 * max(1.0, float(np.max(np.abs(amp)))):
         raise ConfigError("single-mode amplitude not orthogonal to its wavevector")
-    return SpectralField.from_modes(N, {n: 0.5 * amp}, add_conjugates=True)
+    return SpectralField.from_modes(N, {n: 0.5 * amp})
 
 
 def _abc_field(N, A, B, C):
@@ -464,7 +472,7 @@ def _abc_field(N, A, B, C):
     e[(1, 0, 0)] = 0.5 * np.array([0.0, -1j * A, A], dtype=np.complex128)
     e[(0, 1, 0)] = 0.5 * np.array([B, 0.0, -1j * B], dtype=np.complex128)
     e[(0, 0, 1)] = 0.5 * np.array([-1j * C, C, 0.0], dtype=np.complex128)
-    return SpectralField.from_modes(N, e, add_conjugates=True)
+    return SpectralField.from_modes(N, e)
 
 
 def _random_field(N, rng, a, b):
@@ -601,9 +609,11 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
             raise ConfigError("manifest_extra %s = %r differs from the %r the columns use"
                               % (key, extra[key], manifest[key]))
     manifest.update(extra)
-    arch = TraceArchive.create(outdir, manifest)
     ck_stride = config.checkpoint_stride or config.output_stride
     t0 = initial.t
+    n_steps = int(round(config.t_end / config.dt))
+    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
+        n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
 
     def sample(state):
         # The row's nonlinearity is the first RK stage of the next step.
@@ -611,14 +621,11 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
         arch.append(_diagnostic_row(state, diagnostics, t0, nl))
         return nl
 
-    state = initial
-    nl = sample(state)
-    arch.save_checkpoint(state, 0)
-
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
+    arch = TraceArchive.create(outdir, manifest)
     try:
+        state = initial
+        nl = sample(state)
+        arch.save_checkpoint(state, 0)
         for i in range(1, n_steps + 1):
             dt = config.dt
             if i == n_steps:
@@ -633,7 +640,7 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
                 arch.save_checkpoint(state, i)
     except BlowUpError as exc:
         arch.update_manifest({"blowup_t": exc.t})
-        arch.finalize()
         raise
-    arch.finalize()
+    finally:
+        arch.finalize()
     return TraceArchive.load(outdir)

@@ -110,8 +110,8 @@ class SpectralField:
         return cls(N, np.zeros((len(geometry(N).modes), 3), dtype=np.complex128))
 
     @classmethod
-    def from_modes(cls, N: int, entries, add_conjugates: bool = False) -> "SpectralField":
-        """Build a field from a {(n1,n2,n3): 3-vector} mapping."""
+    def from_modes(cls, N: int, entries) -> "SpectralField":
+        """The real field with each {(n1,n2,n3): 3-vector} at n and its conjugate at -n."""
         g = geometry(N)
         c = cls.zeros(N).coeffs
         for n, vec in entries.items():
@@ -120,8 +120,7 @@ class SpectralField:
                 raise FieldInvariantError("n=%r is not in the ball 0<|n|<=N" % (tuple(n),))
             vec = np.asarray(vec, dtype=np.complex128)
             c[i] += vec
-            if add_conjugates:
-                c[len(c) - 1 - i] += np.conj(vec)
+            c[len(c) - 1 - i] += np.conj(vec)
         return cls(N, c)
 
     # -- accessors ---------------------------------------------------------

@@ -63,7 +63,7 @@ def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau):
 
 def delta_max(table, nu: float, eta: float) -> float:
     """Largest admissible weight scale: min(nu, eta)/(18 sqrt(2) C'_{1/2})."""
-    return min(nu, eta) / (18.0 * math.sqrt(2.0) * table.Cprime_half())
+    return min(nu, eta) / (18.0 * math.sqrt(2.0) * table.Cprime(0.5))
 
 
 def _theta(V: SpectralField, B: SpectralField, delta: float, phi: float) -> float:

@@ -186,8 +186,7 @@ class TestPhiRoot:
         # Theta(Phi) = 0.5 e^{0.2 Phi} + 1 - Phi^{-2} has its root at
         # Phi = 0.79404 (one unit-energy mode pair at |n| = 1).
         V = SpectralField.from_modes(
-            4, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])},
-            add_conjugates=True)
+            4, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])})
         B = SpectralField.zeros(4)
         assert solve_phi(V, B, 0.1) == pytest.approx(0.7940, abs=5e-4)
 

@@ -197,6 +197,29 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "s_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"lq_grid": [["a", 1]]}, "field 'lq_grid'"),
+        ({"lq_grid": [[None, 1]]}, "field 'lq_grid'"),
+        ({"lq_grid": [[True, 1]]}, "field 'lq_grid'"),
+        ({"lq_grid": [["4", "1"]]}, "field 'lq_grid'"),
+        ({"initial": {"kind": "random-spectrum", "params": {"norm_v": "x"}}},
+         "initial.params 'norm_v' must be a number"),
+        ({"initial": {"kind": "abc-like", "params": {"A": "x"}}},
+         "initial.params 'A' must be a number"),
+        ({"initial": {"kind": "single-mode", "params": {"amp_v": [1.0, 0.0, 0.0]}}},
+         "initial.params 'n_v' must be a list of 3 numbers, got None"),
+    ], ids=["lq-string", "lq-null", "lq-bool", "lq-strings", "norm_v-string",
+            "abc-string", "single-mode-without-n_v"])
+    def test_malformed_value_is_a_usage_error(self, tmp_path, table_json, capsys,
+                                              overrides, message):
+        # each of these ended in a ValueError, TypeError or KeyError
+        # traceback, or (a boolean or string lq_grid entry) was accepted
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", cfg, "--out", str(tmp_path / "x"),
+                     "--table", table_json]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
@@ -741,8 +764,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("argv, message", [
         ([], "error: insufficient spectral range: the ball of radius 5 has too few shells"),
-        (["--m-lo", "0", "--m-hi", "4"], "error: fit shells must satisfy 1 <= m_lo < m_hi <= N"),
-    ], ids=["default-window", "m-lo-0"])
+    ], ids=["default-window"])
     def test_unusable_fit_window(self, tmp_path, capsys, argv, message):
         st = m.make_initial("random-spectrum", {}, N=5, seed=1, nu=0.1, eta=0.1)
         path = tmp_path / "ck.bin"

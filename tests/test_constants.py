@@ -247,7 +247,6 @@ class TestConstantsTable:
 
     def test_cprime_product(self, table):
         assert table.Cprime(0.5) == pytest.approx(table.C(0.5) * table.C(1.0), rel=1e-15)
-        assert table.Cprime_half() == table.Cprime(0.5)
 
     def test_c_tilde_piecewise(self):
         assert ConstantsTable.C_tilde(-0.5) == 1.0
@@ -318,6 +317,35 @@ class TestConstantsTable:
         t.reestimate(key)
         assert t.C(0.5) >= before
         assert t.entries[key]["trials"] == 16
+
+    def test_reestimate_asks_for_at_least_one_trial(self, monkeypatch):
+        # a table written with --trials 0: doubling 0 redid the same estimate
+        import mhdgevrey.constants as constants
+
+        asked = []
+        monkeypatch.setattr(constants, "estimate_Cs",
+                            lambda s, trials, safety: asked.append(trials) or 1.0 + trials)
+        t = ConstantsTable()
+        t.ensure_C(0.5, trials=0)
+        t.reestimate("C[0.5]")
+        assert asked == [0, 1]
+        assert t.entries["C[0.5]"]["trials"] == 1 and t.C(0.5) == 2.0
+
+    ENTRY = {"value": 2.5, "provenance": "estimated", "trials": 3, "safety": 2.0}
+
+    def test_snapshot_is_a_copy(self):
+        t = ConstantsTable(entries={"C[0.5]": dict(self.ENTRY)})
+        snap = t.snapshot()
+        snap["entries"]["C[0.5]"]["value"] = -1.0
+        snap["entries"]["C[0.75]"] = dict(self.ENTRY)
+        assert t.entries == {"C[0.5]": self.ENTRY}
+
+    def test_from_snapshot_copies_its_input(self):
+        snap = {"entries": {"C[0.5]": dict(self.ENTRY)}}
+        t = ConstantsTable.from_snapshot(snap)
+        snap["entries"]["C[0.5]"]["value"] = -5.0
+        snap["entries"]["C[0.75]"] = dict(self.ENTRY)
+        assert t.entries == {"C[0.5]": self.ENTRY}
 
     def test_reestimate_noop_for_exact(self, table):
         table.reestimate(table.skey_C(0.0))

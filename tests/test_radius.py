@@ -47,11 +47,11 @@ class TestDecayFit:
         assert est.sigma_fit == pytest.approx(0.0, abs=0.02)
 
     def test_algebraic_prefactor_tolerated(self):
-        # |n|^2 e^{-0.3|n|} on shells 10..30: the log-linear fit absorbs the
-        # power as a shallower slope, roughly 0.3 - 2 ln(30/10)/(30-10)
+        # |n|^2 e^{-0.3|n|} on the default shells 8..24: the log-linear fit
+        # absorbs the power as a shallower slope, roughly 0.3 - 2 ln(24/8)/(24-8)
         w = constructed_field(32, lambda a: a**2 * math.exp(-0.3 * a))
-        est = decay_fit(w, 10, 30)
-        expected = 0.3 - 2.0 * math.log(3.0) / 20.0
+        est = decay_fit(w)
+        expected = 0.3 - 2.0 * math.log(3.0) / 16.0
         assert est.sigma_fit == pytest.approx(expected, abs=0.03)
         assert est.sigma_fit < 0.3
 
@@ -61,24 +61,9 @@ class TestDecayFit:
 
     def test_insufficient_range(self):
         w = m.SpectralField.from_modes(
-            16, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])},
-            add_conjugates=True)
+            16, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])})
         with pytest.raises(DomainError, match="insufficient spectral range"):
             decay_fit(w)
-
-    def test_bad_window_rejected(self):
-        w = random_field(8, 0)
-        with pytest.raises(DomainError):
-            decay_fit(w, 5, 5)
-        with pytest.raises(DomainError):
-            decay_fit(w, 3, 12)
-
-    @pytest.mark.parametrize("m_lo", [0, -2])
-    def test_window_below_shell_one_rejected(self, m_lo):
-        # shell m is entry m - 1 of the shell means: m_lo = 0 used to read
-        # shell N as shell 0 and return a fit
-        with pytest.raises(DomainError, match="1 <= m_lo < m_hi <= N"):
-            decay_fit(random_field(8, 0), m_lo, 4)
 
     @pytest.mark.parametrize("N", [3, 5])
     def test_default_window_too_narrow_for_small_ball(self, N):
@@ -124,7 +109,7 @@ class TestRadiusCheck:
         for st, r in zip(states, singles):
             assert r.verdict == "pass"
             assert r.lhs == delta * m.solve_phi(st.V, st.B, delta) > 0.0
-            assert r.rhs == _fit([st.V, st.B], 8, None, None).sigma_fit >= r.lhs
+            assert r.rhs == _fit([st.V, st.B], 8).sigma_fit >= r.lhs
         assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()
 
     def test_empty_spectrum_flagged_not_raised(self, tmp_path, delta_std, table):

@@ -301,6 +301,23 @@ class TestArchive:
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("field, value", [(2, 80), (6, 2**50)], ids=["N", "count"])
+    def test_damaged_header_rejected_before_allocation(self, tmp_path, field, value):
+        # header fields: magic, version, N, nu, eta, t, count.  A count of
+        # 2^50 asked to read 108 * 2^50 bytes (MemoryError); N = 80 built and
+        # cached the geometry of a ball of 2.1e6 modes before the records
+        # were compared with it
+        path = tmp_path / "ck.bin"
+        checkpoint_save(random_state(N=4, seed=16), path)
+        raw = path.read_bytes()
+        head = list(archive._HEADER.unpack_from(raw))
+        head[field] = value
+        path.write_bytes(archive._HEADER.pack(*head) + raw[archive._HEADER.size:])
+        cached = geometry.cache_info().currsize
+        with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+        assert geometry.cache_info().currsize == cached
+
     def test_trace_reload_matches(self, singlemode_trace):
         back = TraceArchive.load(singlemode_trace.root)
         assert back.columns == singlemode_trace.columns

@@ -106,7 +106,7 @@ class TestSolvePhi:
         # One mode pair of unit energy: Theta(Phi) = 0.5 e^{0.2 Phi} + 1
         # - Phi^{-2} (|n| = 1, s = 3/2 weight |n|^3 = 1), root 0.7940369813.
         V = m.SpectralField.from_modes(
-            4, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])}, add_conjugates=True)
+            4, {(0, 0, 1): 0.5 * np.array([1.0, 0.0, 0.0])})
         B = m.SpectralField.zeros(4)
         assert solve_phi(V, B, 0.1) == pytest.approx(0.7940369813, abs=1e-9)
 
@@ -144,8 +144,7 @@ class TestSolvePhi:
         phis = []
         for a in (0.1, 1.0, 10.0):
             V = m.SpectralField.from_modes(
-                4, {(0, 0, 1): 0.5 * a * np.array([1.0, 0.0, 0.0])},
-                add_conjugates=True)
+                4, {(0, 0, 1): 0.5 * a * np.array([1.0, 0.0, 0.0])})
             phis.append(solve_phi(V, B, 0.1))
         assert phis[0] > phis[1] > phis[2]
 
@@ -153,7 +152,7 @@ class TestSolvePhi:
 class TestDeltaMax:
     def test_formula(self, table):
         assert delta_max(table, 0.1, 0.2) == pytest.approx(
-            0.1 / (18.0 * math.sqrt(2.0) * table.Cprime_half()), rel=1e-14)
+            0.1 / (18.0 * math.sqrt(2.0) * table.Cprime(0.5)), rel=1e-14)
 
     def test_symmetric_in_diffusivities(self, table):
         assert delta_max(table, 0.1, 0.2) == delta_max(table, 0.2, 0.1)
@@ -283,7 +282,7 @@ class TestGevreyRoute:
             e1 = m.sobolev_norm(tv, 1.0) ** 2 + m.sobolev_norm(tb, 1.0) ** 2
             self._close(rep.rhs, nu2 * m.sobolev_norm(tv, 1.5) ** 2
                         + eta2 * m.sobolev_norm(tb, 1.5) ** 2
-                        + 2.0 * table.Cprime_half() ** 2 * e1**2)
+                        + 2.0 * table.Cprime(0.5) ** 2 * e1**2)
 
             for s in (-1.0, -2.0):
                 rep = verify_pointwise("P42", st, table, delta=delta, s=s)
