@@ -109,7 +109,7 @@ class TraceArchive:
 
     def __init__(self, root):
         self.root = Path(root)
-        self._manifest = None  # parsed manifest.json, read at most once
+        self._manifest = None  # the manifest as written, or as read by load
         self._columns = None
         self._csv_file = None
         self._writer = None
@@ -164,9 +164,20 @@ class TraceArchive:
 
     @classmethod
     def load(cls, root) -> "TraceArchive":
+        """The archive at ``root``; its manifest must name positive nu and eta."""
         arch = cls(root)
-        if not (arch.root / "manifest.json").exists():
+        path = arch.root / "manifest.json"
+        if not path.exists():
             raise TraceError("no manifest in %s" % root)
+        try:
+            arch._manifest = read_json(path)
+        except ConfigError as exc:
+            raise TraceError(str(exc)) from exc
+        cfg = arch._manifest.get("config") if isinstance(arch._manifest, dict) else None
+        if not all(isinstance(cfg, dict) and isinstance(cfg.get(k), (int, float))
+                   and cfg[k] > 0 for k in ("nu", "eta")):
+            raise TraceError("%s: not an object whose config holds positive numbers nu and eta"
+                             % path)
         arch._read()
         return arch
 
@@ -192,10 +203,7 @@ class TraceArchive:
 
     @property
     def manifest(self) -> dict:
-        """A copy of the parsed manifest.json."""
-        if self._manifest is None:
-            with open(self.root / "manifest.json") as f:
-                self._manifest = json.load(f)
+        """A copy of the manifest, as written or as read by ``load``."""
         return copy.deepcopy(self._manifest)
 
     @property

@@ -45,9 +45,8 @@ from .constants import lattice_constant
 from .errors import DomainError, TraceError
 from .radius import _fit, default_fit_shells
 from .solver import full_rhs, second_time_derivative
-from .spectral import _energy, fmt_s, geometry, gevrey_norm, sobolev_inner, sobolev_norm
+from .spectral import _energy, fmt_s, geometry, gevrey_norm, sobolev_inner
 from .transform import (
-    _energy_s,
     _growth_envelope,
     _trace_q,
     _trapz,
@@ -559,11 +558,8 @@ def _p40(d, s):
     V, B, dp, table, nu, eta = d.state.V, d.state.B, d.dp, d.table, d.state.nu, d.state.eta
     lhs = 0.5 * _energy(d.rhs, -0.5, dp)
     e1 = _energy((V, B), 1.0, dp)
-    return _Eval(lhs, (
-        nu**2 * gevrey_norm(V, dp, 1.5) ** 2
-        + eta**2 * gevrey_norm(B, dp, 1.5) ** 2
-        + 2.0 * table.Cprime(0.5) ** 2 * e1**2
-    ))
+    return _Eval(lhs, nu**2 * _energy([V], 1.5, dp) + eta**2 * _energy([B], 1.5, dp)
+                 + 2.0 * table.Cprime(0.5) ** 2 * e1**2)
 
 
 def _p42(d, s):
@@ -571,43 +567,35 @@ def _p42(d, s):
     lhs = _energy(d.rhs, s, dp)
     x, y = (gevrey_norm(f, dp, 1.0) ** ((2.0 * s + 5.0) / 2.0)
             * gevrey_norm(f, dp, 0.0) ** ((-2.0 * s - 1.0) / 2.0) for f in (V, B))
-    return _Eval(lhs, (
-        2.0 * nu**2 * gevrey_norm(V, dp, s + 2.0) ** 2
-        + 2.0 * eta**2 * gevrey_norm(B, dp, s + 2.0) ** 2
-        + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2
-    ))
+    return _Eval(lhs, 2.0 * nu**2 * _energy([V], s + 2.0, dp)
+                 + 2.0 * eta**2 * _energy([B], s + 2.0, dp)
+                 + 4.0 * table.C_tilde_prime(s) ** 2 * (x + y) ** 2)
 
 
 def _p44(d, s):
     state, table = d.state, d.table
-    dV, dB = d.rhs
-    lhs = sobolev_norm(dV, s) ** 2 + sobolev_norm(dB, s) ** 2
-    e1 = _energy_s(state, 1.0)
-    e_mid = _energy_s(state, s + 1.5)
-    return _Eval(lhs, (
-        2.0 * state.nu**2 * sobolev_norm(state.V, s + 2.0) ** 2
-        + 2.0 * state.eta**2 * sobolev_norm(state.B, s + 2.0) ** 2
-        + table.C_tripleprime(s) * e_mid * e1
-    ))
+    lhs = _energy(d.rhs, s)
+    e1 = _energy((state.V, state.B), 1.0)
+    e_mid = _energy((state.V, state.B), s + 1.5)
+    return _Eval(lhs, 2.0 * state.nu**2 * _energy([state.V], s + 2.0)
+                 + 2.0 * state.eta**2 * _energy([state.B], s + 2.0)
+                 + table.C_tripleprime(s) * e_mid * e1)
 
 
 def _p51(d, s):
     state, table = d.state, d.table
-    dV, dB = d.rhs
-    lhs = sobolev_norm(dV, -1.0) ** 2 + sobolev_norm(dB, -1.0) ** 2
-    e1 = _energy_s(state, 1.0)
+    lhs = _energy(d.rhs, -1.0)
+    e1 = _energy((state.V, state.B), 1.0)
     return _Eval(lhs, c_second_tilde(state.nu, state.eta, d.e_init, table)
                  * (e1 + e1**1.5))
 
 
 def _p52(d, s):
     state, table = d.state, d.table
-    dV, dB = d.rhs
-    d2V, d2B = d.d2
-    drift = (2.0 * state.nu * sobolev_inner(dV, d2V, s + 1.0)
-             + 2.0 * state.eta * sobolev_inner(dB, d2B, s + 1.0))
-    lhs = sobolev_norm(d2V, s) ** 2 + sobolev_norm(d2B, s) ** 2 + drift
-    e1 = _energy_s(state, 1.0)
+    drift = sum(2.0 * kappa * sobolev_inner(f, f2, s + 1.0)
+                for kappa, f, f2 in zip((state.nu, state.eta), d.rhs, d.d2))
+    lhs = _energy(d.d2, s) + drift
+    e1 = _energy((state.V, state.B), 1.0)
     # C_{1/2} and C_1 are read before c_{-s-2}, the order the report lists
     c_tilde = c_second_tilde(state.nu, state.eta, d.e_init, table)
     return _Eval(lhs, 20.0 * table.ensure_cp(-s - 2.0) ** 2 * c_tilde * (e1**2 + e1**2.5))
@@ -740,7 +728,7 @@ def _worst_over_checkpoints(pairs, states, table, delta: float | None = None,
         if error:
             raise error
     if e_init is None and states:
-        e_init = 0.5 * _energy_s(states[0], 0.0)
+        e_init = 0.5 * _energy((states[0].V, states[0].B), 0.0)
     worst = dict.fromkeys(pairs)
     for state in states:
         derivs = _Derivatives(state, delta, table, e_init)

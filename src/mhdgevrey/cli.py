@@ -9,15 +9,16 @@ spectrum   fit the spectral decay rate of a stored checkpoint
 compare    rerun one initial state at several truncation levels, report psi(t)
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical blow-up
-(or, as argparse does, an argument the parser rejects: a malformed number,
-a bad --safety), 3 at least one verified inequality failed, 4 an iterative
-solver (the Phi root) did not converge.
+(or, as argparse does, an argument the parser rejects: a malformed number, a
+verify --s/--p/--T that is not finite, a bad --safety), 3 at least one verified
+inequality failed, 4 an iterative solver (the Phi root) did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -180,6 +181,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """A finite number: a report cannot hold a row at an infinite index."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError("%r is not a finite number" % text)
+    return value
+
+
 def _safety(text: str) -> float:
     """--safety: checked by the table's rule while the arguments are parsed,
     so a bad factor stops the command before any work."""
@@ -204,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check inequalities along a run")
     v.add_argument("trace")
     v.add_argument("--bounds", nargs="*", help="bound ids (default: all)")
-    v.add_argument("--s", nargs="*", type=float, help="norm indices")
-    v.add_argument("--p", type=float, default=4.0, help="integrability order")
-    v.add_argument("--T", type=float, help="right end of the window")
+    v.add_argument("--s", nargs="*", type=_finite, help="norm indices")
+    v.add_argument("--p", type=_finite, default=4.0, help="integrability order")
+    v.add_argument("--T", type=_finite, help="right end of the window")
     v.add_argument("--table", help="constants table JSON")
     v.add_argument("--out", help="report path (default: <trace>/report.json)")
     v.set_defaults(func=cmd_verify)

@@ -133,10 +133,11 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     lq = doc.get("lq_grid", [])
     if not isinstance(lq, list) or not all(
-        isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)) for x in lq
+        isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)) and x[0] >= 1
+        for x in lq
     ):
-        raise ConfigError("field 'lq_grid' must be a list of [q, s] pairs of numbers, "
-                          "got %r" % (lq,))
+        raise ConfigError("field 'lq_grid' must be a list of [q, s] pairs of numbers "
+                          "with q >= 1, got %r" % (lq,))
 
     for key in ("sigma3", "shells"):
         if key in doc and not isinstance(doc[key], bool):

@@ -382,10 +382,11 @@ class ConstantsTable:
     def C_tilde(s: float) -> float:
         if s < -1:
             raise DomainError("C_tilde defined for s >= -1")
-        return 1.0 if s <= 0 else 2.0 ** (s + 1.0)
+        return 1.0 if s <= 0 else 2.0 ** (s + 1.0) if s < 1023 else math.inf  # 2^1024 overflows
 
     def C_tripleprime(self, s: float) -> float:
-        return (2.0 * self.Cprime(0.5) * self.C_tilde(s)) ** 2
+        c = 2.0 * self.Cprime(0.5) * self.C_tilde(s)
+        return c * c  # inf past the float range, where c ** 2 raises OverflowError
 
     def C_tilde_prime(self, s: float) -> float:
         """Constant of the transformed-derivative nonlinearity bound."""

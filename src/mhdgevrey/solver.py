@@ -20,6 +20,7 @@ from .archive import TraceArchive
 from .errors import BlowUpError, ConfigError, DomainError
 from .spectral import (
     SpectralField,
+    _energy,
     _leray,
     fmt_s,
     geometry,
@@ -299,37 +300,26 @@ def full_rhs(state: MhdState):
 # -- the second time derivative ---------------------------------------------
 
 
-def _linearised_products(v, b, dv, db, out, tmp, tmp2):
-    """Products of the nonlinearity linearised at (V, B) in the direction
-    (dV, dB), formed one at a time in ``out`` with ``tmp`` and ``tmp2`` as
-    scratch, in the order of ``_products``."""
-    # dT_ij = dV_i V_j + V_i dV_j - dB_i B_j - B_i dB_j, symmetric in (i, j)
-    for i, j in _PAIRS:
-        np.multiply(dv[i], v[j], out=out)
-        out += np.multiply(v[i], dv[j], out=tmp)
-        out -= np.multiply(db[i], b[j], out=tmp)
-        out -= np.multiply(b[i], db[j], out=tmp)
-        yield out
-    # dw = dV x B + V x dB
-    for c in range(3):
-        _cross(dv, b, c, out, tmp)
-        yield np.add(out, _cross(v, db, c, tmp, tmp2), out=out)
-
-
 def second_time_derivative(state: MhdState, rhs=None):
     """Algebraic (d^2 V/dt^2, d^2 B/dt^2) of the Galerkin system.
 
     With dU = (dV, dB) the first derivative (``rhs``, from ``full_rhs`` if not
-    given), d^2U is the diffusion of dU plus the nonlinearity linearised at U
-    in the direction dU, -i P_n n_j dT_ij and i n x dw.  One padded pass
-    evaluates it: 12 inverse and 9 forward transforms.
+    given), d^2U is the diffusion of dU plus the nonlinearity NL linearised at
+    U along dU, which is [NL(U + dU) - NL(U - dU)] / 2 as NL is quadratic: the
+    ``_products`` of U + dU and of U - dU.  12 inverse and 9 forward transforms.
     """
     dV, dB = full_rhs(state) if rhs is None else rhs
     plan = _plan(state.N)
     work = plan.reals(14)
     _to_phys(plan, [state.V, state.B, dV, dB], work)
-    prods = _linearised_products(work[0:3], work[3:6], work[6:9], work[9:12],
-                                 work[12], plan.scratch, work[13])
+    up, um = work[0:6], work[6:12]
+    up += um  # U + dU
+    um *= -2.0
+    um += up  # U - dU
+    # zip pulls the two generators in turn, so they can share one scratch
+    pairs = zip(_products(up[:3], up[3:], work[12], plan.scratch),
+                _products(um[:3], um[3:], work[13], plan.scratch))
+    prods = (np.multiply(np.subtract(a, b, out=a), 0.5, out=a) for a, b in pairs)
     return _add_diffusion(replace(state, V=dV, B=dB), _rhs_from_products(plan, prods))
 
 
@@ -434,10 +424,22 @@ def _param(params: dict, key: str, default=None, size: int = 0):
     return v
 
 
+_FAMILY_PARAMS = {"single-mode": "n_v amp_v n_b amp_b", "abc-like": "A B C b_factor",
+                  "random-spectrum": "a b norm_v norm_b"}
+
+
 def make_initial(kind: str, params: dict, N: int, seed: int = 0,
                  nu: float = 1.0, eta: float = 1.0) -> MhdState:
-    """Construct a valid initial state of the requested family."""
+    """Construct a valid initial state of the requested family; a param the
+    family does not read is a ConfigError naming it."""
+    if kind not in _FAMILY_PARAMS:
+        raise ConfigError("unknown initial kind %r" % kind)
+    unknown = [str(k) for k in params if k not in _FAMILY_PARAMS[kind].split()]
+    if unknown:
+        raise ConfigError("unknown initial.params for %s: %s" % (kind, ", ".join(unknown)))
     if kind == "single-mode":
+        if params.get("n_b") is None and "amp_b" in params:
+            raise ConfigError("initial.params 'amp_b' needs a wavevector 'n_b'")
         V = _single_mode_field(N, params, "v")
         B = (SpectralField.zeros(N) if params.get("n_b") is None
              else _single_mode_field(N, params, "b"))
@@ -446,23 +448,24 @@ def make_initial(kind: str, params: dict, N: int, seed: int = 0,
         scale_b = _param(params, "b_factor", 0.5)
         V = _abc_field(N, A, Bc, C)
         B = _abc_field(N, scale_b * C, scale_b * A, scale_b * Bc)
-    elif kind == "random-spectrum":
+    else:
         rng = np.random.default_rng(seed)
         a, b = _param(params, "a", 2.0), _param(params, "b", 0.5)
         V = _rescale(_random_field(N, rng, a, b), _param(params, "norm_v", 1.0))
         B = _rescale(_random_field(N, rng, a, b), _param(params, "norm_b", 1.0))
-    else:
-        raise ConfigError("unknown initial kind %r" % kind)
     return MhdState(V=V.validate(), B=B.validate(), nu=nu, eta=eta)
 
 
 def _single_mode_field(N, params, f):
     """The mode n_<f> with amplitude amp_<f> of ``params``, and its conjugate."""
-    n = tuple(int(x) for x in _param(params, "n_" + f, size=3))
+    n = _param(params, "n_" + f, size=3)
+    if not all(np.isrealobj(x) and abs(x) <= N and float(x).is_integer() for x in n):
+        raise ConfigError("initial.params 'n_%s' must be 3 integers of size at most N = %d, "
+                          "got %r" % (f, N, n))
     amp = np.asarray(_param(params, "amp_" + f, size=3), dtype=np.complex128)
     if abs(complex(amp @ np.asarray(n, float))) > 1e-14 * max(1.0, float(np.max(np.abs(amp)))):
         raise ConfigError("single-mode amplitude not orthogonal to its wavevector")
-    return SpectralField.from_modes(N, {n: 0.5 * amp})
+    return SpectralField.from_modes(N, {tuple(int(x) for x in n): 0.5 * amp})
 
 
 def _abc_field(N, A, B, C):
@@ -524,15 +527,15 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
                     nl=None):
     """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
     has it; otherwise it is evaluated here when a column needs it."""
-    from .transform import _balance_terms, _energy_s, _sigma_pairing, solve_phi
+    from .transform import _balance_terms, _sigma_pairing, solve_phi
 
     if nl is None and _row_uses_nl(spec):
         nl = nonlinear_rhs_fast(state)
 
     row = {"t": state.t}
-    row["energy"] = 0.5 * _energy_s(state, 0.0)
-    row["diss_v"] = state.nu * sobolev_norm(state.V, 1.0) ** 2
-    row["diss_b"] = state.eta * sobolev_norm(state.B, 1.0) ** 2
+    row["energy"] = 0.5 * _energy((state.V, state.B), 0.0)
+    row["diss_v"] = state.nu * _energy([state.V], 1.0)
+    row["diss_b"] = state.eta * _energy([state.B], 1.0)
     for s in spec.s_grid:
         row["v_s%s" % fmt_s(s)] = sobolev_norm(state.V, s)
         row["b_s%s" % fmt_s(s)] = sobolev_norm(state.B, s)
@@ -552,9 +555,7 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
     if spec.ft_sigma is not None:
         w = spec.ft_sigma * (state.t - t0)
         for s in spec.ft_s:
-            row["ft_s%s" % fmt_s(s)] = (
-                gevrey_norm(state.V, w, s) ** 2 + gevrey_norm(state.B, w, s) ** 2
-            )
+            row["ft_s%s" % fmt_s(s)] = _energy((state.V, state.B), s, w)
     if spec.delta is not None:
         # A Phi-weighted norm is the Gevrey norm of the state at index
         # delta*Phi.
@@ -564,13 +565,9 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
         for s in spec.tilde_s:
             row["tv_s%s" % fmt_s(s)] = gevrey_norm(state.V, dp, s)
             row["tb_s%s" % fmt_s(s)] = gevrey_norm(state.B, dp, s)
-        tv1 = gevrey_norm(state.V, dp, 1.0)
-        tb1 = gevrey_norm(state.B, dp, 1.0)
-        tv2 = gevrey_norm(state.V, dp, 2.0)
-        tb2 = gevrey_norm(state.B, dp, 2.0)
-        row["lhs29_integrand"] = state.nu * (tv1**2 + 4 * dp**2 * tv2**2) + state.eta * (
-            tb1**2 + 4 * dp**2 * tb2**2
-        )
+        row["lhs29_integrand"] = sum(
+            kappa * (_energy([f], 1.0, dp) + 4 * dp**2 * _energy([f], 2.0, dp))
+            for kappa, f in ((state.nu, state.V), (state.eta, state.B)))
         if spec.sigma3:
             row["sigma3"] = _sigma_pairing(state, nl, dp, 3.0)
             row["tE2"], row["tdiss52"] = _balance_terms(state, dp)

@@ -289,7 +289,9 @@ def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None
 
 
 def lq_norm(w: SpectralField, q: float, s: float = 0.0, grid: int | None = None) -> float:
-    """Collocation-grid L^q norm of |(-laplacian)^{s/2} w| with (2pi)^-3 measure."""
+    """Collocation-grid L^q norm, q >= 1, of |(-laplacian)^{s/2} w| with (2pi)^-3 measure."""
+    if not q >= 1:
+        raise DomainError("lq_norm requires q >= 1, got %r" % (q,))
     vals = collocation_values(w, s=s, grid=grid)
     mag = np.sqrt(np.einsum("...c,...c->...", vals, vals))
     if np.isinf(q):

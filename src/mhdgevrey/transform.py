@@ -25,18 +25,13 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .spectral import SpectralField, _energy, _radial_sum, gevrey_norm
+from .spectral import SpectralField, _energy, _radial_sum
 
 PHI_RESIDUAL_TOL = 1e-12
 _MAX_BISECTIONS = 200
 
 
 # -- exponentially growing weight (first transform) ---------------------------
-
-
-def _energy_s(state, s: float) -> float:
-    """E_s = ||V||_s^2 + ||B||_s^2 of a state."""
-    return _energy((state.V, state.B), s)
 
 
 def _growth_envelope(table, s: float, sigma: float, mn: float, e0: float, tau):
@@ -153,8 +148,7 @@ def _balance_terms(state, dp: float):
     nu ||v~||_{5/2}^2 + eta ||b~||_{5/2}^2 of the weighted-energy balance,
     at weight index dP."""
     return (_energy((state.V, state.B), 2.0, dp),
-            state.nu * gevrey_norm(state.V, dp, 2.5) ** 2
-            + state.eta * gevrey_norm(state.B, dp, 2.5) ** 2)
+            state.nu * _energy([state.V], 2.5, dp) + state.eta * _energy([state.B], 2.5, dp))
 
 
 # -- the initial-data functional and the time window ----------------------------

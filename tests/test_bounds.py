@@ -36,7 +36,6 @@ from mhdgevrey.bounds import (
 from mhdgevrey.errors import DomainError, TraceError
 from mhdgevrey.solver import MhdState, full_rhs, step
 from mhdgevrey.spectral import _energy, sobolev_norm
-from mhdgevrey.transform import _energy_s
 
 from conftest import random_field
 from oracles import weighted, xi_fields_chain
@@ -526,7 +525,7 @@ class TestHarnessInternals:
                               float(singlemode_trace.times[-1]), _NO_VALUES)
         assert rep.verdict == "pass"
         states = singlemode_trace.checkpoints()
-        e_init = 0.5 * _energy_s(states[0], 0.0)
+        e_init = 0.5 * _energy((states[0].V, states[0].B), 0.0)
         singles = [verify_pointwise("P52", st, table, s=-4.0, e_init=e_init)
                    for st in states]
         assert len(singles) > 1

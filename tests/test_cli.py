@@ -208,12 +208,27 @@ class TestRunCommand:
          "initial.params 'A' must be a number"),
         ({"initial": {"kind": "single-mode", "params": {"amp_v": [1.0, 0.0, 0.0]}}},
          "initial.params 'n_v' must be a list of 3 numbers, got None"),
+        ({"lq_grid": [[0, 1]]}, "field 'lq_grid'"),
+        ({"lq_grid": [[0.5, 1]]}, "with q >= 1"),
+        ({"initial": {"kind": "random-spectrum", "params": {"norm_V": 0.01}}},
+         "unknown initial.params for random-spectrum: norm_V"),
+        ({"initial": {"kind": "single-mode",
+                      "params": {"n_v": [0, 0, 1.5], "amp_v": [1.0, 0.0, 0.0]}}},
+         "initial.params 'n_v' must be 3 integers of size at most N = 6"),
+        ({"initial": {"kind": "single-mode",
+                      "params": {"n_v": [0, 0, 1], "amp_v": [1.0, 0.0, 0.0],
+                                 "amp_b": [1.0, 0.0, 0.0]}}},
+         "initial.params 'amp_b' needs a wavevector 'n_b'"),
     ], ids=["lq-string", "lq-null", "lq-bool", "lq-strings", "norm_v-string",
-            "abc-string", "single-mode-without-n_v"])
+            "abc-string", "single-mode-without-n_v", "lq-q0", "lq-q-half",
+            "unknown-param", "fractional-wavevector", "amp_b-without-n_b"])
     def test_malformed_value_is_a_usage_error(self, tmp_path, table_json, capsys,
                                               overrides, message):
-        # each of these ended in a ValueError, TypeError or KeyError
-        # traceback, or (a boolean or string lq_grid entry) was accepted
+        # each of these ended in a ValueError, TypeError, KeyError or
+        # ZeroDivisionError (q = 0) traceback, or was accepted: a boolean or
+        # string lq_grid entry, an unknown param (norm_V gave ||V|| = 1), a
+        # fractional wavevector entry (1.5 built the mode 1) and an amp_b
+        # with no n_b
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", cfg, "--out", str(tmp_path / "x"),
                      "--table", table_json]) == EXIT_USAGE
@@ -655,6 +670,53 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert message in err[0]
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"config": {"nu": 0.1, "et', "line 1 column"),
+        ("[1, 2]", "not an object whose config holds positive numbers nu and eta"),
+        ('{"config": {"eta": 0.1}}',
+         "not an object whose config holds positive numbers nu and eta"),
+    ], ids=["cut", "not_an_object", "no_nu"])
+    def test_damaged_manifest_is_a_usage_error(self, cli_run, tmp_path, table_json,
+                                               capsys, text, message):
+        # verify ended in a JSONDecodeError, AttributeError or KeyError traceback
+        import shutil
+
+        bad = tmp_path / "damaged"
+        shutil.copytree(cli_run, bad)
+        (bad / "manifest.json").write_text(text)
+        with pytest.raises(TraceError, match="manifest.json"):
+            m.TraceArchive.load(bad)
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--table", table_json]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize("flag,value", [("--s", "inf"), ("--s", "nan"),
+                                            ("--p", "inf"), ("--T", "nan")])
+    def test_non_finite_flag_is_rejected(self, cli_run, tmp_path, table_json, capsys,
+                                         flag, value):
+        # --s inf ended in a ValueError from the strict report dump
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                  "--bounds", "P44", flag, value])
+        assert exc.value.code == 2
+        assert "argument %s: %r is not a finite number" % (flag, value) \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_index_is_informational(self, cli_run, tmp_path, table_json):
+        # 2^(s+1) in C~_s raised OverflowError at s = 1e308, and the square in
+        # C_tripleprime did at s = 700; s = 400 was already informational
+        out = tmp_path / "report.json"
+        assert main(["verify", cli_run, "--table", table_json, "--out", str(out),
+                     "--bounds", "P44", "--s", "400", "700", "1e308"]) == EXIT_OK
+        rows = json.loads(out.read_text())
+        assert [r["s"] for r in rows] == [400.0, 700.0, 1e308]
+        for r in rows:
+            assert r["verdict"] == "informational" and "rhs not finite" in r["note"]
 
     def test_table_with_estimation_meta_still_loads(self, cli_run, tmp_path, table,
                                                     table_json, monkeypatch):

@@ -18,9 +18,8 @@ from mhdgevrey.radius import (
     default_fit_shells,
     two_resolution_psi,
 )
-from mhdgevrey.spectral import SpectralField, geometry
+from mhdgevrey.spectral import SpectralField, _energy, geometry
 from mhdgevrey.solver import SolverConfig, make_initial, simulate
-from mhdgevrey.transform import _energy_s
 
 from conftest import full_diagnostics, random_field
 
@@ -226,7 +225,7 @@ class TestLipschitz:
         assert (rep.id, rep.s, rep.verdict) == ("LIP47", 0.0, "pass")
         # the worst checkpoint, each held to the energy of the first
         states = random_trace.checkpoints()
-        e_init = 0.5 * _energy_s(states[0], 0.0)
+        e_init = 0.5 * _energy((states[0].V, states[0].B), 0.0)
         singles = [verify_pointwise("LIP47", st, table, e_init=e_init) for st in states]
         assert len(singles) > 1
         assert rep.as_dict() == max(singles, key=lambda r: r.ratio).as_dict()

@@ -372,16 +372,17 @@ class TestArchive:
         arch.finalize()
 
     def test_manifest_read_once_and_copied(self, tmp_path):
-        arch = TraceArchive.create(tmp_path / "a", {"config": {"N": 3}})
+        config = {"N": 3, "nu": 0.1, "eta": 0.1}
+        arch = TraceArchive.create(tmp_path / "a", {"config": config})
         arch.append({"t": 0.0})
         arch.finalize()
         tr = TraceArchive.load(arch.root)
         man = tr.manifest
         man["config"]["N"] = 99
         (tr.root / "manifest.json").unlink()
-        assert tr.manifest == {"config": {"N": 3}}
+        assert tr.manifest == {"config": config}
         tr.update_manifest({"blowup_t": 0.5})
-        assert tr.manifest == {"config": {"N": 3}, "blowup_t": 0.5}
+        assert tr.manifest == {"config": config, "blowup_t": 0.5}
         assert TraceArchive.load(tr.root).manifest == tr.manifest
 
 
@@ -505,9 +506,9 @@ class TestSecondDerivative:
 
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_fused_pass_matches_polarised_direct_sum(self, N):
-        """The one-pass linearisation against the direct sum: the nonlinearity
-        is quadratic, so its linearisation at U in the direction dU is
-        [NL(U + dU) - NL(U - dU)] / 2."""
+        """The transform-path linearisation against the direct sum: the
+        nonlinearity is quadratic, so its linearisation at U in the direction
+        dU is [NL(U + dU) - NL(U - dU)] / 2."""
         nsq = geometry(N).nsq.astype(float)[..., None]
         for seed in range(3):
             st = random_state(N=N, seed=30 + seed, scale=0.4)
@@ -528,3 +529,30 @@ class TestSecondDerivative:
             given = second_time_derivative(st, rhs=(dV, dB))
             assert np.array_equal(given[0].coeffs, d2v.coeffs)
             assert np.array_equal(given[1].coeffs, d2b.coeffs)
+
+    def test_follows_the_nonlinear_products(self, monkeypatch):
+        """d^2U is formed from ``_products`` and not from a second copy of
+        the nonlinearity: doubling every product doubles the nonlinear part
+        of d^2U, as it doubles ``nonlinear_rhs_fast``."""
+        import mhdgevrey.solver as solver
+
+        N = 5
+        st = random_state(N=N, seed=60, scale=0.4)
+        rhs = full_rhs(st)
+        nl = [w.coeffs.copy() for w in nonlinear_rhs_fast(st)]
+        d2 = [w.coeffs.copy() for w in second_time_derivative(st, rhs)]
+        products = solver._products
+
+        def doubled(*args):
+            for p in products(*args):
+                yield np.multiply(p, 2.0, out=p)
+
+        monkeypatch.setattr(solver, "_products", doubled)
+        for w, ref in zip(nonlinear_rhs_fast(st), nl):
+            assert np.array_equal(w.coeffs, 2.0 * ref)
+        nsq = geometry(N).nsq_f[:, None]
+        for w, ref, f, kappa in zip(second_time_derivative(st, rhs), d2, rhs,
+                                    (st.nu, st.eta)):
+            diffusion = -kappa * nsq * f.coeffs
+            np.testing.assert_allclose(w.coeffs - diffusion, 2.0 * (ref - diffusion),
+                                       rtol=0, atol=1e-13 * np.max(np.abs(ref)))

@@ -127,6 +127,12 @@ class TestNorms:
         w = random_field(5, seed=7)
         assert lq_norm(w, 2.0, 0.0) == pytest.approx(m.sobolev_norm(w, 0.0), rel=1e-9)
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan])
+    def test_lq_norm_needs_q_at_least_one(self, q):
+        # q = 0 raised ZeroDivisionError
+        with pytest.raises(DomainError, match="q >= 1"):
+            lq_norm(random_field(3, seed=7), q)
+
     def test_fmt_s(self):
         assert fmt_s(1.0) == "1"
         assert fmt_s(0.5) == "0.5"
