@@ -30,7 +30,6 @@ from .radius import (
 )
 from .solver import (
     DiagnosticsSpec,
-    MhdState,
     SolverConfig,
     full_rhs,
     make_initial,
@@ -38,6 +37,7 @@ from .solver import (
     step,
 )
 from .spectral import (
+    MhdState,
     SpectralField,
     geometry,
     gevrey_norm,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -22,13 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, TraceError
-from .spectral import SpectralField, geometry
+from .spectral import MhdState, SpectralField, geometry
 
 MAGIC = b"MHDG"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sIIdddQ")
 _REC_DTYPE = np.dtype([("n", "<i4", (3,)), ("c", "<f8", (12,))])
+
+
+def _is_number(x) -> bool:
+    """A JSON number: an int or float, and not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @contextmanager
@@ -76,8 +82,6 @@ def checkpoint_save(state, path) -> None:
 
 
 def checkpoint_load(path):
-    from .solver import MhdState
-
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise CheckpointError("unexpected end of checkpoint")
@@ -164,20 +168,27 @@ class TraceArchive:
 
     @classmethod
     def load(cls, root) -> "TraceArchive":
-        """The archive at ``root``; its manifest must name positive nu and eta."""
+        """The archive at ``root``.  Its manifest must name positive nu and
+        eta, a finite number or null as delta and as sigma, and a finite t0
+        if it has one."""
         arch = cls(root)
         path = arch.root / "manifest.json"
         if not path.exists():
             raise TraceError("no manifest in %s" % root)
         try:
-            arch._manifest = read_json(path)
+            man = arch._manifest = read_json(path)
         except ConfigError as exc:
             raise TraceError(str(exc)) from exc
-        cfg = arch._manifest.get("config") if isinstance(arch._manifest, dict) else None
-        if not all(isinstance(cfg, dict) and isinstance(cfg.get(k), (int, float))
-                   and cfg[k] > 0 for k in ("nu", "eta")):
+        cfg = man.get("config") if isinstance(man, dict) else None
+        if not all(isinstance(cfg, dict) and _is_number(cfg.get(k)) and cfg[k] > 0
+                   for k in ("nu", "eta")):
             raise TraceError("%s: not an object whose config holds positive numbers nu and eta"
                              % path)
+        for key in ("delta", "sigma", "t0"):  # delta and sigma are null without their columns
+            v = man.get(key, 0.0)
+            if not (_is_number(v) and math.isfinite(v) or v is None and key != "t0"):
+                raise TraceError("%s: %r must be a finite number%s, got %r"
+                                 % (path, key, "" if key == "t0" else " or null", v))
         arch._read()
         return arch
 

@@ -156,6 +156,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if len(args.N) < 2 or len(set(args.N)) < len(args.N):
+        raise ConfigError("compare --N needs two or more distinct truncations, got %s"
+                          % " ".join(map(str, args.N)))
     cfg = load_run_config(args.config)
     table = _load_table(args.table)
     outdir = Path(args.out or cfg.outdir or "compare-out")
@@ -233,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("compare", help="rerun at several truncations")
     m.add_argument("config")
-    m.add_argument("--N", nargs="+", type=int, required=True)
+    m.add_argument("--N", nargs="+", type=int, required=True,
+                   help="two or more distinct truncation radii")
     m.add_argument("--out")
     m.add_argument("--table", help="constants table JSON")
     m.set_defaults(func=cmd_compare)

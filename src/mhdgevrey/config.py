@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .archive import read_json
+from .archive import _is_number, read_json
 from .errors import ConfigError
 from .solver import DiagnosticsSpec, SolverConfig, make_initial
+from .transform import delta_max
 
 # The specs' fields ("sigma" requests "ft_sigma"; see resolve), the initial family, outdir.
 _TOP_KEYS = ({f.name for spec in (SolverConfig, DiagnosticsSpec) for f in fields(spec)}
@@ -36,11 +37,6 @@ def _number(doc, key, default=_REQUIRED, integer=False):
         raise ConfigError("field %r must be %s, got %r"
                           % (key, "an integer" if integer else "a number", v))
     return v if integer else float(v)
-
-
-def _is_number(x) -> bool:
-    """A JSON number: an int or float, and not a boolean."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _slist(doc, key, default=()):
@@ -81,8 +77,6 @@ class RunConfig:
         "auto" delta is 0.9 of the admissible maximum (safety against the
         uncertainty of estimated constants); "auto" sigma is min(nu, eta)/2.
         """
-        from .transform import delta_max
-
         notes = {}
         nu, eta = self.solver.nu, self.solver.eta
         mn = min(nu, eta)

@@ -19,6 +19,7 @@ from scipy.fft import fft, ifft, next_fast_len
 from .archive import TraceArchive
 from .errors import BlowUpError, ConfigError, DomainError
 from .spectral import (
+    MhdState,
     SpectralField,
     _energy,
     _leray,
@@ -31,34 +32,9 @@ from .spectral import (
     sobolev_norm,
     wiener_norm,
 )
+from .transform import _balance_terms, sigma_p, solve_phi
 
 SCHEMES = ("integrating-factor-RK2", "integrating-factor-RK4")
-
-
-@dataclass(frozen=True)
-class MhdState:
-    """Velocity and magnetic coefficient fields at one instant."""
-
-    V: SpectralField
-    B: SpectralField
-    t: float = 0.0
-    nu: float = 1.0
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if self.V.N != self.B.N:
-            raise DomainError("velocity and magnetic truncations differ")
-        if not (self.nu > 0 and self.eta > 0):
-            raise DomainError("diffusivities must be positive")
-
-    @property
-    def N(self) -> int:
-        return self.V.N
-
-    def validate(self) -> "MhdState":
-        self.V.validate()
-        self.B.validate()
-        return self
 
 
 @dataclass(frozen=True)
@@ -517,21 +493,11 @@ class DiagnosticsSpec:
     shells: bool = False
 
 
-def _row_uses_nl(spec: DiagnosticsSpec) -> bool:
-    """Whether a sample row needs the nonlinearity of its state."""
-    return bool(spec.derivative_s or spec.wiener_s
-                or (spec.sigma3 and spec.delta is not None))
-
-
-def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
-                    nl=None):
-    """One sample row.  ``nl`` is ``nonlinear_rhs_fast(state)`` if the caller
-    has it; otherwise it is evaluated here when a column needs it."""
-    from .transform import _balance_terms, _sigma_pairing, solve_phi
-
-    if nl is None and _row_uses_nl(spec):
-        nl = nonlinear_rhs_fast(state)
-
+def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float):
+    """One sample row, and ``nonlinear_rhs_fast(state)`` if a column needed
+    it (else None)."""
+    nl = (nonlinear_rhs_fast(state) if spec.derivative_s or spec.wiener_s or spec.sigma3
+          else None)
     row = {"t": state.t}
     row["energy"] = 0.5 * _energy((state.V, state.B), 0.0)
     row["diss_v"] = state.nu * _energy([state.V], 1.0)
@@ -552,10 +518,9 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
     for q, s in spec.lq_grid:
         row["lv_q%s_s%s" % (fmt_s(q), fmt_s(s))] = lq_norm(state.V, q, s)
         row["lb_q%s_s%s" % (fmt_s(q), fmt_s(s))] = lq_norm(state.B, q, s)
-    if spec.ft_sigma is not None:
+    for s in spec.ft_s:
         w = spec.ft_sigma * (state.t - t0)
-        for s in spec.ft_s:
-            row["ft_s%s" % fmt_s(s)] = _energy((state.V, state.B), s, w)
+        row["ft_s%s" % fmt_s(s)] = _energy((state.V, state.B), s, w)
     if spec.delta is not None:
         # A Phi-weighted norm is the Gevrey norm of the state at index
         # delta*Phi.
@@ -569,14 +534,14 @@ def _diagnostic_row(state: MhdState, spec: DiagnosticsSpec, t0: float,
             kappa * (_energy([f], 1.0, dp) + 4 * dp**2 * _energy([f], 2.0, dp))
             for kappa, f in ((state.nu, state.V), (state.eta, state.B)))
         if spec.sigma3:
-            row["sigma3"] = _sigma_pairing(state, nl, dp, 3.0)
+            row["sigma3"] = sigma_p(state, nl, dp, 3.0)
             row["tE2"], row["tdiss52"] = _balance_terms(state, dp)
     if spec.shells:
         for m, amp in shell_spectrum(state.V):
             row["shv_%02d" % m] = amp
         for m, amp in shell_spectrum(state.B):
             row["shb_%02d" % m] = amp
-    return row
+    return row, nl
 
 
 def simulate(config: SolverConfig, initial: MhdState, outdir,
@@ -586,11 +551,17 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
 
     The manifest records every field of ``config`` under ``config`` and the
     diagnostics' ``delta`` and ``ft_sigma`` as ``delta`` and ``sigma``; a
-    ``manifest_extra`` value for either that differs is a ConfigError.
+    ``manifest_extra`` value for either that differs is a ConfigError, and
+    so are columns whose scale is unset: ``sigma3`` or ``tilde_s`` without
+    ``delta``, ``ft_s`` without ``ft_sigma``.
     """
     initial.validate()
     if initial.N != config.N:
         raise ConfigError("initial state truncation differs from config")
+    if diagnostics.delta is None and (diagnostics.sigma3 or diagnostics.tilde_s):
+        raise ConfigError("the sigma3 and tilde_s columns need a weight scale delta")
+    if diagnostics.ft_sigma is None and diagnostics.ft_s:
+        raise ConfigError("the ft_s columns need a growth rate sigma")
     manifest = {
         "config": asdict(config),
         "t0": initial.t,
@@ -614,8 +585,8 @@ def simulate(config: SolverConfig, initial: MhdState, outdir,
 
     def sample(state):
         # The row's nonlinearity is the first RK stage of the next step.
-        nl = nonlinear_rhs_fast(state) if _row_uses_nl(diagnostics) else None
-        arch.append(_diagnostic_row(state, diagnostics, t0, nl))
+        row, nl = _diagnostic_row(state, diagnostics, t0)
+        arch.append(row)
         return nl
 
     arch = TraceArchive.create(outdir, manifest)

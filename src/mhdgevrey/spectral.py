@@ -6,7 +6,8 @@ n = ``geometry(N).modes[i]``, with the K modes in lexicographic (n1, n2, n3)
 order.  Coefficients of a real field come in conjugate pairs, and since the
 ball is symmetric under n -> -n, row K-1-i holds the partner of row i, so
 ``coeffs[::-1]`` is the mirror.  Every coefficient is orthogonal to its
-wavevector; the mean (n = 0) is not stored.
+wavevector; the mean (n = 0) is not stored.  An ``MhdState`` is the
+velocity and magnetic fields of one instant, with t and the diffusivities.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len
 
 from .errors import DomainError, FieldInvariantError, GevreyOverflowError
 
@@ -159,6 +161,32 @@ class SpectralField:
         return self
 
 
+@dataclass(frozen=True)
+class MhdState:
+    """Velocity and magnetic coefficient fields at one instant."""
+
+    V: SpectralField
+    B: SpectralField
+    t: float = 0.0
+    nu: float = 1.0
+    eta: float = 1.0
+
+    def __post_init__(self):
+        if self.V.N != self.B.N:
+            raise DomainError("velocity and magnetic truncations differ")
+        if not (self.nu > 0 and self.eta > 0):
+            raise DomainError("diffusivities must be positive")
+
+    @property
+    def N(self) -> int:
+        return self.V.N
+
+    def validate(self) -> "MhdState":
+        self.V.validate()
+        self.B.validate()
+        return self
+
+
 def _leray(c: np.ndarray, n: np.ndarray, nsq: np.ndarray) -> np.ndarray:
     """Subtract from the rows c, in place, their components along the
     wavevectors n (floats, with the exact |n|^2 in nsq): the Leray
@@ -273,8 +301,6 @@ def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None
     Returns a real array of shape (grid, grid, grid, 3).  Used for L^q
     quadrature; the grid defaults to the smallest alias-free size.
     """
-    from scipy.fft import irfftn, next_fast_len
-
     g = geometry(w.N)
     M = grid if grid is not None else next_fast_len(2 * w.N + 1, real=True)
     if M < 2 * w.N + 1:
@@ -288,11 +314,11 @@ def collocation_values(w: SpectralField, s: float = 0.0, grid: int | None = None
     return np.moveaxis(phys, 0, -1)
 
 
-def lq_norm(w: SpectralField, q: float, s: float = 0.0, grid: int | None = None) -> float:
+def lq_norm(w: SpectralField, q: float, s: float = 0.0) -> float:
     """Collocation-grid L^q norm, q >= 1, of |(-laplacian)^{s/2} w| with (2pi)^-3 measure."""
     if not q >= 1:
         raise DomainError("lq_norm requires q >= 1, got %r" % (q,))
-    vals = collocation_values(w, s=s, grid=grid)
+    vals = collocation_values(w, s=s)
     mag = np.sqrt(np.einsum("...c,...c->...", vals, vals))
     if np.isinf(q):
         return float(np.max(mag))

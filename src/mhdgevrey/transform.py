@@ -111,14 +111,15 @@ def solve_phi(V: SpectralField, B: SpectralField, delta: float) -> float:
 # -- triple-interaction sums ---------------------------------------------------
 
 
-def sigma_p(state, delta: float, p: float) -> float:
+def sigma_p(state, nl, dp: float, p: float) -> float:
     """The real value i*Sigma_p of the triple-interaction sum of the
-    Phi-weighted fields of the state.
+    Phi-weighted fields of the state, from its Galerkin nonlinearity
+    ``nl`` = (NL_v, NL_b) (``solver.nonlinear_rhs_fast(state)``) and the
+    weight index dP = delta*Phi.
 
-    With dP = delta*Phi, the sum over mode pairs of the weighted fields
-    carries the weight |n|^p e^{dP(|n| - |k| - |n-k|)}.  The weight
-    factorises, so the inner sum over k is the Galerkin nonlinearity
-    (NL_v, NL_b) of the plain fields (v, b), and
+    The sum over mode pairs of the weighted fields carries the weight
+    |n|^p e^{dP(|n| - |k| - |n-k|)}.  The weight factorises, so the inner
+    sum over k is the nonlinearity of the plain fields (v, b), and
 
         i Sigma_p = sum_n |n|^p e^{2 dP|n|} Re[conj(v_n).NL_v(n) + conj(b_n).NL_b(n)].
 
@@ -126,14 +127,6 @@ def sigma_p(state, delta: float, p: float) -> float:
     and the padded grid of ``nonlinear_rhs_fast`` makes the truncated
     convolution exact, so one padded evaluation gives the sum for every p.
     """
-    from .solver import nonlinear_rhs_fast
-
-    dp = delta * solve_phi(state.V, state.B, delta)
-    return _sigma_pairing(state, nonlinear_rhs_fast(state), dp, p)
-
-
-def _sigma_pairing(state, nl, dp: float, p: float) -> float:
-    """i*Sigma_p at weight index dP from the nonlinearity (NL_v, NL_b) of the state."""
     nl_v, nl_b = nl
     pairing = (np.einsum("kc,kc->k", np.conj(state.V.coeffs), nl_v.coeffs)
                + np.einsum("kc,kc->k", np.conj(state.B.coeffs), nl_b.coeffs))

@@ -19,14 +19,23 @@ reference:
                          a trajectory (the P40/P42 left-hand sides)
   balance_residual       the midpoint residual of the weighted-energy balance
                          along a trajectory
+
+``sigma_p_of`` is the package's own route, not a reference: i*Sigma_p of a
+state at weight scale delta, with the arguments the sample row passes.
 """
 
 import numpy as np
 
 from mhdgevrey.errors import DomainError
-from mhdgevrey.solver import MhdState
+from mhdgevrey.solver import MhdState, nonlinear_rhs_fast
 from mhdgevrey.spectral import SpectralField, _energy, geometry
 from mhdgevrey.transform import _balance_terms, sigma_p, solve_phi
+
+
+def sigma_p_of(state, delta: float, p: float) -> float:
+    """``transform.sigma_p`` of the state's nonlinearity at dP = delta*Phi."""
+    dp = delta * solve_phi(state.V, state.B, delta)
+    return sigma_p(state, nonlinear_rhs_fast(state), dp, p)
 
 
 def nonlinear_rhs_direct(state: MhdState):
@@ -154,7 +163,7 @@ def xi_fields_chain(state_prev, state, state_next, delta: float):
 
     # dPhi/dt = -(Phi^3/2) dE_{3/2}/dt with dE_{3/2}/dt from the balance.
     e2, diss = _balance_terms(state, delta * phi)
-    de32 = 2.0 * (sigma_p(state, delta, 3.0) - diss) / (1.0 + delta * phi**3 * e2)
+    de32 = 2.0 * (sigma_p_of(state, delta, 3.0) - diss) / (1.0 + delta * phi**3 * e2)
     dphi = -(phi**3 / 2.0) * de32
 
     absn = geometry(state.N).absn[:, None]
@@ -179,7 +188,7 @@ def balance_residual(states, delta: float) -> float:
         e32 = _energy((st.V, st.B), 1.5, delta * phi)
         e2, diss = _balance_terms(st, delta * phi)
         pref = 0.5 * (1.0 + delta * phi**3 * e2)
-        vals.append((st.t, e32, pref, diss, sigma_p(st, delta, 3.0)))
+        vals.append((st.t, e32, pref, diss, sigma_p_of(st, delta, 3.0)))
     worst = 0.0
     for (t1, e1, p1, d1, s1), (t2, e2_, p2, d2, s2) in zip(vals, vals[1:]):
         h = t2 - t1

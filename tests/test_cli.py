@@ -235,6 +235,22 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
+    @pytest.mark.parametrize("drop, overrides, message", [
+        ("delta", {"tilde_s": [], "sigma3": True}, "need a weight scale delta"),
+        ("delta", {}, "need a weight scale delta"),
+        ("sigma", {}, "need a growth rate sigma"),
+    ], ids=["sigma3-without-delta", "tilde_s-without-delta", "ft_s-without-sigma"])
+    def test_columns_without_their_scale(self, tmp_path, table_json, capsys,
+                                         drop, overrides, message):
+        # these runs exited 0 without the sigma3, tilde_s or ft_s columns;
+        # simulate rejects them before the archive is created
+        cfg = write_config(tmp_path, drop=[drop], **overrides)
+        out = tmp_path / "x"
+        assert main(["run", cfg, "--out", str(out), "--table", table_json]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
@@ -294,7 +310,7 @@ class TestRunCommand:
         def stalled(V, B, delta):
             raise ConvergenceError("Phi bisection stalled")
 
-        monkeypatch.setattr(importlib.import_module("mhdgevrey.transform"),
+        monkeypatch.setattr(importlib.import_module("mhdgevrey.solver"),
                             "solve_phi", stalled)
         cfg = write_config(tmp_path)
         code = main(["run", cfg, "--out", str(tmp_path / "cv"),
@@ -676,10 +692,21 @@ class TestVerifyCommand:
         ("[1, 2]", "not an object whose config holds positive numbers nu and eta"),
         ('{"config": {"eta": 0.1}}',
          "not an object whose config holds positive numbers nu and eta"),
-    ], ids=["cut", "not_an_object", "no_nu"])
+        ('{"config": {"nu": 0.1, "eta": 0.1}, "delta": "abc"}',
+         "'delta' must be a finite number or null, got 'abc'"),
+        ('{"config": {"nu": 0.1, "eta": 0.1}, "sigma": "x"}',
+         "'sigma' must be a finite number or null, got 'x'"),
+        ('{"config": {"nu": 0.1, "eta": 0.1}, "t0": "zz"}',
+         "'t0' must be a finite number, got 'zz'"),
+        ('{"config": {"nu": 0.1, "eta": 0.1}, "delta": true}',
+         "'delta' must be a finite number or null, got True"),
+    ], ids=["cut", "not_an_object", "no_nu", "delta-string", "sigma-string",
+            "t0-string", "delta-boolean"])
     def test_damaged_manifest_is_a_usage_error(self, cli_run, tmp_path, table_json,
                                                capsys, text, message):
-        # verify ended in a JSONDecodeError, AttributeError or KeyError traceback
+        # verify ended in a JSONDecodeError, AttributeError or KeyError
+        # traceback; a string delta, sigma or t0 in a TypeError or ValueError
+        # one, and "delta": true was read as delta = 1
         import shutil
 
         bad = tmp_path / "damaged"
@@ -838,17 +865,19 @@ class TestSpectrumCommand:
 
 
 class TestCompareCommand:
-    def test_identical_resolutions_zero_psi(self, tmp_path, table_json):
+    def test_needs_two_distinct_truncations(self, tmp_path, table_json, capsys):
+        # --N 8 ran and printed nothing; --N 5 5 ran twice into one directory
+        # and reported psi = 0.  psi of two identical runs is tested in
+        # test_radius.
         cfg = write_config(tmp_path, t_end=0.01)
         out = tmp_path / "cmp"
-        code = main(["compare", cfg, "--N", "5", "5", "--out", str(out),
-                     "--table", table_json])
-        assert code == EXIT_OK
-        path = out / "psi_N005_N005.csv"
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))[1:]
-        assert rows
-        assert all(float(psi) == 0.0 for _, psi in rows)
+        for ns in (["8"], ["5", "5"], ["4", "6", "4"]):
+            assert main(["compare", cfg, "--N", *ns, "--out", str(out),
+                         "--table", table_json]) == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "two or more distinct truncations" in err[0]
+        assert not out.exists()
 
     def test_nested_resolutions_positive_psi(self, tmp_path, table_json):
         cfg = write_config(tmp_path, t_end=0.01)

@@ -193,7 +193,7 @@ class TestShellSumNorms:
             return real(w)
 
         monkeypatch.setattr(spectral, "_shell_sums", counted)
-        _diagnostic_row(st, sweep_diagnostics(delta_std), 0.0)
+        row, _ = _diagnostic_row(st, sweep_diagnostics(delta_std), 0.0)
         ids = [id(w) for w in seen]
         assert len(set(ids)) == len(ids)
         # V, B and their time derivatives; the Phi-weighted norms are read

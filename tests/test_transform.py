@@ -17,12 +17,11 @@ from mhdgevrey.transform import (
     _theta,
     delta_max,
     q_functional,
-    sigma_p,
     solve_phi,
 )
 
 from conftest import random_field
-from oracles import balance_residual, sigma_p_direct, weighted, weighted_state
+from oracles import balance_residual, sigma_p_direct, sigma_p_of, weighted, weighted_state
 
 
 def _weighted_energy(st, delta, s):
@@ -183,7 +182,7 @@ class TestSigmaP:
         st = m.make_initial("single-mode",
                             {"n_v": (0, 0, 1), "amp_v": [1.0, 1j, 0.0],
                              "n_b": None}, N=4, nu=0.1, eta=0.1)
-        assert abs(sigma_p(st, delta_std, 3.0)) <= 1e-12
+        assert abs(sigma_p_of(st, delta_std, 3.0)) <= 1e-12
 
     def test_p0_is_exactly_antisymmetric(self, delta_std):
         # The unweighted triple sum is the energy flux of the nonlinearity,
@@ -191,7 +190,7 @@ class TestSigmaP:
         st = MhdState(V=random_field(4, 7, 0.3), B=random_field(4, 8, 0.3),
                       nu=0.1, eta=0.1)
         scale = (m.sobolev_norm(st.V, 1.0) ** 2 + m.sobolev_norm(st.B, 1.0) ** 2) ** 1.5
-        assert abs(sigma_p(st, 0.0, 0.0)) <= 1e-11 * max(1.0, scale)
+        assert abs(sigma_p_of(st, 0.0, 0.0)) <= 1e-11 * max(1.0, scale)
 
     @pytest.mark.parametrize("N", [4, 6])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 3.0])
@@ -202,7 +201,7 @@ class TestSigmaP:
             st = MhdState(V=random_field(N, seed, 0.3),
                           B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
             scale = _weighted_energy(st, delta, 1.0 + 0.5 * p) ** 1.5
-            assert abs(sigma_p(st, delta, p) - sigma_p_direct(st, delta, p)) \
+            assert abs(sigma_p_of(st, delta, p) - sigma_p_direct(st, delta, p)) \
                 <= 1e-12 * max(1.0, scale)
 
     @pytest.mark.parametrize("derivative_s", [(), (0.0,)])
@@ -212,7 +211,7 @@ class TestSigmaP:
 
         st = MhdState(V=random_field(6, 3, 0.3), B=random_field(6, 23, 0.3),
                       nu=0.1, eta=0.1)
-        expected = sigma_p(st, delta_std, 3.0)
+        expected = sigma_p_of(st, delta_std, 3.0)
         calls = []
         real = solver.nonlinear_rhs_fast
 
@@ -223,7 +222,7 @@ class TestSigmaP:
         monkeypatch.setattr(solver, "nonlinear_rhs_fast", counting)
         spec = m.DiagnosticsSpec(delta=delta_std, derivative_s=derivative_s,
                                  sigma3=True)
-        row = _diagnostic_row(st, spec, 0.0)
+        row, _ = _diagnostic_row(st, spec, 0.0)
         assert len(calls) == 1
         scale = _weighted_energy(st, delta_std, 2.5) ** 1.5
         assert abs(row["sigma3"] - expected) <= 1e-12 * max(1.0, scale)
@@ -248,7 +247,7 @@ class TestGevreyRoute:
         for seed in range(3):
             st = MhdState(V=random_field(N, seed, 0.3),
                           B=random_field(N, seed + 20, 0.3), nu=0.1, eta=0.1)
-            row = _diagnostic_row(st, spec, 0.0)
+            row, _ = _diagnostic_row(st, spec, 0.0)
             tv, tb, phi = weighted_state(st, delta)
             assert row["phi"] == phi
             for s in self.TILDE_S:
